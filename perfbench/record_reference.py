@@ -2,7 +2,7 @@
 
     python3 perfbench/record_reference.py
 
-Runs one untraced pass of every workload at both sizes and writes
+Runs one untraced pass of every workload at every size and writes
 reference.json beside this file.  Run it only at a commit whose outputs
 are known to be right; the digests are what "correct" means afterwards.
 """
@@ -20,7 +20,7 @@ if not import_package():
 from workloads import REFERENCE_PATH, WORKLOADS  # noqa: E402
 
 reference = {}
-for size in ("full", "small"):
+for size in ("full", "timed", "small"):
     reference[size] = {}
     for name, workload in WORKLOADS.items():
         result = workload.run_pass(workload.build(0, size))

@@ -6,10 +6,13 @@ Run from the root of a source checkout; the package is imported from
 ``src/``.  One process, no threads, one call at a time (a closed loop with
 a single caller).  With ``--trace 0`` it runs whole passes of the workload
 until the next pass would end after S seconds (at least one) and reports
-the end-to-end metrics; with ``--trace 1`` it runs one untraced pass and
-two traced passes and reports the per-layer metrics.  Set-up time is the
-median of several fresh interpreters that import the package and build the
-workload's inputs.
+the end-to-end metrics, with the sweeps stopped at order 9 so that a run
+holds several passes; with ``--trace 1`` it runs one untraced pass and
+two traced passes to order 10 and reports the per-layer metrics.  Set-up
+time is the median of several fresh interpreters that import the package
+and build the workload's inputs.  The end-to-end times are scaled to a reference host
+speed measured while they run (``calibrate.py``); the raw times are
+printed beside them.
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics.  The exit code is 1 when any output is
@@ -19,6 +22,7 @@ wrong, 2 when the package cannot be found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import statistics
@@ -27,10 +31,12 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SPAN_DIR = Path(__file__).resolve().parent / "out"
-SETUP_PROBES = 11
+SETUP_PROBES = 15
 
 END_TO_END = (("wall_s", "s"), ("cpu_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MiB"))
 
@@ -49,10 +55,11 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--size", choices=("full", "small"), default="full",
-                        help="small runs orders <= 8, for the self-check")
+    parser.add_argument("--size", choices=("full", "timed", "small"), default="full",
+                        help="full runs the sweeps to order 10 when traced and to 9 "
+                             "(timed) when not; small runs orders <= 8, for the self-check")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seconds <= 0:
@@ -68,50 +75,59 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def _setup_seconds(args) -> list[float]:
+def _setup_seconds(args, factor: float) -> tuple[list[float], list[float]]:
+    """(scaled, raw) set-up times of fresh interpreters.  A child cannot be
+    sampled from here, so the times are scaled by the median host speed
+    factor of the run's passes, which just precede them."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", args.workload, "--seed", str(args.seed), "--size", args.size]
-    times = []
+    raw = []
     for _ in range(SETUP_PROBES):
         t0 = time.perf_counter()
         # no timeout: with one, the wait polls with sleeps of up to 50 ms
         subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+        raw.append(time.perf_counter() - t0)
+    return [t * factor for t in raw], raw
 
 
-def _timed_pass(workload, inputs, size):
+def _timed_pass(workload, inputs, size, sampler=None):
+    """(wall, cpu, checked result) of one pass, run under sampler if given."""
     from workloads import check
 
-    t0, c0 = time.perf_counter(), time.process_time()
-    result = workload.run_pass(inputs)
-    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    with sampler or contextlib.nullcontext():
+        t0, c0 = time.perf_counter(), time.process_time()
+        result = workload.run_pass(inputs)
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     return wall, cpu, check(workload.name, size, result)
 
 
 def _measure(args, workload, inputs):
     """Untraced passes for about args.seconds; end-to-end metrics."""
-    walls, cpus, results = [], [], []
+    walls, cpus, results, raws, factors = [], [], [], [], []
     start = time.perf_counter()
     while True:
-        wall, cpu, result = _timed_pass(workload, inputs, args.size)
+        sampler = calibrate.Sampler()
+        wall, cpu, result = _timed_pass(workload, inputs, args.size, sampler)
+        raws.append((wall, cpu))
+        factors.append(sampler.factor())
+        wall, cpu = sampler.scale(wall, cpu)
         walls.append(wall)
         cpus.append(cpu)
         results.append(result)
-        if time.perf_counter() - start + statistics.median(walls) > args.seconds:
+        if time.perf_counter() - start + statistics.median(r[0] for r in raws) > args.seconds:
             break
-    setup = _setup_seconds(args)
+    setup, setup_raw = _setup_seconds(args, statistics.median(factors))
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     summary = {
-        "wall_s": quartiles(walls),
-        "cpu_s": quartiles(cpus),
-        "setup_s": quartiles(setup),
+        "wall_s": (quartiles(walls), [r[0] for r in raws]),
+        "cpu_s": (quartiles(cpus), [r[1] for r in raws]),
+        "setup_s": (quartiles(setup), setup_raw),
     }
-    for name, (q1, med, q3) in summary.items():
-        samples = len(setup) if name == "setup_s" else len(walls)
-        print(f"{name}: median {med:.4f} s, quartiles {q1:.4f} .. {q3:.4f}, samples {samples}")
+    for name, ((q1, med, q3), raw) in summary.items():
+        print(f"{name}: median {med:.4f} s, quartiles {q1:.4f} .. {q3:.4f}, "
+              f"samples {len(raw)} (unscaled median {statistics.median(raw):.4f} s)")
     print(f"peak_rss_mb: {peak_mib:.2f} MiB")
-    metrics = {name: summary[name][1] for name in summary}
+    metrics = {name: summary[name][0][1] for name in summary}
     metrics["peak_rss_mb"] = peak_mib
     return results, metrics
 
@@ -174,6 +190,9 @@ def main(argv=None) -> int:
         print(f"error: unknown workload {args.workload!r}; "
               f"choose from {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
+    # a timed run stops the sweeps one order lower than a traced run
+    if args.size == "full" and not args.trace:
+        args.size = "timed"
     inputs = workload.build(args.seed, args.size)
     if args.setup_probe:
         return 0

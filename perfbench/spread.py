@@ -1,12 +1,13 @@
 """Run the benchmark over several seeds and report each metric's spread.
 
     python3 perfbench/spread.py --workload NAME [--workload NAME ...]
-        [--seeds 10] [--first-seed 1] [--seconds 40] [--out FILE]
+        [--seeds 10] [--first-seed 1] [--seconds 30] [--out FILE]
 
 For every workload it runs ``run.py --trace 0`` once per seed, one run at
 a time, and prints for each end-to-end metric the median, the quartiles
 (``statistics.quantiles(values, n=4)``) and the spread, which is the
-distance between the quartiles as a share of the median.  With --out the
+distance between the quartiles as a share of the median, also for the
+unscaled times that run.py prints beside the scaled ones.  With --out the
 same numbers go to a JSON file, the form of ``baseline.json``.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 from run import ROOT, quartiles
 
 HERE = Path(__file__).resolve().parent
+UNSCALED = re.compile(r"^(\w+): median .*\(unscaled median ([0-9.]+) s\)$", re.M)
 
 
 def _run(workload: str, seed: int, seconds: float) -> dict:
@@ -34,6 +37,9 @@ def _run(workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{workload} seed {seed}: incorrect output\n{proc.stderr}")
+    # run.py prints the unscaled median beside each scaled time
+    for name, value in UNSCALED.findall(proc.stdout):
+        result["metrics"][f"{name}.unscaled"] = {"value": float(value), "unit": "s"}
     return result
 
 
@@ -42,7 +48,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
 

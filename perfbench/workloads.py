@@ -11,6 +11,11 @@ outcome per operation and a digest per output group; ``check`` marks an
 operation failed when it raised, when an independent check fails, or when
 its group digest differs from the one recorded at the seed commit in
 ``reference.json``.
+
+Sizes: ``full`` runs the sweeps to order 10 and is what a traced run
+uses; ``timed`` stops the sweeps at order 9, so that a timed run holds
+several passes, and is the full kernel set; ``small`` stops at order 8
+and is for the self-check.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class ExtremalSweep:
     (k, m) = (7, 4), in one process: calls 2 and 3 reuse the level cache."""
 
     name = "extremal_sweep"
-    TOP = {"full": 10, "small": 8}
+    TOP = {"full": 10, "timed": 9, "small": 8}
 
     def build(self, seed: int, size: str):
         top = self.TOP[size]
@@ -145,9 +150,9 @@ class ClassifySweep:
     """classify --exhaustive for (k, m) = (7, 4), one order per call."""
 
     name = "classify_sweep"
-    ORDERS = {"full": (7, 8, 9, 10), "small": (7, 8)}
+    ORDERS = {"full": (7, 8, 9, 10), "timed": (7, 8, 9), "small": (7, 8)}
     # connected {P_7, K_4}-free graphs with min degree >= 2 on these orders
-    TOTAL = {"full": 51, "small": 23}
+    TOTAL = {"full": 51, "timed": 35, "small": 23}
 
     def build(self, seed: int, size: str):
         ops = [(f"classify_n{n}",
@@ -211,6 +216,7 @@ class DetectorKernels:
     name = "detector_kernels"
     # (largest k in group a, largest n in a, b, c, d, random graphs in b)
     LIMITS = {"full": (10, 20, 30, 16, 30, 1000), "small": (8, 14, 16, 10, 16, 100)}
+    LIMITS["timed"] = LIMITS["full"]
 
     def build(self, seed: int, size: str):
         top_k, top_a, top_b, top_c, top_d, n_random = self.LIMITS[size]
