@@ -9,26 +9,30 @@ unchanged by any relabelling of the input.
 Branches are pruned with automorphisms: the search seeds the generator
 list with twin transpositions (interchangeable vertices are everywhere in
 joins and Turan graphs) and records further automorphisms whenever two
-leaves produce the same code.
+leaves produce the same code.  Each automorphism is stored with its
+support bitmask, so testing whether it fixes the individualised prefix
+is a single AND.
 """
 
 from __future__ import annotations
 
 from .graph6 import graph6_encode
-from .graphs import Graph, relabel
+from .graphs import Graph, iter_bits, lower_twins, relabel
 
 
-def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
-    n, rows = g.n, g.rows
-    gens = []
-    ident = list(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-                a = ident[:]
-                a[u], a[v] = v, u
-                gens.append(tuple(a))
-    return gens
+def _twin_transpositions(g: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """Each twin swap (u v), in lexicographic order of (u, v), as
+    (automorphism, support bitmask)."""
+    pairs = sorted(
+        (u, v) for v, lower in enumerate(lower_twins(g)) for u in iter_bits(lower)
+    )
+    ident = list(range(g.n))
+    out = []
+    for u, v in pairs:
+        a = ident[:]
+        a[u], a[v] = v, u
+        out.append((tuple(a), (1 << u) | (1 << v)))
+    return out
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -60,16 +64,6 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 changed = True
                 break
     return cells
-
-
-def _fixes(a: tuple[int, ...], mask: int) -> bool:
-    m = mask
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        if a[u] != u:
-            return False
-    return True
 
 
 def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -109,9 +103,12 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
         elif tcode == best_code[0] and order != best_order[0]:
             b = best_order[0]
             a = [0] * n
+            support = 0
             for i in range(n):
                 a[b[i]] = order[i]
-            autos.append(tuple(a))
+                if b[i] != order[i]:
+                    support |= 1 << b[i]
+            autos.append((tuple(a), support))
 
     def search(cells: list[list[int]], fixed: int) -> None:
         cells = _refine(rows, cells)
@@ -135,8 +132,8 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
             grew = True
             while grew:
                 grew = False
-                for a in autos:
-                    if not _fixes(a, fixed):
+                for a, support in autos:
+                    if support & fixed:
                         continue
                     img = 0
                     m = done
@@ -154,7 +151,7 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     perm = [0] * n
     for i, v in enumerate(order):
         perm[v] = i
-    return perm, autos
+    return perm, [a for a, _support in autos]
 
 
 def canonical_form(g: Graph) -> Graph:

@@ -15,7 +15,7 @@ from typing import Optional
 from .canon import canonical
 from .constructions import g1, g2, g3, g4, g5
 from .formulas import delta_k
-from .graphs import Graph, copies, induced, join, primitive
+from .graphs import Graph, copies, induced, join, lower_twins, primitive
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -94,10 +94,22 @@ def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
     Branch-and-bound from every start vertex, pruned by the size of the
     region still reachable; with stop_at the search exits as soon as a
     path on stop_at vertices is found.
+
+    Twin pruning (twins as in graphs.lower_twins): of each twin class only
+    the lowest unvisited member is tried, as a start vertex and as the
+    next vertex at every node.  Soundness: swapping two unvisited twins
+    u < w is an automorphism that fixes every visited vertex, so it fixes
+    the path so far, its end vertex and the reach bound, and it maps the
+    subtree below "extend by w" onto the subtree below "extend by u" with
+    path orders preserved.  u is adjacent to the end vertex whenever w
+    is, and it comes first in the ascending scan with the same bound, so
+    skipping w neither loses a longest path nor marks as failed a state
+    that could still reach stop_at.
     """
     n, rows = g.n, g.rows
     if n == 0:
         return 0
+    lower = lower_twins(g)
     best = 1
     goal = stop_at if stop_at is not None else n
     # with a fixed target, a state (visited, end) that failed once can
@@ -116,6 +128,8 @@ def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
         while ext:
             u = (ext & -ext).bit_length() - 1
             ext &= ext - 1
+            if lower[u] & ~visited:
+                continue
             reach = _reachable(rows, 1 << u, visited)
             bound = length + reach.bit_count()
             if stop_at is not None:
@@ -130,7 +144,7 @@ def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
         return False
 
     for s in range(n):
-        if dfs(s, 1 << s, 1):
+        if not lower[s] and dfs(s, 1 << s, 1):
             break
     return best
 

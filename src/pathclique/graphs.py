@@ -103,6 +103,29 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def lower_twins(g: Graph) -> list[int]:
+    """lower_twins(g)[v] is the bitmask of the twins u < v of v.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}: equal open
+    neighbourhoods if they are non-adjacent, equal closed ones if they are
+    adjacent; equivalently, swapping them is an automorphism.  The relation
+    is an equivalence: u cannot have both an open twin v and a closed twin
+    w, since w in N(u) = N(v) would put v in N[w] = N[u].
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    out = []
+    for v, r in enumerate(g.rows):
+        bit = 1 << v
+        closed = r | bit
+        seen_open = by_open.get(r, 0)
+        seen_closed = by_closed.get(closed, 0)
+        out.append(seen_open | seen_closed)
+        by_open[r] = seen_open | bit
+        by_closed[closed] = seen_closed | bit
+    return out
+
+
 # -- constructors --------------------------------------------------------
 
 

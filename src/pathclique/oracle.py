@@ -143,13 +143,21 @@ def _subset_orbit_reps(i: int, gens: tuple) -> list[int]:
 
 
 def _extend(
-    level: list[tuple[Graph, tuple, str]],
-    i: int,
+    levels: list[list[tuple[Graph, tuple, str]]],
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
+    deadline: Optional[float],
 ) -> list[tuple[Graph, tuple, str]]:
+    """The next level after levels[-1]; the deadline is checked once per
+    parent, so a budget overruns by at most one parent's extensions."""
+    i = len(levels) - 1
     out: dict[str, tuple[Graph, tuple, str]] = {}
-    for g, gens, _code in level:
+    for g, gens, _code in levels[i]:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(
+                f"time budget exhausted after level {i}",
+                {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
+            )
         for mask in _subset_orbit_reps(i, gens):
             # a new K_m would have to use the new vertex
             if forbid_clique is not None and has_clique_in(
@@ -179,15 +187,10 @@ def _levels(
     g0 = Graph(0, ())
     levels = _LEVEL_CACHE.setdefault(key, [[(g0, (), graph6_encode(g0))]])
     while len(levels) <= n:
-        i = len(levels) - 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"time budget exhausted after level {i}",
-                {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
-            )
-        levels.append(_extend(levels[i], i, forbid_path, forbid_clique))
+        # only whole levels are cached: _extend raises before appending
+        levels.append(_extend(levels, forbid_path, forbid_clique, deadline))
         if progress is not None:
-            progress(i + 1, len(levels[i + 1]))
+            progress(len(levels) - 1, len(levels[-1]))
     return levels
 
 
@@ -231,10 +234,6 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
             continue
         out.append(g)
     return out
-
-
-def count_classes(config: EnumerationConfig) -> int:
-    return len(enumerate_graphs(config))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from pathclique.detect import (
     strong_dominating_cycle,
     strong_dominating_path,
 )
+from pathclique.formulas import delta_k
 from pathclique.graphs import (
     Graph,
     copies,
@@ -27,6 +28,7 @@ from pathclique.graphs import (
     join,
     make_graph,
     primitive,
+    relabel,
 )
 from pathclique.oracle import EnumerationConfig, enumerate_graphs
 
@@ -62,6 +64,38 @@ def longest_path_dp(g: Graph) -> int:
             best += 1
         frontier = nxt
     return best
+
+
+def twin_blowup(rng, max_n: int) -> Graph:
+    """Random blow-up of a small random graph: each base vertex becomes an
+    independent set (open twins) or a clique (closed twins), and base
+    edges become complete bipartite joins; the labels are then shuffled."""
+    b = rng.randint(1, 5)
+    base = random_graph(rng, b, rng.choice([0.3, 0.6, 0.9]))
+    sizes = [1] * b
+    while sum(sizes) < max_n and rng.random() < 0.85:
+        sizes[rng.randrange(b)] += 1
+    members, start = [], 0
+    for size in sizes:
+        members.append(range(start, start + size))
+        start += size
+    edges = []
+    for i in range(b):
+        if rng.random() < 0.5:
+            edges += combinations(members[i], 2)
+        for j in range(i + 1, b):
+            if base.has_edge(i, j):
+                edges += [(u, v) for u in members[i] for v in members[j]]
+    perm = list(range(start))
+    rng.shuffle(perm)
+    return relabel(make_graph(start, edges), perm)
+
+
+def assert_path_search_exact(g: Graph) -> None:
+    want = longest_path_dp(g)
+    assert longest_path_order(g) == want
+    for k in range(g.n + 2):
+        assert has_path(g, k) == (k <= want)
 
 
 def test_count_cliques_examples():
@@ -133,6 +167,26 @@ def test_longest_path_vs_dp_oracle():
     for _ in range(120):
         g = random_graph(rng, rng.randint(0, 8), rng.choice([0.2, 0.5, 0.8]))
         assert longest_path_order(g) == longest_path_dp(g)
+    # twin-heavy inputs, where the twin pruning of the path search acts
+    for _ in range(150):
+        assert_path_search_exact(twin_blowup(rng, 11))
+    structured = [
+        h_extremal(n, m, k)
+        for k in range(4, 11)
+        for m in range(3, k)
+        for n in range(delta_k(k) + 2, 13)
+    ]
+    for a in range(1, 7):
+        for b in range(1, 13 - a):
+            structured.append(join(primitive("empty", a), primitive("complete", b)))
+            structured.append(join(primitive("empty", a), primitive("empty", b)))
+        matching = copies((12 - a) // 2, primitive("complete", 2))
+        structured.append(join(primitive("empty", a), matching))
+    for g in structured:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert_path_search_exact(g)
+        assert_path_search_exact(relabel(g, perm))
 
 
 def test_longest_path_vs_dp_on_enumerated_corpus():

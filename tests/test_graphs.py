@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from pathclique.canon import canonical, canonical_with_generators
+from pathclique.constructions import double_star, h_extremal, turan
 from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import (
     Graph,
@@ -13,6 +14,7 @@ from pathclique.graphs import (
     disjoint_union,
     induced,
     join,
+    lower_twins,
     make_graph,
     primitive,
     relabel,
@@ -140,8 +142,13 @@ def test_graph6_rejects_malformed():
 
 def test_canonical_invariant_under_relabeling():
     rng = random.Random(17)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(1, 10))
+    graphs = [random_graph(rng, rng.randint(1, 10)) for _ in range(150)]
+    # large symmetric graphs, where twin automorphisms prune the search
+    for n in range(12, 25, 3):
+        graphs += [turan(n, p) for p in (2, 3, 5)]
+        graphs += [h_extremal(n, 4, 8), h_extremal(n, 6, 9), h_extremal(n, 7, 10)]
+        graphs.append(double_star(n // 3, n - n // 3))
+    for g in graphs:
         code = canonical(g)
         for _ in range(5):
             perm = list(range(g.n))
@@ -163,6 +170,26 @@ def test_canonical_separates_nonisomorphic():
         for code2, g2 in seen.items():
             if code != code2:
                 assert not nx.is_isomorphic(other, _to_nx(g2))
+
+
+def test_lower_twins():
+    assert lower_twins(primitive("path", 4)) == [0, 0, 0, 0]
+    assert lower_twins(primitive("star", 4)) == [0, 0, 0b10, 0b110]
+    assert lower_twins(primitive("complete", 3)) == [0, 0b1, 0b11]
+    rng = random.Random(43)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.1, 0.5, 0.9]))
+        lower = lower_twins(g)
+        for v in range(g.n):
+            for u in range(v):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                # twins are exactly the pairs whose swap is an automorphism
+                is_twin = bool((lower[v] >> u) & 1)
+                assert is_twin == (relabel(g, swap) == g)
+                # the relation is transitive
+                if is_twin:
+                    assert lower[u] == lower[v] & ((1 << u) - 1)
 
 
 def test_canonical_generators_are_automorphisms():

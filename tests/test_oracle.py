@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pathclique.canon import canonical
@@ -8,8 +10,10 @@ from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import make_graph, primitive
 from pathclique.oracle import (
     CAP_ENV_VAR,
+    BudgetExceeded,
     CapExceeded,
     EnumerationConfig,
+    clear_cache,
     disintegrate,
     enumerate_graphs,
     ex_oracle,
@@ -20,11 +24,26 @@ from pathclique.oracle import (
 )
 
 UNCONSTRAINED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# OEIS A006785: triangle-free graphs on n unlabelled vertices
+TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+# OEIS A001349: connected graphs on n unlabelled vertices
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 
 
 def test_unconstrained_counts():
     for n, want in UNCONSTRAINED_COUNTS.items():
         assert len(enumerate_graphs(EnumerationConfig(n=n))) == want
+
+
+def test_oeis_triangle_free_counts():
+    for n, want in enumerate(TRIANGLE_FREE_COUNTS, start=1):
+        assert len(enumerate_graphs(EnumerationConfig(n=n, forbid_clique=3))) == want
+
+
+def test_oeis_connected_counts():
+    for n, want in enumerate(CONNECTED_COUNTS, start=1):
+        config = EnumerationConfig(n=n, connected_only=True)
+        assert len(enumerate_graphs(config)) == want
 
 
 def test_enumeration_isomorph_free_and_exact():
@@ -191,3 +210,22 @@ def test_verify_classification_has_class3():
 def test_enumerated_graphs_satisfy_constraints():
     for g in enumerate_graphs(EnumerationConfig(n=7, forbid_path=6, forbid_clique=4)):
         assert is_free(g, 6, 4)
+
+
+def test_time_budget_overshoot_and_recovery():
+    # from a cold cache the (P_8, K_4) level 8 takes seconds to build, so
+    # a deadline checked only between levels would overrun by most of it
+    clear_cache()
+    budget = 1.0
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        ex_oracle(9, 8, 4, 2, time_budget_s=budget)
+    assert time.monotonic() - t0 < budget + 2.0
+    stats = info.value.stats
+    done = stats["completed_levels"]
+    assert len(stats["level_sizes"]) == done + 1
+    # the interrupted level was not cached half-built
+    config = EnumerationConfig(n=done + 1, forbid_path=8, forbid_clique=4)
+    resumed = enumerate_graphs(config)
+    clear_cache()
+    assert enumerate_graphs(config) == resumed
