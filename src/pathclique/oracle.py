@@ -4,8 +4,16 @@ Isomorph-free enumeration of {P_k, K_m}-free graphs by vertex-incremental
 extension: a graph on i+1 vertices always arises by attaching a new vertex
 to some graph on i vertices, and both freeness conditions are closed under
 vertex deletion, so pruned parents never lose descendants.  Duplicates are
-removed with canonical codes, and attachment subsets are reduced to orbit
-representatives under the parent's known automorphisms.
+removed with canonical codes.
+
+The new vertex's neighbourhood (its attachment mask) is decided before any
+candidate graph is built.  The parent is free, so a new P_k or K_m must
+use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
+one vertex or two vertices whose attachment alone creates a P_k.  So a
+parent on i vertices costs at most i + i(i-1)/2 path checks (one per
+orbit under its known automorphisms) and one pass over its 2^i masks; only
+the orbit representatives of the surviving masks are built and labelled
+canonically.  The argument is in _attachable_masks.
 
 Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
 cache doubles as a checkpoint since a timed-out sweep resumes from the
@@ -111,35 +119,109 @@ def clear_cache() -> None:
     _LEVEL_CACHE.clear()
 
 
-def _subset_orbit_reps(i: int, gens: tuple) -> list[int]:
-    """Minimal representative of each orbit of vertex subsets of 0..i-1
-    under the group generated by gens."""
-    total = 1 << i
+def _subset_orbits(masks: list[int], gens: tuple) -> list[list[int]]:
+    """The orbits of the vertex subsets in masks under the group generated
+    by gens, each led by its minimum.  masks must be ascending and closed
+    under gens, so the first mask met of each orbit is its minimum."""
     if not gens:
-        return list(range(total))
-    parent = list(range(total))
+        return [[mask] for mask in masks]
+    seen: set[int] = set()
+    orbits = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        seen.add(mask)
+        orbit = [mask]
+        for x in orbit:
+            for a in gens:
+                img = 0
+                m = x
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    img |= 1 << a[u]
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+        orbits.append(orbit)
+    return orbits
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a in gens:
-        for mask in range(total):
-            img = 0
-            m = mask
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                img |= 1 << a[u]
-            ra, rb = find(mask), find(img)
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-    return [mask for mask in range(total) if find(mask) == mask]
+def _attach(g: Graph, mask: int) -> Graph:
+    """g plus a new vertex g.n adjacent to the vertices of mask."""
+    bit = 1 << g.n
+    rows = [r | bit if (mask >> u) & 1 else r for u, r in enumerate(g.rows)]
+    rows.append(mask)
+    return Graph(g.n + 1, tuple(rows))
+
+
+def _attachable_masks(
+    g: Graph, gens: tuple, forbid_path: Optional[int], forbid_clique: Optional[int]
+) -> list[int]:
+    """Every mask M, ascending, for which g + v(M) is {P_k, K_m}-free,
+    where g is {P_k, K_m}-free, gens generate automorphisms of g and v is
+    a new vertex with neighbourhood M.
+
+    Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
+    - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
+      is K_m-free iff M spans no K_{m-1}.
+    - P_k with k >= 2: v has one or two neighbours on the path, a set
+      S ⊆ M with 1 <= |S| <= 2, and the path lies in g + v(S).  As
+      g + v(S) is a subgraph of g + v(M) for every S ⊆ M, g + v(M) is
+      P_k-free iff no vertex u of M is bad (g + v({u}) has a P_k) and no
+      two vertices of M clash (g + v({u, w}) has a P_k).
+    - Edge cases.  For k <= 1 or m <= 1, v alone (or the empty graph) is
+      already a P_k or a K_m, so no mask survives, not even the empty
+      one.  Otherwise the empty mask survives, since g + v(∅) adds no
+      edge.  For m = 2 it is the only survivor, since every nonempty M
+      spans a K_1; for k = 2 every vertex is bad, with the same result.
+    Both conditions are closed under taking subsets, so one pass in
+    ascending order decides every mask from M - t, t the top vertex of M:
+    M survives iff M - t does, t is not bad and clashes with no vertex of
+    M - t, and the clique number max(ω(M - t), 1 + ω(N(t) ∩ (M - t)))
+    is below m - 1.  M - t and N(t) ∩ (M - t) are smaller subsets of a
+    survivor, so they are survivors whose clique numbers are known.
+    An automorphism a of g maps g + v(S) onto g + v(a(S)), so every
+    verdict is invariant under the group: one path check per orbit of
+    vertices and of good pairs decides the whole orbit, and the survivors
+    are a union of orbits.
+    """
+    k, m = forbid_path, forbid_clique
+    if (k is not None and k <= 1) or (m is not None and m <= 1):
+        return []
+    i, rows = g.n, g.rows
+    # clash[u]: the vertices u cannot share a mask with; u itself if bad
+    clash = [0] * i
+    if k is not None:
+        for orbit in _subset_orbits([1 << u for u in range(i)], gens):
+            if has_path(_attach(g, orbit[0]), k):
+                for single in orbit:
+                    clash[single.bit_length() - 1] = single
+        good = [u for u in range(i) if not clash[u]]
+        pairs = [1 << u | 1 << w for b, w in enumerate(good) for u in good[:b]]
+        for orbit in _subset_orbits(pairs, gens):
+            if has_path(_attach(g, orbit[0]), k):
+                for pair in orbit:
+                    u, w = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+                    clash[u] |= 1 << w
+                    clash[w] |= 1 << u
+    # table[M] = 1 + clique number of M if M survives, else 0; a survivor
+    # has 1 + ω(M) < m, and 1 + ω(M) <= i + 1 always
+    limit = i + 2 if m is None else m
+    table = bytearray(1 << i)
+    table[0] = 1
+    out = [0]
+    for mask in range(1, 1 << i):
+        t = mask.bit_length() - 1
+        rest = mask ^ (1 << t)
+        w = table[rest]
+        if not w or clash[t] & mask:
+            continue
+        w = max(w, table[rows[t] & rest] + 1)
+        if w < limit:
+            table[mask] = w
+            out.append(mask)
+    return out
 
 
 def _extend(
@@ -158,18 +240,9 @@ def _extend(
                 f"time budget exhausted after level {i}",
                 {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
             )
-        for mask in _subset_orbit_reps(i, gens):
-            # a new K_m would have to use the new vertex
-            if forbid_clique is not None and has_clique_in(
-                g, mask, forbid_clique - 1
-            ):
-                continue
-            rows = [r | (1 << i) if (mask >> u) & 1 else r for u, r in enumerate(g.rows)]
-            rows.append(mask)
-            cand = Graph(i + 1, tuple(rows))
-            if forbid_path is not None and has_path(cand, forbid_path):
-                continue
-            cf, cgens = canonical_with_generators(cand)
+        masks = _attachable_masks(g, gens, forbid_path, forbid_clique)
+        for orbit in _subset_orbits(masks, gens):
+            cf, cgens = canonical_with_generators(_attach(g, orbit[0]))
             code = graph6_encode(cf)
             if code not in out:
                 out[code] = (cf, tuple(cgens), code)

@@ -1,18 +1,28 @@
+import hashlib
 import time
 
 import pytest
 
-from pathclique.canon import canonical
+from pathclique.canon import canonical, canonical_with_generators
 from pathclique.constructions import h_extremal, turan, turan_union
-from pathclique.detect import count_cliques, is_2connected, is_connected, is_free
+from pathclique.detect import (
+    count_cliques,
+    has_clique,
+    has_path,
+    is_2connected,
+    is_connected,
+    is_free,
+)
 from pathclique.formulas import ParameterError, TheoremParams, turan_cliques
 from pathclique.graph6 import graph6_decode, graph6_encode
-from pathclique.graphs import make_graph, primitive
+from pathclique.graphs import Graph, make_graph, primitive
 from pathclique.oracle import (
     CAP_ENV_VAR,
     BudgetExceeded,
     CapExceeded,
     EnumerationConfig,
+    _attachable_masks,
+    _levels,
     clear_cache,
     disintegrate,
     enumerate_graphs,
@@ -28,6 +38,19 @@ UNCONSTRAINED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 # OEIS A001349: connected graphs on n unlabelled vertices
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+# P_4-free graphs are disjoint unions of stars and triangles: partitions of
+# n in which the part 3 comes in two kinds (K_{1,2} and K_3), n = 0..10
+P4_FREE_COUNTS = [1, 1, 2, 4, 6, 9, 15, 21, 31, 45, 63]
+# sha256 of the graph6 level lists ("<order> <code>" lines, levels 0..n),
+# recorded before attachment masks were decided from their small subsets
+LEVEL_DIGESTS = {
+    (5, 3, 9): "482b228a50db11fa3f9a2c0d5ec140f742da140345ed41892dddbe96756c8f9f",
+    (6, 4, 9): "0c4886a38b2df26b5b12838dd4bdfcb59c3f8781e0d4e8cdf585c31ebeb1042d",
+    (7, 4, 9): "86497718268e7ce3f4744f72e40597371bf1ba14223b19c1b909b6828966a0be",
+    (8, 5, 8): "a049fe912b386c96c131a258a6744221498f27462d4f34d692ecb748a5eedc3f",
+}
+# (forbid_path, forbid_clique) cells checked mask by mask against the rule
+RULE_CELLS = [(5, 3), (6, 4), (7, 4), (8, 5), (6, None), (None, 4)]
 
 
 def test_unconstrained_counts():
@@ -44,6 +67,92 @@ def test_oeis_connected_counts():
     for n, want in enumerate(CONNECTED_COUNTS, start=1):
         config = EnumerationConfig(n=n, connected_only=True)
         assert len(enumerate_graphs(config)) == want
+
+
+def test_path_only_closed_forms():
+    # P_3-free graphs are matchings plus isolated vertices
+    for n in range(11):
+        assert len(enumerate_graphs(EnumerationConfig(n=n, forbid_path=3))) == n // 2 + 1
+    for n, want in enumerate(P4_FREE_COUNTS):
+        assert len(enumerate_graphs(EnumerationConfig(n=n, forbid_path=4))) == want
+
+
+def test_degenerate_parameters():
+    # P_1 and K_1 are single vertices, so only the empty graph avoids them;
+    # P_2 and K_2 are single edges, so only the edgeless graphs avoid them
+    for k, m, want in [(1, None, 0), (None, 1, 0), (2, None, 1), (None, 2, 1),
+                       (2, 5, 1), (5, 2, 1)]:
+        sizes = [
+            len(enumerate_graphs(EnumerationConfig(n=n, forbid_path=k, forbid_clique=m)))
+            for n in range(11)
+        ]
+        assert sizes == [1] + [want] * 10, (k, m)
+
+
+def test_level_lists_byte_identical():
+    for (k, m, n), want in LEVEL_DIGESTS.items():
+        lines = []
+        for order in range(n + 1):
+            config = EnumerationConfig(n=order, forbid_path=k, forbid_clique=m)
+            lines += [f"{order} {graph6_encode(g)}" for g in enumerate_graphs(config)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want, (k, m, n)
+
+
+def _orbit_minima(i: int, gens: tuple) -> list[int]:
+    """The least member of the orbit of each subset of 0..i-1 under gens
+    (union-find over every mask, as enumeration did before the mask rule)."""
+    parent = list(range(1 << i))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in gens:
+        for mask in range(1 << i):
+            img = 0
+            for u in range(i):
+                if (mask >> u) & 1:
+                    img |= 1 << a[u]
+            ra, rb = find(mask), find(img)
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(mask) for mask in range(1 << i)]
+
+
+def _with_new_vertex(g: Graph, mask: int) -> Graph:
+    rows = [r | (1 << g.n) if (mask >> u) & 1 else r for u, r in enumerate(g.rows)]
+    return Graph(g.n + 1, tuple(rows) + (mask,))
+
+
+def test_mask_rule_matches_unpruned_extension():
+    """The pruned enumeration against an unpruned one kept here.
+
+    For every parent on at most 7 vertices and every mask, the rule keeps
+    the mask iff the whole candidate graph has no P_k and no K_m.  The
+    candidate is checked once per orbit of masks: the parent's generators
+    are automorphisms, so all candidates of an orbit are isomorphic.  Each
+    level to n = 8 must equal the one built from the level below by
+    labelling every free orbit representative canonically."""
+    for k, m in RULE_CELLS:
+        levels = _levels(k, m, 8)
+        for i in range(8):
+            out = {}
+            for g, gens, code in levels[i]:
+                minima = _orbit_minima(i, gens)
+                free = {}
+                for rep in sorted(set(minima)):
+                    cand = _with_new_vertex(g, rep)
+                    free[rep] = (m is None or not has_clique(cand, m)) and (
+                        k is None or not has_path(cand, k)
+                    )
+                    if free[rep]:
+                        cf, cgens = canonical_with_generators(cand)
+                        out.setdefault(graph6_encode(cf), (cf, tuple(cgens)))
+                want = [mask for mask in range(1 << i) if free[minima[mask]]]
+                assert _attachable_masks(g, gens, k, m) == want, (k, m, code)
+            want = [(out[c][0], out[c][1], c) for c in sorted(out)]
+            assert levels[i + 1] == want, (k, m, i + 1)
 
 
 def test_enumeration_isomorph_free_and_exact():
@@ -213,19 +322,21 @@ def test_enumerated_graphs_satisfy_constraints():
 
 
 def test_time_budget_overshoot_and_recovery():
-    # from a cold cache the (P_8, K_4) level 8 takes seconds to build, so
-    # a deadline checked only between levels would overrun by most of it
+    # from a cold cache the K_4-free levels up to 7 take well under the
+    # budget and level 8 takes seconds, so the deadline passes while the
+    # last level is built: a check made only between levels would not fire
+    # at all
     clear_cache()
     budget = 1.0
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as info:
-        ex_oracle(9, 8, 4, 2, time_budget_s=budget)
+        ex_oracle(8, None, 4, 2, time_budget_s=budget)
     assert time.monotonic() - t0 < budget + 2.0
     stats = info.value.stats
     done = stats["completed_levels"]
     assert len(stats["level_sizes"]) == done + 1
     # the interrupted level was not cached half-built
-    config = EnumerationConfig(n=done + 1, forbid_path=8, forbid_clique=4)
+    config = EnumerationConfig(n=done + 1, forbid_clique=4)
     resumed = enumerate_graphs(config)
     clear_cache()
     assert enumerate_graphs(config) == resumed
