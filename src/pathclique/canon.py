@@ -35,34 +35,58 @@ def _twin_transpositions(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition; order is invariant."""
-    changed = True
-    while changed:
-        changed = False
-        for si in range(len(cells)):
-            w = 0
-            for v in cells[si]:
-                w |= 1 << v
-            newcells: list[list[int]] = []
-            split = False
-            for cell in cells:
-                if len(cell) == 1:
-                    newcells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
+def _refine(
+    rows: tuple[int, ...], cells: list[list[int]], clean: list[bool]
+) -> list[list[int]]:
+    """Equitable refinement of an ordered partition of the vertices; order
+    is invariant.  clean[i] may be True only if cells[i] splits no cell.
+
+    Every cell is split by the first cell, in order, that splits any, and
+    the scan starts again, until no cell splits any.  A cell W that split
+    nothing still splits nothing after other cells are split, since a part
+    of a cell whose vertices all see W equally sees W equally too; so W is
+    marked clean and not tried again unless it is itself split.  A
+    splitter that was not itself split is clean after its split."""
+    n = len(rows)
+    clean = clean[:]
+    si = 0
+    while si < len(cells) and len(cells) < n:
+        if clean[si]:
+            si += 1
+            continue
+        w = 0
+        for v in cells[si]:
+            w |= 1 << v
+        # None until a cell splits; from then on, the refined cells so far
+        newcells: list[list[int]] | None = None
+        newclean: list[bool] = []
+        for ci, cell in enumerate(cells):
+            uniform = True
+            if len(cell) > 1:
+                first = (rows[cell[0]] & w).bit_count()
                 for v in cell:
-                    groups.setdefault((rows[v] & w).bit_count(), []).append(v)
-                if len(groups) == 1:
+                    if (rows[v] & w).bit_count() != first:
+                        uniform = False
+                        break
+            if uniform:
+                if newcells is not None:
                     newcells.append(cell)
-                else:
-                    split = True
-                    for key in sorted(groups):
-                        newcells.append(groups[key])
-            if split:
-                cells = newcells
-                changed = True
-                break
+                    newclean.append(clean[ci] or ci == si)
+                continue
+            if newcells is None:
+                newcells = cells[:ci]
+                newclean = [c or j == si for j, c in enumerate(clean[:ci])]
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((rows[v] & w).bit_count(), []).append(v)
+            for key in sorted(groups):
+                newcells.append(groups[key])
+                newclean.append(False)
+        if newcells is None:
+            clean[si] = True
+            si += 1
+        else:
+            cells, clean, si = newcells, newclean, 0
     return cells
 
 
@@ -110,8 +134,8 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
                     support |= 1 << b[i]
             autos.append((tuple(a), support))
 
-    def search(cells: list[list[int]], fixed: int) -> None:
-        cells = _refine(rows, cells)
+    def search(cells: list[list[int]], clean: list[bool], fixed: int) -> None:
+        cells = _refine(rows, cells, clean)
         target = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -121,12 +145,16 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
             leaf([c[0] for c in cells])
             return
         cell = cells[target]
+        # cells is equitable, so only the two parts of the target can split
+        clean = [True] * (len(cells) + 1)
+        clean[target] = clean[target + 1] = False
         done = 0
         for v in cell:
             if (done >> v) & 1:
                 continue
             rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1 :], fixed | (1 << v))
+            split = cells[:target] + [[v], rest] + cells[target + 1 :]
+            search(split, clean, fixed | (1 << v))
             done |= 1 << v
             # close the tried set under automorphisms fixing the prefix
             grew = True
@@ -145,7 +173,7 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
                         done |= img
                         grew = True
 
-    search(cells0, 0)
+    search(cells0, [False] * len(cells0), 0)
     order = best_order[0]
     assert order is not None
     perm = [0] * n

@@ -11,9 +11,12 @@ candidate graph is built.  The parent is free, so a new P_k or K_m must
 use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
 one vertex or two vertices whose attachment alone creates a P_k.  So a
 parent on i vertices costs at most i + i(i-1)/2 path checks (one per
-orbit under its known automorphisms) and one pass over its 2^i masks; only
-the orbit representatives of the surviving masks are built and labelled
-canonically.  The argument is in _attachable_masks.
+orbit under its known automorphisms) and one pass over its 2^i masks.  The
+argument is in _attachable_masks.  Of the surviving masks, only those that
+give the new vertex maximum degree in the child are kept, since every
+graph in the class arises by attaching a vertex of maximum degree (see
+_extend); only their orbit representatives are built and labelled
+canonically.
 
 Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
 cache doubles as a checkpoint since a timed-out sweep resumes from the
@@ -224,6 +227,24 @@ def _attachable_masks(
     return out
 
 
+def _max_degree_masks(g: Graph, masks: list[int]) -> list[int]:
+    """The masks M, in their order, for which the new vertex has maximum
+    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u.
+
+    With D the maximum degree of g, that is |M| > D, or |M| = D and M
+    holds no vertex of degree D.  The test reads only degrees, so it is
+    invariant under Aut(g): masks that were ascending and closed under a
+    set of automorphisms stay so."""
+    degs = g.degrees()
+    top = max(degs, default=0)
+    at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
+    return [
+        mask
+        for mask in masks
+        if (size := mask.bit_count()) > top or (size == top and not mask & at_top)
+    ]
+
+
 def _extend(
     levels: list[list[tuple[Graph, tuple, str]]],
     forbid_path: Optional[int],
@@ -231,7 +252,20 @@ def _extend(
     deadline: Optional[float],
 ) -> list[tuple[Graph, tuple, str]]:
     """The next level after levels[-1]; the deadline is checked once per
-    parent, so a budget overruns by at most one parent's extensions."""
+    parent, so a budget overruns by at most one parent's extensions.
+
+    Only children whose new vertex has maximum degree are labelled (the
+    degree test of canonical augmentation, McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26 (1998)).  Soundness: let G
+    be in the class on i + 1 vertices and u a vertex of maximum degree.
+    The class is closed under vertex deletion and levels[i] is complete,
+    so G - u is isomorphic, by some φ, to a parent P of levels[i];
+    M = φ(N(u)) is an attachable mask and P + v(M) ≅ G with v ↦ u, so M
+    passes the degree test.  The orbit representative M' = a(M), a in
+    the group of P's generators, gives P + v(M') ≅ P + v(M) with v fixed,
+    so M' passes too and G is labelled.  The generators may span only a
+    subgroup of Aut(P), and one class can arise from several parents, so
+    the children are still deduplicated by canonical code."""
     i = len(levels) - 1
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, gens, _code in levels[i]:
@@ -241,6 +275,7 @@ def _extend(
                 {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
             )
         masks = _attachable_masks(g, gens, forbid_path, forbid_clique)
+        masks = _max_degree_masks(g, masks)
         for orbit in _subset_orbits(masks, gens):
             cf, cgens = canonical_with_generators(_attach(g, orbit[0]))
             code = graph6_encode(cf)

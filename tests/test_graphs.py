@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from pathclique.canon import canonical, canonical_with_generators
+from pathclique.canon import _refine, canonical, canonical_with_generators
 from pathclique.constructions import double_star, h_extremal, turan
 from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import (
@@ -199,3 +199,79 @@ def test_canonical_generators_are_automorphisms():
         cf, gens = canonical_with_generators(g)
         for a in gens:
             assert relabel(cf, list(a)) == cf
+
+
+def _reference_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement as canon._refine did it before clean flags:
+    every cell is tried as a splitter on every scan."""
+    changed = True
+    while changed:
+        changed = False
+        for si in range(len(cells)):
+            w = 0
+            for v in cells[si]:
+                w |= 1 << v
+            newcells: list[list[int]] = []
+            split = False
+            for cell in cells:
+                if len(cell) == 1:
+                    newcells.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & w).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    newcells.append(cell)
+                else:
+                    split = True
+                    for key in sorted(groups):
+                        newcells.append(groups[key])
+            if split:
+                cells = newcells
+                changed = True
+                break
+    return cells
+
+
+def _individualise(
+    rng: random.Random, cells: list[list[int]]
+) -> tuple[list[list[int]], int]:
+    """cells with a random vertex of a random cell of two or more split off
+    in front of the rest of its cell, and the index of its new cell; t is
+    -1 and cells unchanged if every cell is a single vertex."""
+    big = [i for i, cell in enumerate(cells) if len(cell) > 1]
+    if not big:
+        return cells, -1
+    t = rng.choice(big)
+    v = rng.choice(cells[t])
+    rest = [u for u in cells[t] if u != v]
+    return cells[:t] + [[v], rest] + cells[t + 1 :], t
+
+
+def test_refine_matches_reference():
+    """_refine against the version without clean flags, on the degree
+    partitions of random graphs, with and without one individualised
+    vertex, and as the canonical search calls it: an equitable partition
+    with one vertex individualised, every other cell marked clean."""
+    rng = random.Random(47)
+    checked = 0
+    while checked < 20000:
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        bydeg: dict[int, list[int]] = {}
+        for v in range(n):
+            bydeg.setdefault(g.rows[v].bit_count(), []).append(v)
+        cells = [bydeg[d] for d in sorted(bydeg)]
+        for part in (cells, _individualise(rng, cells)[0]):
+            want = _reference_refine(g.rows, part)
+            assert _refine(g.rows, part, [False] * len(part)) == want
+            checked += 1
+        split, t = _individualise(rng, _reference_refine(g.rows, cells))
+        if t >= 0:
+            clean = [True] * len(split)
+            clean[t] = clean[t + 1] = False
+            given = clean[:]
+            assert _refine(g.rows, split, clean) == _reference_refine(g.rows, split)
+            # the search hands the same flags to every sibling
+            assert clean == given
+            checked += 1

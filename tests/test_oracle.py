@@ -15,7 +15,7 @@ from pathclique.detect import (
 )
 from pathclique.formulas import ParameterError, TheoremParams, turan_cliques
 from pathclique.graph6 import graph6_decode, graph6_encode
-from pathclique.graphs import Graph, make_graph, primitive
+from pathclique.graphs import Graph, make_graph, primitive, relabel
 from pathclique.oracle import (
     CAP_ENV_VAR,
     BudgetExceeded,
@@ -23,6 +23,7 @@ from pathclique.oracle import (
     EnumerationConfig,
     _attachable_masks,
     _levels,
+    _max_degree_masks,
     clear_cache,
     disintegrate,
     enumerate_graphs,
@@ -35,9 +36,9 @@ from pathclique.oracle import (
 
 UNCONSTRAINED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 # OEIS A006785: triangle-free graphs on n unlabelled vertices
-TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
 # OEIS A001349: connected graphs on n unlabelled vertices
-CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 # P_4-free graphs are disjoint unions of stars and triangles: partitions of
 # n in which the part 3 comes in two kinds (K_{1,2} and K_3), n = 0..10
 P4_FREE_COUNTS = [1, 1, 2, 4, 6, 9, 15, 21, 31, 45, 63]
@@ -132,8 +133,11 @@ def test_mask_rule_matches_unpruned_extension():
     the mask iff the whole candidate graph has no P_k and no K_m.  The
     candidate is checked once per orbit of masks: the parent's generators
     are automorphisms, so all candidates of an orbit are isomorphic.  Each
-    level to n = 8 must equal the one built from the level below by
-    labelling every free orbit representative canonically."""
+    level to n = 8 must hold the same graphs and codes as the one built
+    from the level below by labelling every free orbit representative
+    canonically, with no degree filter.  Which candidate reaches a code
+    first depends on the filter, so the stored generators may differ;
+    they must be automorphisms of the stored graph."""
     for k, m in RULE_CELLS:
         levels = _levels(k, m, 8)
         for i in range(8):
@@ -147,12 +151,43 @@ def test_mask_rule_matches_unpruned_extension():
                         k is None or not has_path(cand, k)
                     )
                     if free[rep]:
-                        cf, cgens = canonical_with_generators(cand)
-                        out.setdefault(graph6_encode(cf), (cf, tuple(cgens)))
+                        cf, _cgens = canonical_with_generators(cand)
+                        out.setdefault(graph6_encode(cf), cf)
                 want = [mask for mask in range(1 << i) if free[minima[mask]]]
                 assert _attachable_masks(g, gens, k, m) == want, (k, m, code)
-            want = [(out[c][0], out[c][1], c) for c in sorted(out)]
-            assert levels[i + 1] == want, (k, m, i + 1)
+            got = [(cf, c) for cf, _cgens, c in levels[i + 1]]
+            assert got == [(out[c], c) for c in sorted(out)], (k, m, i + 1)
+            for cf, cgens, c in levels[i + 1]:
+                for a in cgens:
+                    assert relabel(cf, list(a)) == cf, (k, m, c)
+
+
+def test_max_degree_masks():
+    """For every parent of the rule cells' levels to n = 8, the degree
+    filter keeps exactly the attachable masks whose new vertex has maximum
+    degree in the child, and what it keeps is closed under the parent's
+    generators, as _subset_orbits needs."""
+    for k, m in RULE_CELLS:
+        for i, level in enumerate(_levels(k, m, 7)[:8]):
+            for g, gens, code in level:
+                masks = _attachable_masks(g, gens, k, m)
+                kept = _max_degree_masks(g, masks)
+                # deg(u) + [u in M] in the child against |M| for the new vertex
+                degs = g.degrees()
+                want = [
+                    mask
+                    for mask in masks
+                    if all(
+                        d + (mask >> u & 1) <= mask.bit_count()
+                        for u, d in enumerate(degs)
+                    )
+                ]
+                assert kept == want, (k, m, code)
+                members = set(kept)
+                for mask in kept:
+                    for a in gens:
+                        img = sum(1 << a[u] for u in range(i) if (mask >> u) & 1)
+                        assert img in members, (k, m, code, mask)
 
 
 def test_enumeration_isomorph_free_and_exact():
@@ -322,21 +357,21 @@ def test_enumerated_graphs_satisfy_constraints():
 
 
 def test_time_budget_overshoot_and_recovery():
-    # from a cold cache the K_4-free levels up to 7 take well under the
-    # budget and level 8 takes seconds, so the deadline passes while the
-    # last level is built: a check made only between levels would not fire
-    # at all
+    # from a cold cache the triangle-free levels up to 9 take well under
+    # the budget and level 10 takes seconds, so the deadline passes while
+    # the last level is built: a check made only between levels would not
+    # fire at all
     clear_cache()
     budget = 1.0
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as info:
-        ex_oracle(8, None, 4, 2, time_budget_s=budget)
+        ex_oracle(10, None, 3, 2, time_budget_s=budget)
     assert time.monotonic() - t0 < budget + 2.0
     stats = info.value.stats
     done = stats["completed_levels"]
     assert len(stats["level_sizes"]) == done + 1
     # the interrupted level was not cached half-built
-    config = EnumerationConfig(n=done + 1, forbid_clique=4)
+    config = EnumerationConfig(n=done + 1, forbid_clique=3)
     resumed = enumerate_graphs(config)
     clear_cache()
     assert enumerate_graphs(config) == resumed
