@@ -6,32 +6,48 @@ an individualisation-refinement search tree.  Two invariants are what
 callers rely on: isomorphic graphs get equal codes, and the code is
 unchanged by any relabelling of the input.
 
-Branches are pruned with automorphisms: the search seeds the generator
-list with twin transpositions (interchangeable vertices are everywhere in
-joins and Turan graphs) and records further automorphisms whenever two
-leaves produce the same code.  Each automorphism is stored with its
-support bitmask, so testing whether it fixes the individualised prefix
-is a single AND.
+Branches are pruned with automorphisms: the generators are the twin
+transpositions (interchangeable vertices are everywhere in joins and
+Turan graphs) and the automorphisms recorded whenever two leaves produce
+the same code.  Each found automorphism is stored with its support
+bitmask, so testing whether it fixes the individualised prefix is a
+single AND.
+
+At a search node with target cell C, a vertex of C is skipped when it
+lies in the orbit of an already searched vertex under the group generated
+by the generators that fix the prefix; these map C onto itself, because
+refinement commutes with automorphisms.  The orbits on C are kept by
+union-find, with a "tried" flag on each root.  Each twin class minus the
+prefix starts as one tree (every swap inside it fixes the prefix), and
+each found automorphism that fixes the prefix is merged once, along its
+support within C, before the next vertex of C is looked at.  The pruned
+set equals that of closing the tried set under these generators after
+each child, so the leaves visited, the canonical form and the generators
+do not depend on how the orbits are kept.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .graph6 import graph6_encode
 from .graphs import Graph, iter_bits, lower_twins, relabel
 
 
-def _twin_transpositions(g: Graph) -> list[tuple[tuple[int, ...], int]]:
-    """Each twin swap (u v), in lexicographic order of (u, v), as
-    (automorphism, support bitmask)."""
-    pairs = sorted(
-        (u, v) for v, lower in enumerate(lower_twins(g)) for u in iter_bits(lower)
-    )
-    ident = list(range(g.n))
+def _twin_transpositions(
+    lower: list[int], perm: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Each twin swap (u v), in lexicographic order of (u, v), written in
+    the labels perm; lower holds the lower twins of every vertex
+    (graphs.lower_twins)."""
+    pairs = sorted((u, v) for v, low in enumerate(lower) for u in iter_bits(low))
+    ident = list(range(len(lower)))
     out = []
     for u, v in pairs:
         a = ident[:]
-        a[u], a[v] = v, u
-        out.append((tuple(a), (1 << u) | (1 << v)))
+        pu, pv = perm[u], perm[v]
+        a[pu], a[pv] = pv, pu
+        out.append(tuple(a))
     return out
 
 
@@ -90,20 +106,25 @@ def _refine(
     return cells
 
 
-def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Return (perm, generators): perm[old] = new canonical label.
+def _find(up: list[int], u: int) -> int:
+    """The root of u in the union-find forest up, halving the path."""
+    while up[u] != u:
+        up[u] = up[up[u]]
+        u = up[u]
+    return u
 
-    generators are automorphisms of g (old labels) discovered during the
-    search; they generate a subgroup of Aut(g), not necessarily all of it.
-    """
+
+def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """(perm, lower twins, automorphisms found at equal leaves), with
+    perm[old] = new canonical label."""
     n, rows = g.n, g.rows
-    if n == 0:
-        return [], []
     bydeg: dict[int, list[int]] = {}
     for v in range(n):
         bydeg.setdefault(rows[v].bit_count(), []).append(v)
     cells0 = [bydeg[d] for d in sorted(bydeg)]
-    autos = _twin_transpositions(g)
+    lower = lower_twins(g)
+    # each as (automorphism, support bitmask)
+    autos: list[tuple[tuple[int, ...], int]] = []
     best_code: list[tuple[int, ...] | None] = [None]
     best_order: list[list[int] | None] = [None]
 
@@ -148,53 +169,58 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
         # cells is equitable, so only the two parts of the target can split
         clean = [True] * (len(cells) + 1)
         clean[target] = clean[target + 1] = False
-        done = 0
+        # Orbits on the cell by union-find (see the module docstring).
+        up = list(range(n))
+        cellmask = 0
+        for u in cell:
+            cellmask |= 1 << u
+            # the lowest twin of u outside the prefix, or u
+            low = lower[u] & ~fixed | 1 << u
+            up[u] = (low & -low).bit_length() - 1
+        tried = seen = 0
         for v in cell:
-            if (done >> v) & 1:
+            for a, support in autos[seen:]:
+                if support & fixed:
+                    continue
+                m = support & cellmask
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    ru, rw = _find(up, u), _find(up, a[u])
+                    if ru != rw:
+                        up[rw] = ru
+                        tried |= (tried >> rw & 1) << ru
+            seen = len(autos)
+            if (tried >> _find(up, v)) & 1:
                 continue
             rest = [u for u in cell if u != v]
             split = cells[:target] + [[v], rest] + cells[target + 1 :]
             search(split, clean, fixed | (1 << v))
-            done |= 1 << v
-            # close the tried set under automorphisms fixing the prefix
-            grew = True
-            while grew:
-                grew = False
-                for a, support in autos:
-                    if support & fixed:
-                        continue
-                    img = 0
-                    m = done
-                    while m:
-                        u = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        img |= 1 << a[u]
-                    if img & ~done:
-                        done |= img
-                        grew = True
+            tried |= 1 << _find(up, v)
 
-    search(cells0, [False] * len(cells0), 0)
-    order = best_order[0]
-    assert order is not None
+    if n:
+        search(cells0, [False] * len(cells0), 0)
+    order = best_order[0] or []
     perm = [0] * n
     for i, v in enumerate(order):
         perm[v] = i
-    return perm, [a for a, _support in autos]
+    return perm, lower, [a for a, _support in autos]
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabelled copy of g."""
-    perm, _ = canonical_labeling(g)
+    perm, _lower, _found = _search(g)
     return relabel(g, perm)
 
 
 def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
-    """Canonical form plus automorphism generators in canonical labels."""
-    perm, gens = canonical_labeling(g)
-    cf = relabel(g, perm)
-    out = []
-    seen = set()
-    for a in gens:
+    """Canonical form plus automorphism generators in canonical labels: the
+    twin swaps, then the automorphisms the search found, without repeats.
+    They generate a subgroup of Aut(g), not necessarily all of it."""
+    perm, lower, found = _search(g)
+    out = _twin_transpositions(lower, perm)
+    seen = set(out)
+    for a in found:
         b = [0] * g.n
         for u in range(g.n):
             b[perm[u]] = perm[a[u]]
@@ -202,7 +228,7 @@ def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
         if tb not in seen:
             seen.add(tb)
             out.append(tb)
-    return cf, out
+    return relabel(g, perm), out
 
 
 def canonical(g: Graph) -> bytes:

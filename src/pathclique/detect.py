@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -334,6 +335,70 @@ def _edges_outside(g: Graph, smask: int) -> int:
     return total // 2
 
 
+@lru_cache(maxsize=128)
+def class_table(
+    n: int, k: int, m: int, late: bool
+) -> dict[bytes, tuple[StructureClass, dict]]:
+    """Canonical code -> (class, witness) for the Class 2-4 candidates on n
+    vertices, in the precedence order of classify_structure: G1, then G2 by
+    ascending n1, when late is False; G3 by block and attach vertex, G4
+    then G5 for each ascending n1, I2, K2, when late is True.  A code
+    shared by several candidates keeps the first, as a chain of tests in
+    that order would.
+
+    classify_structure looks in the late table only when the early one
+    misses.  Every order that admits G2 admits G3 too, and the G3 blocks
+    are all K_m-free graphs on delta_k + 2 vertices, which is costly (or
+    over the enumeration cap) for large k; so a G1 or G2 input never
+    enumerates them.  The codes depend only on (n, k, m), so each table is
+    built once; oracle.clear_cache empties them."""
+    dk = delta_k(k)
+    table: dict[bytes, tuple[StructureClass, dict]] = {}
+
+    def add(cand: Graph, tag: StructureClass, witness: dict) -> None:
+        table.setdefault(canonical(cand), (tag, witness))
+
+    if not late:
+        if m >= dk + 2 and (n - 1) % dk == 0 and (n - 1) // dk >= 1:
+            add(g1(n, k), StructureClass.CLASS2_G1, {"n": n, "k": k})
+        if m >= dk + 2 and k % 2 == 1:
+            for n1 in range(1 + dk, n - dk, dk):
+                n2 = n - n1
+                if (n2 - 1) % dk == 0 and (n2 - 1) // dk >= 1:
+                    witness = {"n1": n1, "n2": n2, "k": k}
+                    add(g2(n1, n2, k), StructureClass.CLASS2_G2, witness)
+        return table
+
+    rest = n - dk - 2
+    if m >= dk + 2 and k % 2 == 1 and rest >= dk and rest % dk == 0:
+        from .oracle import g3_block_family, valid_attach_vertices
+
+        for block in g3_block_family(k, m):
+            witness = {"n": n, "k": k, "block": canonical(block)}
+            for attach in valid_attach_vertices(block, dk):
+                cand = g3(n, k, block, attach)
+                if cand.min_degree() >= dk:
+                    add(cand, StructureClass.CLASS2_G3, witness)
+
+    if k == 7 and m >= 4:
+        for n1 in range(3, n - 2, 2):
+            n2 = n + 1 - n1
+            if n2 >= 4:
+                witness = {"n1": n1, "n2": n2}
+                add(g4(n1, n2), StructureClass.CLASS3_G4, witness)
+                add(g5(n1, n2), StructureClass.CLASS3_G5, witness)
+
+    if k == 9 and n >= 4 and n % 2 == 0:
+        matching = copies((n - 2) // 2, primitive("complete", 2))
+        if m >= 4:
+            i2 = join(primitive("empty", 2), matching)
+            add(i2, StructureClass.CLASS4_I2, {"n": n})
+        if m >= 5:
+            k2 = join(primitive("complete", 2), matching)
+            add(k2, StructureClass.CLASS4_K2, {"n": n})
+    return table
+
+
 def classify_structure(g: Graph, k: int, m: int) -> ClassificationOutcome:
     """Assign a connected {P_k,K_m}-free graph with min degree >= delta_k
     to its structural class, trying classes in the fixed order 1..4.
@@ -341,7 +406,11 @@ def classify_structure(g: Graph, k: int, m: int) -> ClassificationOutcome:
     Class 1 is decided by a witness set S of delta_k vertices whose
     induced subgraph is K_{m-1}-free and whose removal leaves at most one
     edge (none when k is even); this is equivalent to the subgraph-of-a-
-    join formulation.
+    join formulation.  Classes 2-4 are decided by looking the canonical
+    code of g up in class_table(n, k, m, False) (G1, G2) and, if it is not
+    there, in class_table(n, k, m, True) (G3 onward).  Tables are built on
+    first use, so a Class 1 input builds none and a G1 or G2 input never
+    builds the late one.  The witness is a fresh dict on every call.
     """
     dk = delta_k(k)
     if not is_connected(g):
@@ -366,59 +435,9 @@ def classify_structure(g: Graph, k: int, m: int) -> ClassificationOutcome:
         return ClassificationOutcome(StructureClass.CLASS1, frozenset(subset))
 
     code = canonical(g)
-
-    if m >= dk + 2:
-        if (n - 1) % dk == 0 and (n - 1) // dk >= 1:
-            if canonical(g1(n, k)) == code:
-                return ClassificationOutcome(
-                    StructureClass.CLASS2_G1, {"n": n, "k": k}
-                )
-        if k % 2 == 1:
-            n1 = 1 + dk
-            while n1 <= n - 1 - dk:
-                n2 = n - n1
-                if (n2 - 1) % dk == 0 and (n2 - 1) // dk >= 1:
-                    if canonical(g2(n1, n2, k)) == code:
-                        return ClassificationOutcome(
-                            StructureClass.CLASS2_G2,
-                            {"n1": n1, "n2": n2, "k": k},
-                        )
-                n1 += dk
-            rest = n - dk - 2
-            if rest >= dk and rest % dk == 0:
-                from .oracle import g3_block_family, valid_attach_vertices
-
-                for block in g3_block_family(k, m):
-                    for attach in valid_attach_vertices(block, dk):
-                        cand = g3(n, k, block, attach)
-                        if cand.min_degree() < dk:
-                            continue
-                        if canonical(cand) == code:
-                            return ClassificationOutcome(
-                                StructureClass.CLASS2_G3,
-                                {"n": n, "k": k, "block": canonical(block)},
-                            )
-
-    if k == 7 and m >= 4:
-        for n1 in range(3, n - 2, 2):
-            n2 = n + 1 - n1
-            if n2 < 4:
-                continue
-            if canonical(g4(n1, n2)) == code:
-                return ClassificationOutcome(
-                    StructureClass.CLASS3_G4, {"n1": n1, "n2": n2}
-                )
-            if canonical(g5(n1, n2)) == code:
-                return ClassificationOutcome(
-                    StructureClass.CLASS3_G5, {"n1": n1, "n2": n2}
-                )
-
-    if k == 9 and n >= 4 and n % 2 == 0:
-        t = (n - 2) // 2
-        matching = copies(t, primitive("complete", 2))
-        if m >= 4 and canonical(join(primitive("empty", 2), matching)) == code:
-            return ClassificationOutcome(StructureClass.CLASS4_I2, {"n": n})
-        if m >= 5 and canonical(join(primitive("complete", 2), matching)) == code:
-            return ClassificationOutcome(StructureClass.CLASS4_K2, {"n": n})
-
+    for late in (False, True):
+        found = class_table(n, k, m, late).get(code)
+        if found is not None:
+            tag, witness = found
+            return ClassificationOutcome(tag, dict(witness))
     return ClassificationOutcome(StructureClass.UNCLASSIFIED, None)

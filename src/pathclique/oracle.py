@@ -34,6 +34,7 @@ from .canon import canonical_with_generators
 from .constructions import double_star, h_extremal, h_minus, turan_union
 from .detect import (
     blocks,
+    class_table,
     count_cliques,
     has_clique_in,
     has_path,
@@ -119,7 +120,9 @@ _LEVEL_CACHE: dict[tuple, list[list[tuple[Graph, tuple, str]]]] = {}
 
 
 def clear_cache() -> None:
+    """Empty the level cache and the classifier's table of candidates."""
     _LEVEL_CACHE.clear()
+    class_table.cache_clear()
 
 
 def _subset_orbits(masks: list[int], gens: tuple) -> list[list[int]]:
@@ -299,7 +302,7 @@ def _levels(
         levels.append(_extend(levels, forbid_path, forbid_clique, deadline))
         if progress is not None:
             progress(len(levels) - 1, len(levels[-1]))
-    return levels
+    return levels[: n + 1]
 
 
 def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:

@@ -4,10 +4,12 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from pathclique.constructions import double_star, g1, g4, h_extremal, turan
+from pathclique.canon import canonical
+from pathclique.constructions import double_star, g1, g2, g3, g4, g5, h_extremal, turan
 from pathclique.detect import (
     StructureClass,
     blocks,
+    class_table,
     classify_structure,
     count_cliques,
     has_clique,
@@ -21,16 +23,24 @@ from pathclique.detect import (
     strong_dominating_path,
 )
 from pathclique.formulas import delta_k
+from pathclique.graph6 import graph6_decode
 from pathclique.graphs import (
     Graph,
     copies,
     disjoint_union,
+    induced,
     join,
     make_graph,
     primitive,
     relabel,
 )
-from pathclique.oracle import EnumerationConfig, enumerate_graphs
+from pathclique.oracle import (
+    EnumerationConfig,
+    clear_cache,
+    enumerate_graphs,
+    g3_block_family,
+    valid_attach_vertices,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -309,3 +319,169 @@ def test_classify_preconditions():
         classify_structure(primitive("star", 8), 8, 4)  # min degree < delta
     with pytest.raises(ValueError):
         classify_structure(h_extremal(6, 4, 8), 8, 4)  # n < k
+
+
+def _reference_candidates(n: int, k: int, m: int):
+    """The Class 2-4 candidates of classify_structure as (class, witness,
+    graph), in the order its former chain of tests tried them."""
+    dk = delta_k(k)
+    if m >= dk + 2:
+        if (n - 1) % dk == 0 and (n - 1) // dk >= 1:
+            yield StructureClass.CLASS2_G1, {"n": n, "k": k}, g1(n, k)
+        if k % 2 == 1:
+            n1 = 1 + dk
+            while n1 <= n - 1 - dk:
+                n2 = n - n1
+                if (n2 - 1) % dk == 0 and (n2 - 1) // dk >= 1:
+                    witness = {"n1": n1, "n2": n2, "k": k}
+                    yield StructureClass.CLASS2_G2, witness, g2(n1, n2, k)
+                n1 += dk
+            rest = n - dk - 2
+            if rest >= dk and rest % dk == 0:
+                for block in g3_block_family(k, m):
+                    for attach in valid_attach_vertices(block, dk):
+                        cand = g3(n, k, block, attach)
+                        if cand.min_degree() < dk:
+                            continue
+                        witness = {"n": n, "k": k, "block": canonical(block)}
+                        yield StructureClass.CLASS2_G3, witness, cand
+    if k == 7 and m >= 4:
+        for n1 in range(3, n - 2, 2):
+            n2 = n + 1 - n1
+            if n2 < 4:
+                continue
+            yield StructureClass.CLASS3_G4, {"n1": n1, "n2": n2}, g4(n1, n2)
+            yield StructureClass.CLASS3_G5, {"n1": n1, "n2": n2}, g5(n1, n2)
+    if k == 9 and n >= 4 and n % 2 == 0:
+        matching = copies((n - 2) // 2, primitive("complete", 2))
+        if m >= 4:
+            i2 = join(primitive("empty", 2), matching)
+            yield StructureClass.CLASS4_I2, {"n": n}, i2
+        if m >= 5:
+            k2 = join(primitive("complete", 2), matching)
+            yield StructureClass.CLASS4_K2, {"n": n}, k2
+
+
+def _reference_classify(g: Graph, k: int, m: int) -> tuple:
+    """classify_structure as a chain of tests, each candidate labelled for
+    every input: the Class 1 witness search, then the first candidate in
+    order whose canonical code is that of g."""
+    n, dk = g.n, delta_k(k)
+    for subset in combinations(range(n), dk):
+        outside = induced(g, [v for v in range(n) if v not in subset])
+        if outside.edge_count() > k % 2:
+            continue
+        if not has_clique(induced(g, subset), m - 1):
+            return StructureClass.CLASS1, frozenset(subset)
+    code = canonical(g)
+    for tag, witness, cand in _reference_candidates(n, k, m):
+        if canonical(cand) == code:
+            return tag, witness
+    return StructureClass.UNCLASSIFIED, None
+
+
+# the connected {P_9, K_5}-free graphs on 9 vertices with minimum degree
+# >= 3, as enumerate_graphs lists them; enumerating them takes ~30 s
+P9_K5_N9_INPUTS = (
+    "H??F~z{ H??F~z| H??F~z~ H??F~~~ H??Nfz{ H??Nfz| H??Nfz} H??Nfz~ H??Nf~} "
+    "H??Nf~~ H??Nnr{ H??Nnr| H??Nnr~ H??Nnv{ H??Nnv| H??Nnv~ H??Nnz{ H??Nnz| "
+    "H??Nnz} H??Nnz~ H??Nn~} H??Nn~~ H??N~z{ H??N~z| H??N~z~"
+).split()
+
+
+def _classifier_inputs() -> list[tuple[Graph, int, int]]:
+    """Every input of verify_classification for (5, 3) and (7, 4) up to
+    n = 9 and for (9, 5) at n = 9, and the family members the benchmark
+    classifies (H_n, G1, G4, G5 for 7 <= n <= 16) plus I2 and K2."""
+    out = []
+    for k, m in ((5, 3), (7, 4)):
+        for n in range(k, 10):
+            config = EnumerationConfig(
+                n=n,
+                forbid_path=k,
+                forbid_clique=m,
+                connected_only=True,
+                min_degree=delta_k(k),
+            )
+            out += [(g, k, m) for g in enumerate_graphs(config)]
+    out += [(graph6_decode(code), 9, 5) for code in P9_K5_N9_INPUTS]
+    for n in range(7, 17):
+        for k, m in ((7, 4), (7, 5), (8, 4), (9, 5), (10, 6)):
+            if n >= k:
+                out.append((h_extremal(n, m, k), k, m))
+        for k in (7, 9):
+            if n >= k and (n - 1) % delta_k(k) == 0:
+                out.append((g1(n, k), k, delta_k(k) + 2))
+        for n1 in range(3, n - 2, 2):
+            if n + 1 - n1 >= 4:
+                out += [(g4(n1, n + 1 - n1), 7, 4), (g5(n1, n + 1 - n1), 7, 4)]
+        if n >= 10 and n % 2 == 0:
+            matching = copies((n - 2) // 2, primitive("complete", 2))
+            out.append((join(primitive("empty", 2), matching), 9, 4))
+            out.append((join(primitive("complete", 2), matching), 9, 5))
+    return out
+
+
+def test_class_table_matches_reference():
+    """The tables give the class and witness of the chain of tests they
+    replaced, hold each code's first candidate in precedence order (G1
+    and G2 in the early table, the rest in the late one), are built only
+    for inputs past Class 1, and hand out fresh witnesses."""
+    clear_cache()
+    classify_structure(h_extremal(9, 4, 8), 8, 4)
+    assert class_table.cache_info().currsize == 0
+    inputs = _classifier_inputs()
+    tags = set()
+    for g, k, m in inputs:
+        got = classify_structure(g, k, m)
+        assert (got.class_tag, got.witness) == _reference_classify(g, k, m)
+        tags.add(got.class_tag)
+    assert len(inputs) > 200 and len(tags) == 8
+    early = (StructureClass.CLASS2_G1, StructureClass.CLASS2_G2)
+    for n, k, m in {(g.n, k, m) for g, k, m in inputs}:
+        want: dict = {False: {}, True: {}}
+        for tag, witness, cand in _reference_candidates(n, k, m):
+            want[tag not in early].setdefault(canonical(cand), (tag, witness))
+        for late in (False, True):
+            got = class_table(n, k, m, late)
+            assert list(got.items()) == list(want[late].items())
+    out = classify_structure(g4(5, 5), 7, 4)
+    out.witness["n1"] = 0
+    assert classify_structure(g4(5, 5), 7, 4).witness == {"n1": 5, "n2": 5}
+    clear_cache()
+    assert class_table.cache_info().currsize == 0
+
+
+def test_g1_g2_inputs_never_enumerate_g3_blocks(monkeypatch):
+    """Every order that admits G2 admits G3, but a G1 or G2 input is found
+    in the early table and never enumerates the G3 blocks, as the chain of
+    tests returned before reaching them.  For k = 21 the blocks have
+    delta_k + 2 = 11 vertices, over the enumeration cap."""
+    clear_cache()
+
+    def no_blocks(k, m):
+        raise AssertionError("G3 blocks enumerated")
+
+    monkeypatch.setattr("pathclique.oracle.g3_block_family", no_blocks)
+    out = classify_structure(g2(7, 13, 15), 15, 8)
+    assert (out.class_tag, out.witness) == (
+        StructureClass.CLASS2_G2,
+        {"n1": 7, "n2": 13, "k": 15},
+    )
+    out = classify_structure(g1(19, 15), 15, 8)
+    assert (out.class_tag, out.witness) == (
+        StructureClass.CLASS2_G1,
+        {"n": 19, "k": 15},
+    )
+    assert class_table.cache_info().currsize == 2
+    monkeypatch.undo()
+    # A G2 member is not Class 1, and the witness search over the C(29, 9)
+    # subsets of the smallest k = 21 member takes about a minute, so it
+    # is skipped; the lookup path is the one under test.
+    monkeypatch.setattr("pathclique.detect.combinations", lambda items, r: iter(()))
+    out = classify_structure(g2(10, 19, 21), 21, 11)
+    assert (out.class_tag, out.witness) == (
+        StructureClass.CLASS2_G2,
+        {"n1": 10, "n2": 19, "k": 21},
+    )
+    clear_cache()

@@ -3,7 +3,13 @@ import random
 import networkx as nx
 import pytest
 
-from pathclique.canon import _refine, canonical, canonical_with_generators
+from pathclique.canon import (
+    _refine,
+    _search,
+    _twin_transpositions,
+    canonical,
+    canonical_with_generators,
+)
 from pathclique.constructions import double_star, h_extremal, turan
 from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import (
@@ -19,6 +25,7 @@ from pathclique.graphs import (
     primitive,
     relabel,
 )
+from pathclique.oracle import _levels
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -275,3 +282,108 @@ def test_refine_matches_reference():
             # the search hands the same flags to every sibling
             assert clean == given
             checked += 1
+
+
+def _reference_canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The canonical search as it was before the union-find, returning
+    (perm, generators): perm[old] = new label, and the generators are the
+    twin swaps, then the automorphisms found at equal leaves.  After each
+    child the tried set is closed by mapping it through every stored
+    automorphism that fixes the prefix, twin swaps included, until it
+    stops growing."""
+    n, rows = g.n, g.rows
+    if n == 0:
+        return [], []
+    bydeg: dict[int, list[int]] = {}
+    for v in range(n):
+        bydeg.setdefault(rows[v].bit_count(), []).append(v)
+    cells0 = [bydeg[d] for d in sorted(bydeg)]
+    autos = []
+    lower = lower_twins(g)
+    pairs = sorted((u, v) for v in range(n) for u in range(v) if lower[v] >> u & 1)
+    for u, v in pairs:
+        a = list(range(n))
+        a[u], a[v] = v, u
+        autos.append((tuple(a), (1 << u) | (1 << v)))
+    best: list = [None, None]
+
+    def leaf(order: list[int]) -> None:
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        code = tuple(
+            sum(1 << pos[u] for u in range(n) if rows[v] >> u & 1) for v in order
+        )
+        if best[0] is None or code < best[0]:
+            best[0], best[1] = code, order[:]
+        elif code == best[0] and order != best[1]:
+            a = [0] * n
+            support = 0
+            for i in range(n):
+                a[best[1][i]] = order[i]
+                if best[1][i] != order[i]:
+                    support |= 1 << best[1][i]
+            autos.append((tuple(a), support))
+
+    def search(cells: list[list[int]], clean: list[bool], fixed: int) -> None:
+        cells = _refine(rows, cells, clean)
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
+        if target < 0:
+            leaf([c[0] for c in cells])
+            return
+        cell = cells[target]
+        clean = [True] * (len(cells) + 1)
+        clean[target] = clean[target + 1] = False
+        done = 0
+        for v in cell:
+            if (done >> v) & 1:
+                continue
+            rest = [u for u in cell if u != v]
+            split = cells[:target] + [[v], rest] + cells[target + 1 :]
+            search(split, clean, fixed | (1 << v))
+            done |= 1 << v
+            grew = True
+            while grew:
+                grew = False
+                for a, support in autos:
+                    if support & fixed:
+                        continue
+                    img = 0
+                    for u in range(n):
+                        if done >> u & 1:
+                            img |= 1 << a[u]
+                    if img & ~done:
+                        done |= img
+                        grew = True
+
+    search(cells0, [False] * len(cells0), 0)
+    perm = [0] * n
+    for i, v in enumerate(best[1]):
+        perm[v] = i
+    return perm, [a for a, _support in autos]
+
+
+def test_canonical_labeling_matches_reference():
+    """The union-find search visits the same leaves as the closure it
+    replaced: equal perm and equal generators, in order, on random graphs,
+    on the (P_7, K_4)-free levels to n = 8 as stored and relabelled, and
+    on relabelled Turan graphs, H_n and double stars, 10 <= n <= 30."""
+    rng = random.Random(53)
+    graphs = [
+        random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        for _ in range(2000)
+    ]
+    for level in _levels(7, 4, 8):
+        graphs += [cf for cf, _gens, _code in level]
+    for n in range(10, 31, 2):
+        graphs += [turan(n, p) for p in (2, 3, 5)]
+        graphs += [h_extremal(n, 4, 7), h_extremal(n, 5, 8), h_extremal(n, 6, 9)]
+        graphs += [h_extremal(n, 7, 10), double_star(n // 3, n - n // 3)]
+    for g in graphs[2000:]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    for g in graphs:
+        perm, lower, found = _search(g)
+        gens = _twin_transpositions(lower, range(g.n)) + found
+        assert (perm, gens) == _reference_canonical_labeling(g)
