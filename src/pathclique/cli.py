@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional
 
 from . import constructions
@@ -78,42 +79,35 @@ def _require(args, names: list[str]) -> None:
         raise UsageError("missing " + ", ".join("--" + n for n in missing))
 
 
+def _g3(n: int, k: int, block: str, attach: int) -> Graph:
+    return constructions.g3(n, k, graph6_decode(block), attach)
+
+
+# family -> (builder, the flags it needs, in the builder's argument order)
+_FAMILIES = {
+    "turan": (constructions.turan, ("n", "p")),
+    "h": (constructions.h_extremal, ("n", "m", "k")),
+    "h_minus": (constructions.h_minus, ("n", "m", "k")),
+    "double_star": (constructions.double_star, ("a", "b")),
+    "g1": (constructions.g1, ("n", "k")),
+    "g2": (constructions.g2, ("n1", "n2", "k")),
+    "g3": (_g3, ("n", "k", "block", "attach")),
+    "g4": (constructions.g4, ("n1", "n2")),
+    "g5": (constructions.g5, ("n1", "n2")),
+    "turan_union": (constructions.turan_union, ("n", "k", "m")),
+    **{
+        name: (partial(primitive, name), ("n",))
+        for name in ("complete", "empty", "path", "cycle", "star")
+    },
+}
+
+
 def _cmd_construct(args) -> int:
-    fam = args.family
-    if fam == "turan":
-        _require(args, ["n", "p"])
-        g = constructions.turan(args.n, args.p)
-    elif fam == "h":
-        _require(args, ["n", "m", "k"])
-        g = constructions.h_extremal(args.n, args.m, args.k)
-    elif fam == "h_minus":
-        _require(args, ["n", "m", "k"])
-        g = constructions.h_minus(args.n, args.m, args.k)
-    elif fam == "double_star":
-        _require(args, ["a", "b"])
-        g = constructions.double_star(args.a, args.b)
-    elif fam == "g1":
-        _require(args, ["n", "k"])
-        g = constructions.g1(args.n, args.k)
-    elif fam == "g2":
-        _require(args, ["n1", "n2", "k"])
-        g = constructions.g2(args.n1, args.n2, args.k)
-    elif fam == "g3":
-        _require(args, ["n", "k", "block", "attach"])
-        g = constructions.g3(args.n, args.k, graph6_decode(args.block), args.attach)
-    elif fam in ("g4", "g5"):
-        _require(args, ["n1", "n2"])
-        builder = constructions.g4 if fam == "g4" else constructions.g5
-        g = builder(args.n1, args.n2)
-    elif fam == "turan_union":
-        _require(args, ["n", "k", "m"])
-        g = constructions.turan_union(args.n, args.k, args.m)
-    elif fam in ("complete", "empty", "path", "cycle", "star"):
-        _require(args, ["n"])
-        g = primitive(fam, args.n)
-    else:
-        raise UsageError(f"unknown family {fam!r}")
-    print(graph6_encode(g))
+    if args.family not in _FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}")
+    builder, flags = _FAMILIES[args.family]
+    _require(args, list(flags))
+    print(graph6_encode(builder(*(getattr(args, flag) for flag in flags))))
     return EXIT_OK
 
 

@@ -3,6 +3,9 @@
 Clique counting and path search run over bitmask adjacency rows; the path
 routines are branch-and-bound with a reachability bound and early exit,
 since the hot question everywhere is just "is there a path on k vertices".
+Enumeration asks it of a parent graph instead, rooted at one vertex:
+rooted_path_sets lists the vertex sets of the paths that start there, or
+gives up once one has k - 1 vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 from .canon import canonical
 from .constructions import g1, g2, g3, g4, g5
 from .formulas import delta_k
-from .graphs import Graph, copies, induced, join, lower_twins, primitive
+from .graphs import Graph, copies, join, lower_twins, primitive
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -148,6 +151,37 @@ def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
         if not lower[s] and dfs(s, 1 << s, 1):
             break
     return best
+
+
+def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[list[int]]]:
+    """The vertex sets (bitmasks) of the paths in g that start at u, with
+    out[j] holding those on j + 1 vertices; None as soon as one path has
+    k - 1 vertices (so None for k <= 2).
+
+    A breadth-first search over the states (vertex set, end vertex): a
+    level maps each set to the bitmask of its end vertices, so every state
+    is extended once, however many paths reach it."""
+    rows = g.rows
+    level = {1 << u: 1 << u}
+    out: list[list[int]] = []
+    while level:
+        if len(out) + 1 >= k - 1:
+            return None
+        out.append(list(level))
+        nxt: dict[int, int] = {}
+        for mask, ends in level.items():
+            reach = 0
+            while ends:
+                e = ends & -ends
+                ends ^= e
+                reach |= rows[e.bit_length() - 1]
+            reach &= ~mask
+            while reach:
+                x = reach & -reach
+                reach ^= x
+                nxt[mask | x] = nxt.get(mask | x, 0) | x
+        level = nxt
+    return out
 
 
 def has_path(g: Graph, k: int) -> bool:
@@ -324,15 +358,40 @@ class ClassificationOutcome:
     witness: object = None
 
 
-def _edges_outside(g: Graph, smask: int) -> int:
-    rest = g.vertex_mask() & ~smask
-    total = 0
-    m = rest
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        total += (g.rows[v] & rest).bit_count()
-    return total // 2
+def _class1_witness(
+    g: Graph, size: int, m: int, edge_limit: int
+) -> Optional[frozenset[int]]:
+    """The first set S of size vertices, in itertools.combinations order,
+    that spans no K_{m-1} and leaves at most edge_limit edges outside S;
+    None if there is none.
+
+    Branch and bound over the vertices in ascending order that puts each
+    vertex in S before it leaves it out, so it meets the sets in
+    combinations (lexicographic) order.  The edges spanned by the vertices
+    left out only grow down the tree, so a node whose left-out vertices
+    span more than edge_limit edges is cut, and no set below it could
+    pass; nor is a node kept that has too few vertices left to fill S."""
+    n, rows = g.n, g.rows
+
+    def search(v: int, smask: int, taken: int, out: int, edges: int) -> int:
+        if v == n:
+            if taken < size or has_clique_in(g, smask, m - 1):
+                return -1
+            return smask
+        if taken < size:
+            found = search(v + 1, smask | 1 << v, taken + 1, out, edges)
+            if found >= 0:
+                return found
+        if n - v > size - taken:
+            edges += (rows[v] & out).bit_count()
+            if edges <= edge_limit:
+                return search(v + 1, smask, taken, out | 1 << v, edges)
+        return -1
+
+    found = search(0, 0, 0, 0, 0)
+    if found < 0:
+        return None
+    return frozenset(v for v in range(n) if found >> v & 1)
 
 
 @lru_cache(maxsize=128)
@@ -423,16 +482,9 @@ def classify_structure(g: Graph, k: int, m: int) -> ClassificationOutcome:
         raise ValueError("need |G| >= k")
 
     n = g.n
-    edge_limit = 1 if k % 2 == 1 else 0
-    for subset in combinations(range(n), dk):
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
-        if _edges_outside(g, smask) > edge_limit:
-            continue
-        if has_clique(induced(g, subset), m - 1):
-            continue
-        return ClassificationOutcome(StructureClass.CLASS1, frozenset(subset))
+    witness = _class1_witness(g, dk, m, 1 if k % 2 == 1 else 0)
+    if witness is not None:
+        return ClassificationOutcome(StructureClass.CLASS1, witness)
 
     code = canonical(g)
     for late in (False, True):

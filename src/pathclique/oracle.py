@@ -9,14 +9,15 @@ removed with canonical codes.
 The new vertex's neighbourhood (its attachment mask) is decided before any
 candidate graph is built.  The parent is free, so a new P_k or K_m must
 use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
-one vertex or two vertices whose attachment alone creates a P_k.  So a
-parent on i vertices costs at most i + i(i-1)/2 path checks (one per
-orbit under its known automorphisms) and one pass over its 2^i masks.  The
-argument is in _attachable_masks.  Of the surviving masks, only those that
-give the new vertex maximum degree in the child are kept, since every
-graph in the class arises by attaching a vertex of maximum degree (see
-_extend); only their orbit representatives are built and labelled
-canonically.
+one vertex or two vertices whose attachment alone creates a P_k.  Both
+are decided in the parent itself, from the vertex sets of the paths that
+start at each vertex: a parent on i vertices costs at most i rooted path
+searches, one set comparison per orbit of good pairs under its known
+automorphisms, and one pass over its 2^i masks.  The argument is in
+_attachable_masks.  Of the surviving masks, only those that give the new
+vertex maximum degree in the child are kept, since every graph in the
+class arises by attaching a vertex of maximum degree (see _extend); only
+their orbit representatives are built and labelled canonically.
 
 Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
 cache doubles as a checkpoint since a timed-out sweep resumes from the
@@ -41,6 +42,7 @@ from .detect import (
     is_2connected,
     is_connected,
     is_free,
+    rooted_path_sets,
 )
 from .formulas import (
     ParameterError,
@@ -161,6 +163,21 @@ def _attach(g: Graph, mask: int) -> Graph:
     return Graph(g.n + 1, tuple(rows))
 
 
+def _paths_clash(su: list[list[int]], sw: list[list[int]], k: int) -> bool:
+    """True iff a path set of su and one of sw (rooted_path_sets lists,
+    indexed by size - 1) are disjoint and have k - 1 vertices together.
+    Only the sizes that add up to k - 1 are compared."""
+    if len(su) + len(sw) < k - 1:
+        return False
+    for a, sets in enumerate(su, 1):
+        b = k - 1 - a
+        if 1 <= b <= len(sw):
+            others = sw[b - 1]
+            if any(not s & t for s in sets for t in others):
+                return True
+    return False
+
+
 def _attachable_masks(
     g: Graph, gens: tuple, forbid_path: Optional[int], forbid_clique: Optional[int]
 ) -> list[int]:
@@ -176,11 +193,27 @@ def _attachable_masks(
       g + v(S) is a subgraph of g + v(M) for every S ⊆ M, g + v(M) is
       P_k-free iff no vertex u of M is bad (g + v({u}) has a P_k) and no
       two vertices of M clash (g + v({u, w}) has a P_k).
+    - Both are decided by searches rooted in g (detect.rooted_path_sets),
+      never on a built child.  u is bad iff g has a path on k - 1
+      vertices that starts at u: a P_k in g + v({u}) has v at one end,
+      next to u.  Good u and w clash iff g has disjoint paths from u and
+      from w with k - 1 vertices in total: a P_k in g + v({u, w}) with v
+      at one end would use one of u, w alone and make it bad, so v is
+      inner, and the path is one path from u, then v, then one from w.
+      Every prefix of a path from u is a path from u, so a pair with at
+      least k - 1 vertices in total can be cut to exactly k - 1; only
+      sizes a + b = k - 1 are compared (_paths_clash), and a pair whose
+      longest paths from u and from w have fewer than k - 1 vertices
+      together is skipped.
     - Edge cases.  For k <= 1 or m <= 1, v alone (or the empty graph) is
       already a P_k or a K_m, so no mask survives, not even the empty
       one.  Otherwise the empty mask survives, since g + v(∅) adds no
       edge.  For m = 2 it is the only survivor, since every nonempty M
-      spans a K_1; for k = 2 every vertex is bad, with the same result.
+      spans a K_1.  For k = 2 every vertex is bad, as the path {u} has
+      k - 1 = 1 vertex, with the same result.  For k = 3, u is bad iff
+      it has a neighbour, and two isolated vertices clash (1 + 1 = 2).
+      When g has fewer than k - 1 vertices, the child has fewer than k,
+      so no vertex is bad, no pair clashes and nothing is searched.
     Both conditions are closed under taking subsets, so one pass in
     ascending order decides every mask from M - t, t the top vertex of M:
     M survives iff M - t does, t is not bad and clashes with no vertex of
@@ -188,9 +221,10 @@ def _attachable_masks(
     is below m - 1.  M - t and N(t) ∩ (M - t) are smaller subsets of a
     survivor, so they are survivors whose clique numbers are known.
     An automorphism a of g maps g + v(S) onto g + v(a(S)), so every
-    verdict is invariant under the group: one path check per orbit of
-    vertices and of good pairs decides the whole orbit, and the survivors
-    are a union of orbits.
+    verdict is invariant under the group: one check per orbit of vertices
+    and of good pairs decides the whole orbit, and the survivors are a
+    union of orbits.  A vertex's path sets are searched at most once per
+    parent: for the leader of its orbit, or when a pair needs them.
     """
     k, m = forbid_path, forbid_clique
     if (k is not None and k <= 1) or (m is not None and m <= 1):
@@ -198,15 +232,23 @@ def _attachable_masks(
     i, rows = g.n, g.rows
     # clash[u]: the vertices u cannot share a mask with; u itself if bad
     clash = [0] * i
-    if k is not None:
+    if k is not None and i >= k - 1:
+        paths: dict[int, Optional[list[list[int]]]] = {}
+
+        def path_sets(u: int) -> Optional[list[list[int]]]:
+            if u not in paths:
+                paths[u] = rooted_path_sets(g, u, k)
+            return paths[u]
+
         for orbit in _subset_orbits([1 << u for u in range(i)], gens):
-            if has_path(_attach(g, orbit[0]), k):
+            if path_sets(orbit[0].bit_length() - 1) is None:
                 for single in orbit:
                     clash[single.bit_length() - 1] = single
         good = [u for u in range(i) if not clash[u]]
         pairs = [1 << u | 1 << w for b, w in enumerate(good) for u in good[:b]]
         for orbit in _subset_orbits(pairs, gens):
-            if has_path(_attach(g, orbit[0]), k):
+            u, w = (orbit[0] & -orbit[0]).bit_length() - 1, orbit[0].bit_length() - 1
+            if _paths_clash(path_sets(u), path_sets(w), k):
                 for pair in orbit:
                     u, w = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
                     clash[u] |= 1 << w

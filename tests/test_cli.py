@@ -22,25 +22,27 @@ def test_construct_and_count(capsys):
 
 
 def test_construct_families(capsys):
-    cases = [
-        (["--family", "turan", "--n", "7", "--p", "3"], 7),
-        (["--family", "double_star", "--a", "3", "--b", "4"], 7),
-        (["--family", "g1", "--n", "7", "--k", "6"], 7),
-        (["--family", "g2", "--n1", "5", "--n2", "5", "--k", "7"], 10),
-        (["--family", "g4", "--n1", "5", "--n2", "4"], 8),
-        (["--family", "turan_union", "--n", "8", "--k", "5", "--m", "3"], 8),
-        (["--family", "cycle", "--n", "6"], 6),
-    ]
-    for argv, n in cases:
-        code, out, _ = run(capsys, "construct", *argv)
-        assert code == 0
-        assert graph6_decode(out.strip()).n == n
+    """Every family prints the graph6 code recorded for it."""
     block = graph6_encode(primitive("cycle", 4))
-    code, out, _ = run(
-        capsys, "construct", "--family", "g3", "--n", "8", "--k", "7",
-        "--block", block, "--attach", "0",
-    )
-    assert code == 0 and graph6_decode(out.strip()).n == 8
+    cases = {
+        "turan --n 7 --p 3": "FFz~o",
+        "h --n 12 --m 4 --k 8": "K^zfFB_wF?[?",
+        "h_minus --n 12 --m 4 --k 7": "K}rEEB?oA?W@",
+        "double_star --a 3 --b 4": "FsPA?",
+        "g1 --n 7 --k 6": "F{eCG",
+        "g2 --n1 5 --n2 5 --k 7": "I{e?GKC@G",
+        f"g3 --n 8 --k 7 --block {block} --attach 0": "G{e?KC",
+        "g4 --n1 5 --n2 4": "G{cCKG",
+        "g5 --n1 5 --n2 4": "G{eCKG",
+        "turan_union --n 8 --k 5 --m 3": "G]??WW",
+        "complete --n 5": "D~{",
+        "empty --n 3": "B?",
+        "path --n 6": "EhCG",
+        "cycle --n 6": "EhEG",
+        "star --n 5": "Ds_",
+    }
+    for argv, want in cases.items():
+        assert run(capsys, "construct", "--family", *argv.split()) == (0, want + "\n", "")
 
 
 def test_formula_case_line(capsys):
@@ -157,7 +159,9 @@ def test_table_command(capsys):
 
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "construct", "--family", "nope", "--n", "5")
-    assert code == 1
+    assert code == 1 and err == "usage error: unknown family 'nope'\n"
+    code, _, err = run(capsys, "construct", "--family", "g2", "--n1", "5")
+    assert code == 1 and err == "usage error: missing --n2, --k\n"
     code, _, err = run(capsys, "count", "--r", "2", "--graph6", "@@@")
     assert code == 1
     code, _, err = run(capsys, "oracle", "--n", "11", "--r", "2", "--k", "5", "--m", "3")

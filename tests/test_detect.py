@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -8,6 +9,7 @@ from pathclique.canon import canonical
 from pathclique.constructions import double_star, g1, g2, g3, g4, g5, h_extremal, turan
 from pathclique.detect import (
     StructureClass,
+    _class1_witness,
     blocks,
     class_table,
     classify_structure,
@@ -23,7 +25,7 @@ from pathclique.detect import (
     strong_dominating_path,
 )
 from pathclique.formulas import delta_k
-from pathclique.graph6 import graph6_decode
+from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import (
     Graph,
     copies,
@@ -422,6 +424,28 @@ def _classifier_inputs() -> list[tuple[Graph, int, int]]:
     return out
 
 
+def test_class1_witness_matches_combinations():
+    """The branch and bound returns the first passing set that a scan of
+    itertools.combinations meets, or None when that scan meets none, on
+    random graphs with every set size, clique bound and edge limit."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        g = make_graph(
+            n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.6]
+        )
+        size, m, limit = rng.randint(0, n + 1), rng.randint(2, 5), rng.randint(0, 2)
+        want = None
+        for subset in combinations(range(n), size):
+            outside = induced(g, [v for v in range(n) if v not in subset])
+            if outside.edge_count() <= limit and not has_clique(
+                induced(g, subset), m - 1
+            ):
+                want = frozenset(subset)
+                break
+        assert _class1_witness(g, size, m, limit) == want, (graph6_encode(g), size)
+
+
 def test_class_table_matches_reference():
     """The tables give the class and witness of the chain of tests they
     replaced, hold each code's first candidate in precedence order (G1
@@ -475,11 +499,11 @@ def test_g1_g2_inputs_never_enumerate_g3_blocks(monkeypatch):
     )
     assert class_table.cache_info().currsize == 2
     monkeypatch.undo()
-    # A G2 member is not Class 1, and the witness search over the C(29, 9)
-    # subsets of the smallest k = 21 member takes about a minute, so it
-    # is skipped; the lookup path is the one under test.
-    monkeypatch.setattr("pathclique.detect.combinations", lambda items, r: iter(()))
+    # the smallest k = 21 member has C(29, 9) ≈ 10 M candidate Class 1
+    # witness sets; the branch and bound rules them out in milliseconds
+    start = time.monotonic()
     out = classify_structure(g2(10, 19, 21), 21, 11)
+    assert time.monotonic() - start < 10
     assert (out.class_tag, out.witness) == (
         StructureClass.CLASS2_G2,
         {"n1": 10, "n2": 19, "k": 21},

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import networkx as nx
@@ -14,6 +15,7 @@ from pathclique.detect import (
     is_2connected,
     is_connected,
     is_free,
+    rooted_path_sets,
 )
 from pathclique.formulas import ParameterError, TheoremParams, turan_cliques
 from pathclique.graph6 import graph6_decode, graph6_encode
@@ -26,6 +28,7 @@ from pathclique.oracle import (
     _attachable_masks,
     _levels,
     _max_degree_masks,
+    _paths_clash,
     clear_cache,
     disintegrate,
     enumerate_graphs,
@@ -52,8 +55,11 @@ LEVEL_DIGESTS = {
     (7, 4, 9): "86497718268e7ce3f4744f72e40597371bf1ba14223b19c1b909b6828966a0be",
     (8, 5, 8): "a049fe912b386c96c131a258a6744221498f27462d4f34d692ecb748a5eedc3f",
 }
-# (forbid_path, forbid_clique) cells checked mask by mask against the rule
-RULE_CELLS = [(5, 3), (6, 4), (7, 4), (8, 5), (6, None), (None, 4)]
+# (forbid_path, forbid_clique, n) cells checked mask by mask against the
+# rule on every parent below order n
+RULE_CELLS = [
+    (5, 3, 8), (6, 4, 8), (7, 4, 8), (8, 5, 8), (6, None, 8), (None, 4, 8), (10, 4, 7),
+]
 
 
 def test_unconstrained_counts():
@@ -131,18 +137,18 @@ def _with_new_vertex(g: Graph, mask: int) -> Graph:
 def test_mask_rule_matches_unpruned_extension():
     """The pruned enumeration against an unpruned one kept here.
 
-    For every parent on at most 7 vertices and every mask, the rule keeps
+    For every parent on fewer than n vertices and every mask, the rule keeps
     the mask iff the whole candidate graph has no P_k and no K_m.  The
     candidate is checked once per orbit of masks: the parent's generators
     are automorphisms, so all candidates of an orbit are isomorphic.  Each
-    level to n = 8 must hold the same graphs and codes as the one built
-    from the level below by labelling every free orbit representative
+    level to n must hold the same graphs and codes as the one built from
+    the level below by labelling every free orbit representative
     canonically, with no degree filter.  Which candidate reaches a code
     first depends on the filter, so the stored generators may differ;
     they must be automorphisms of the stored graph."""
-    for k, m in RULE_CELLS:
-        levels = _levels(k, m, 8)
-        for i in range(8):
+    for k, m, n in RULE_CELLS:
+        levels = _levels(k, m, n)
+        for i in range(n):
             out = {}
             for g, gens, code in levels[i]:
                 minima = _orbit_minima(i, gens)
@@ -164,13 +170,82 @@ def test_mask_rule_matches_unpruned_extension():
                     assert relabel(cf, list(a)) == cf, (k, m, c)
 
 
+def _paths_from(g: Graph, u: int) -> list[int]:
+    """The vertex sets of all paths that start at u, by plain DFS."""
+    out = []
+
+    def dfs(v: int, visited: int) -> None:
+        out.append(visited)
+        for x in range(g.n):
+            if g.rows[v] >> x & 1 and not visited >> x & 1:
+                dfs(x, visited | 1 << x)
+
+    dfs(u, 1 << u)
+    return out
+
+
+def test_rooted_path_checks_match_child_searches():
+    """The rooted path checks of _attachable_masks against whole-child
+    searches: u is bad (rooted_path_sets gives None) iff g + v({u}) has a
+    P_k, and two good vertices clash (_paths_clash) iff g + v({u, w}) has
+    a P_k.  On every parent of the rule cells, of the P_2- and P_3-free
+    levels to n = 6, and on random P_k-free graphs with 4 <= k <= 10 on
+    up to 11 vertices, where the path sets are also checked against a
+    plain DFS."""
+    verdicts = {"bad": 0, "clash": 0, "free pair": 0}
+
+    def check(g: Graph, k: int) -> None:
+        sets = [rooted_path_sets(g, u, k) for u in range(g.n)]
+        for u in range(g.n):
+            bad = has_path(_with_new_vertex(g, 1 << u), k)
+            assert (sets[u] is None) == bad, (graph6_encode(g), k, u)
+            verdicts["bad"] += bad
+        good = [u for u in range(g.n) if sets[u] is not None]
+        for b, w in enumerate(good):
+            for u in good[:b]:
+                clash = has_path(_with_new_vertex(g, 1 << u | 1 << w), k)
+                assert _paths_clash(sets[u], sets[w], k) == clash, (
+                    graph6_encode(g), k, u, w,
+                )
+                verdicts["clash" if clash else "free pair"] += 1
+
+    cells = [(k, m, n - 1) for k, m, n in RULE_CELLS if k is not None]
+    for k, m, n in cells + [(2, None, 6), (3, None, 6)]:
+        for level in _levels(k, m, n):
+            for g, _gens, _code in level:
+                check(g, k)
+    rng = random.Random(3)
+    tried = 0
+    while tried < 300:
+        n, k = rng.randint(4, 11), rng.randint(4, 10)
+        density = rng.choice((0.15, 0.25, 0.35))
+        g = make_graph(
+            n, [(u, v) for u in range(n) for v in range(u) if rng.random() < density]
+        )
+        if has_path(g, k):
+            continue
+        tried += 1
+        check(g, k)
+        for u in range(n):
+            sizes = {}
+            for path in _paths_from(g, u):
+                sizes.setdefault(path.bit_count(), set()).add(path)
+            got = rooted_path_sets(g, u, k)
+            if max(sizes) >= k - 1:
+                assert got is None, (graph6_encode(g), k, u)
+            else:
+                want = [sorted(sizes[size]) for size in range(1, max(sizes) + 1)]
+                assert [sorted(sets) for sets in got] == want, (graph6_encode(g), k, u)
+    assert min(verdicts.values()) > 1000, verdicts
+
+
 def test_max_degree_masks():
-    """For every parent of the rule cells' levels to n = 8, the degree
+    """For every parent of the rule cells' levels below n, the degree
     filter keeps exactly the attachable masks whose new vertex has maximum
     degree in the child, and what it keeps is closed under the parent's
     generators, as _subset_orbits needs."""
-    for k, m in RULE_CELLS:
-        for i, level in enumerate(_levels(k, m, 7)):
+    for k, m, n in RULE_CELLS:
+        for i, level in enumerate(_levels(k, m, n - 1)):
             for g, gens, code in level:
                 masks = _attachable_masks(g, gens, k, m)
                 kept = _max_degree_masks(g, masks)
