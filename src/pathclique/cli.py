@@ -250,14 +250,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *flags):
-        if "n" in flags:
-            p.add_argument("--n", type=int)
-        if "k" in flags:
-            p.add_argument("--k", type=int)
-        if "m" in flags:
-            p.add_argument("--m", type=int)
-        if "r" in flags:
-            p.add_argument("--r", type=int)
+        for flag in flags:
+            p.add_argument("--" + flag, type=int)
 
     p = sub.add_parser("construct")
     p.add_argument("--family", required=True)

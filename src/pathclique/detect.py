@@ -1,11 +1,14 @@
-"""Exact subgraph and structure detection.
+"""Exact subgraph and structure detection over bitmask adjacency rows.
 
-Clique counting and path search run over bitmask adjacency rows; the path
-routines are branch-and-bound with a reachability bound and early exit,
-since the hot question everywhere is just "is there a path on k vertices".
-Enumeration asks it of a parent graph instead, rooted at one vertex:
-rooted_path_sets lists the vertex sets of the paths that start there, or
-gives up once one has k - 1 vertices.
+Two path searches serve different questions.  longest_path_order, behind
+has_path and is_free, answers "is there a path on k vertices" on a whole
+graph by depth-first branch and bound, with twin pruning, a reachability
+bound and a memo of failed states, so it stays fast on large graphs.
+rooted_path_sets lists the paths from one start vertex by their vertex
+sets and end vertices.  Enumeration asks it of a parent graph to decide
+attachment masks (oracle._attachable_masks), and the strong dominating
+path and cycle are read from its levels, since whether a path dominates
+depends only on its vertex set.
 """
 
 from __future__ import annotations
@@ -153,21 +156,20 @@ def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
     return best
 
 
-def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[list[int]]]:
-    """The vertex sets (bitmasks) of the paths in g that start at u, with
-    out[j] holding those on j + 1 vertices; None as soon as one path has
-    k - 1 vertices (so None for k <= 2).
-
-    A breadth-first search over the states (vertex set, end vertex): a
-    level maps each set to the bitmask of its end vertices, so every state
-    is extended once, however many paths reach it."""
+def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[dict[int, int]]]:
+    """The paths in g that start at u, by the levels of a breadth-first
+    search over the states (vertex set, end vertex): out[j] maps the
+    vertex set (bitmask) of each path on j + 1 vertices to the bitmask of
+    its end vertices, so every state is extended once, however many paths
+    reach it.  None as soon as one path has k - 1 vertices (so None for
+    k <= 2); k = g.n + 2 never stops early."""
     rows = g.rows
     level = {1 << u: 1 << u}
-    out: list[list[int]] = []
+    out: list[dict[int, int]] = []
     while level:
         if len(out) + 1 >= k - 1:
             return None
-        out.append(list(level))
+        out.append(level)
         nxt: dict[int, int] = {}
         for mask, ends in level.items():
             reach = 0
@@ -287,56 +289,49 @@ def _dominates(g: Graph, mask: int) -> bool:
     return True
 
 
+def _read_path(
+    g: Graph, levels: list[dict[int, int]], mask: int, end: int
+) -> tuple[int, ...]:
+    """A path with vertex set mask from the root of the rooted_path_sets
+    levels to end, end in levels[|mask| - 1][mask]: each end was reached
+    from the set without it, through an end next to it."""
+    seq = [end]
+    for level in reversed(levels[: mask.bit_count() - 1]):
+        mask ^= 1 << end
+        prev = level[mask] & g.rows[end]
+        end = (prev & -prev).bit_length() - 1
+        seq.append(end)
+    return tuple(reversed(seq))
+
+
 def strong_dominating_path(g: Graph) -> Optional[tuple[int, ...]]:
-    """Longest path with every off-path vertex's neighbours on the path."""
-    n, rows = g.n, g.rows
-    if n == 0:
-        return None
+    """Longest path with every off-path vertex's neighbours on the path.
+
+    Whether a path dominates depends only on its vertex set, so the sets
+    of the rooted searches from every start vertex are scanned from the
+    largest down."""
     best: Optional[tuple[int, ...]] = None
-
-    def dfs(v: int, visited: int, seq: list[int]) -> None:
-        nonlocal best
-        if (best is None or len(seq) > len(best)) and _dominates(g, visited):
-            best = tuple(seq)
-        ext = rows[v] & ~visited
-        while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            seq.append(u)
-            dfs(u, visited | (1 << u), seq)
-            seq.pop()
-
-    for s in range(n):
-        dfs(s, 1 << s, [s])
+    for s in range(g.n):
+        levels = rooted_path_sets(g, s, g.n + 2)
+        for level in reversed(levels[len(best or ()) :]):
+            mask = next((mask for mask in level if _dominates(g, mask)), 0)
+            if mask:
+                best = _read_path(g, levels, mask, level[mask].bit_length() - 1)
+                break
     return best
 
 
 def strong_dominating_cycle(g: Graph) -> Optional[tuple[int, ...]]:
-    """Some cycle with every off-cycle vertex's neighbours on the cycle."""
-    n, rows = g.n, g.rows
-    result: Optional[tuple[int, ...]] = None
-
-    def dfs(start: int, v: int, visited: int, seq: list[int]) -> bool:
-        nonlocal result
-        if len(seq) >= 3 and (rows[v] >> start) & 1 and _dominates(g, visited):
-            result = tuple(seq)
-            return True
-        ext = rows[v] & ~visited
-        while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            if u < start:
-                continue
-            if len(seq) == 1 or u > seq[1]:  # break reflection symmetry
-                seq.append(u)
-                if dfs(start, u, visited | (1 << u), seq):
-                    return True
-                seq.pop()
-        return False
-
-    for s in range(n):
-        if dfs(s, s, 1 << s, [s]):
-            return result
+    """Some cycle with every off-cycle vertex's neighbours on the cycle:
+    a path from s on at least 3 vertices that ends next to s and whose
+    vertex set dominates, found in the rooted search from s."""
+    for s in range(g.n):
+        levels = rooted_path_sets(g, s, g.n + 2)
+        for level in levels[2:]:
+            for mask, ends in level.items():
+                ends &= g.rows[s]
+                if ends and _dominates(g, mask):
+                    return _read_path(g, levels, mask, ends.bit_length() - 1)
     return None
 
 

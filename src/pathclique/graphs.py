@@ -144,9 +144,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-PRIMITIVE_KINDS = ("complete", "empty", "path", "cycle", "star")
-
-
 def primitive(kind: str, n: int) -> Graph:
     """K_n, I_n, P_n, C_n or the star K_{1,n-1} (center labelled 0)."""
     if n < 0:

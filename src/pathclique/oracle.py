@@ -11,13 +11,13 @@ candidate graph is built.  The parent is free, so a new P_k or K_m must
 use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
 one vertex or two vertices whose attachment alone creates a P_k.  Both
 are decided in the parent itself, from the vertex sets of the paths that
-start at each vertex: a parent on i vertices costs at most i rooted path
-searches, one set comparison per orbit of good pairs under its known
-automorphisms, and one pass over its 2^i masks.  The argument is in
-_attachable_masks.  Of the surviving masks, only those that give the new
-vertex maximum degree in the child are kept, since every graph in the
-class arises by attaching a vertex of maximum degree (see _extend); only
-their orbit representatives are built and labelled canonically.
+start at each vertex: a parent on i vertices costs i rooted path
+searches, one comparison of path sets per pair of good vertices, and one
+pass over its 2^i masks.  The argument is in _attachable_masks.  Of the
+surviving masks, only those that give the new vertex maximum degree in
+the child are kept, since every graph in the class arises by attaching a
+vertex of maximum degree (see _extend); only their orbit representatives
+under the parent's automorphisms are built and labelled canonically.
 
 Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
 cache doubles as a checkpoint since a timed-out sweep resumes from the
@@ -163,8 +163,8 @@ def _attach(g: Graph, mask: int) -> Graph:
     return Graph(g.n + 1, tuple(rows))
 
 
-def _paths_clash(su: list[list[int]], sw: list[list[int]], k: int) -> bool:
-    """True iff a path set of su and one of sw (rooted_path_sets lists,
+def _paths_clash(su: list[dict[int, int]], sw: list[dict[int, int]], k: int) -> bool:
+    """True iff a path set of su and one of sw (rooted_path_sets levels,
     indexed by size - 1) are disjoint and have k - 1 vertices together.
     Only the sizes that add up to k - 1 are compared."""
     if len(su) + len(sw) < k - 1:
@@ -179,11 +179,10 @@ def _paths_clash(su: list[list[int]], sw: list[list[int]], k: int) -> bool:
 
 
 def _attachable_masks(
-    g: Graph, gens: tuple, forbid_path: Optional[int], forbid_clique: Optional[int]
+    g: Graph, forbid_path: Optional[int], forbid_clique: Optional[int]
 ) -> list[int]:
     """Every mask M, ascending, for which g + v(M) is {P_k, K_m}-free,
-    where g is {P_k, K_m}-free, gens generate automorphisms of g and v is
-    a new vertex with neighbourhood M.
+    where g is {P_k, K_m}-free and v is a new vertex with neighbourhood M.
 
     Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
     - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
@@ -220,11 +219,10 @@ def _attachable_masks(
     M - t, and the clique number max(ω(M - t), 1 + ω(N(t) ∩ (M - t)))
     is below m - 1.  M - t and N(t) ∩ (M - t) are smaller subsets of a
     survivor, so they are survivors whose clique numbers are known.
-    An automorphism a of g maps g + v(S) onto g + v(a(S)), so every
-    verdict is invariant under the group: one check per orbit of vertices
-    and of good pairs decides the whole orbit, and the survivors are a
-    union of orbits.  A vertex's path sets are searched at most once per
-    parent: for the leader of its orbit, or when a pair needs them.
+    Each vertex's paths are searched once per parent, and each good pair
+    is compared once.  An automorphism a of g maps g + v(S) onto
+    g + v(a(S)), so every verdict is invariant under Aut(g), and the
+    survivors are closed under it, as _subset_orbits needs.
     """
     k, m = forbid_path, forbid_clique
     if (k is not None and k <= 1) or (m is not None and m <= 1):
@@ -233,24 +231,14 @@ def _attachable_masks(
     # clash[u]: the vertices u cannot share a mask with; u itself if bad
     clash = [0] * i
     if k is not None and i >= k - 1:
-        paths: dict[int, Optional[list[list[int]]]] = {}
-
-        def path_sets(u: int) -> Optional[list[list[int]]]:
-            if u not in paths:
-                paths[u] = rooted_path_sets(g, u, k)
-            return paths[u]
-
-        for orbit in _subset_orbits([1 << u for u in range(i)], gens):
-            if path_sets(orbit[0].bit_length() - 1) is None:
-                for single in orbit:
-                    clash[single.bit_length() - 1] = single
+        paths = [rooted_path_sets(g, u, k) for u in range(i)]
+        for u, sets in enumerate(paths):
+            if sets is None:
+                clash[u] = 1 << u
         good = [u for u in range(i) if not clash[u]]
-        pairs = [1 << u | 1 << w for b, w in enumerate(good) for u in good[:b]]
-        for orbit in _subset_orbits(pairs, gens):
-            u, w = (orbit[0] & -orbit[0]).bit_length() - 1, orbit[0].bit_length() - 1
-            if _paths_clash(path_sets(u), path_sets(w), k):
-                for pair in orbit:
-                    u, w = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+        for b, w in enumerate(good):
+            for u in good[:b]:
+                if _paths_clash(paths[u], paths[w], k):
                     clash[u] |= 1 << w
                     clash[w] |= 1 << u
     # table[M] = 1 + clique number of M if M survives, else 0; a survivor
@@ -319,7 +307,7 @@ def _extend(
                 f"time budget exhausted after level {i}",
                 {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
             )
-        masks = _attachable_masks(g, gens, forbid_path, forbid_clique)
+        masks = _attachable_masks(g, forbid_path, forbid_clique)
         masks = _max_degree_masks(g, masks)
         for orbit in _subset_orbits(masks, gens):
             cf, cgens = canonical_with_generators(_attach(g, orbit[0]))

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -279,6 +279,60 @@ def test_strong_dominating_cycle():
     assert strong_dominating_cycle(primitive("path", 4)) is None
     c = strong_dominating_cycle(join(primitive("complete", 2), primitive("empty", 5)))
     assert c is not None
+
+
+def _dominating_orders(g: Graph) -> tuple[int, bool]:
+    """The order of a longest path whose vertex set strongly dominates g,
+    and whether some cycle's does, by trying every ordering of every
+    dominating vertex subset."""
+    longest, cycle = 0, False
+    for size in range(g.n, 0, -1):
+        for subset in combinations(range(g.n), size):
+            outside = [v for v in range(g.n) if v not in subset]
+            if any(u not in subset for v in outside for u in g.neighbors(v)):
+                continue
+            for seq in permutations(subset):
+                if longest >= size and (cycle or size < 3):
+                    break
+                if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+                    longest = max(longest, size)
+                    cycle = cycle or (size >= 3 and g.has_edge(seq[-1], seq[0]))
+    return longest, cycle
+
+
+def _strongly_dominates(g: Graph, seq: tuple[int, ...]) -> bool:
+    return all(u in seq for v in range(g.n) if v not in seq for u in g.neighbors(v))
+
+
+def test_strong_dominating_against_brute_force():
+    """On every graph with at most 6 vertices, as stored and relabelled,
+    strong_dominating_path returns a path of the brute-force longest order
+    and strong_dominating_cycle a cycle exactly when one exists, each with
+    a vertex set that strongly dominates.  The cycle search once missed
+    cycles whose labels were out of order (C4 as 0-3-1-2)."""
+    rng = random.Random(8)
+    c4 = make_graph(4, [(0, 3), (3, 1), (1, 2), (2, 0)])
+    assert strong_dominating_cycle(c4) is not None
+    for n in range(7):
+        for stored in enumerate_graphs(EnumerationConfig(n=n)):
+            longest, cycle = _dominating_orders(stored)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (stored, relabel(stored, perm)):
+                code = graph6_encode(g)
+                path = strong_dominating_path(g)
+                assert len(path or ()) == longest, code
+                if path is not None:
+                    assert len(set(path)) == len(path), code
+                    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), code
+                    assert _strongly_dominates(g, path), code
+                found = strong_dominating_cycle(g)
+                assert (found is not None) == cycle, code
+                if found is not None:
+                    assert len(set(found)) == len(found) >= 3, code
+                    ring = zip(found, found[1:] + found[:1])
+                    assert all(g.has_edge(a, b) for a, b in ring), code
+                    assert _strongly_dominates(g, found), code
 
 
 def test_saito_bound_on_2connected_corpus():

@@ -162,7 +162,7 @@ def test_mask_rule_matches_unpruned_extension():
                         cf, _cgens = canonical_with_generators(cand)
                         out.setdefault(graph6_encode(cf), cf)
                 want = [mask for mask in range(1 << i) if free[minima[mask]]]
-                assert _attachable_masks(g, gens, k, m) == want, (k, m, code)
+                assert _attachable_masks(g, k, m) == want, (k, m, code)
             got = [(cf, c) for cf, _cgens, c in levels[i + 1]]
             assert got == [(out[c], c) for c in sorted(out)], (k, m, i + 1)
             for cf, cgens, c in levels[i + 1]:
@@ -170,12 +170,13 @@ def test_mask_rule_matches_unpruned_extension():
                     assert relabel(cf, list(a)) == cf, (k, m, c)
 
 
-def _paths_from(g: Graph, u: int) -> list[int]:
-    """The vertex sets of all paths that start at u, by plain DFS."""
-    out = []
+def _paths_from(g: Graph, u: int) -> dict[int, int]:
+    """The vertex set of every path that starts at u, mapped to the
+    bitmask of its end vertices, by plain DFS."""
+    out: dict[int, int] = {}
 
     def dfs(v: int, visited: int) -> None:
-        out.append(visited)
+        out[visited] = out.get(visited, 0) | 1 << v
         for x in range(g.n):
             if g.rows[v] >> x & 1 and not visited >> x & 1:
                 dfs(x, visited | 1 << x)
@@ -190,8 +191,8 @@ def test_rooted_path_checks_match_child_searches():
     P_k, and two good vertices clash (_paths_clash) iff g + v({u, w}) has
     a P_k.  On every parent of the rule cells, of the P_2- and P_3-free
     levels to n = 6, and on random P_k-free graphs with 4 <= k <= 10 on
-    up to 11 vertices, where the path sets are also checked against a
-    plain DFS."""
+    up to 11 vertices, where the search levels (path sets and their end
+    vertices) are also checked against a plain DFS."""
     verdicts = {"bad": 0, "clash": 0, "free pair": 0}
 
     def check(g: Graph, k: int) -> None:
@@ -227,15 +228,15 @@ def test_rooted_path_checks_match_child_searches():
         tried += 1
         check(g, k)
         for u in range(n):
-            sizes = {}
-            for path in _paths_from(g, u):
-                sizes.setdefault(path.bit_count(), set()).add(path)
+            sizes: dict[int, dict[int, int]] = {}
+            for path, ends in _paths_from(g, u).items():
+                sizes.setdefault(path.bit_count(), {})[path] = ends
             got = rooted_path_sets(g, u, k)
             if max(sizes) >= k - 1:
                 assert got is None, (graph6_encode(g), k, u)
             else:
-                want = [sorted(sizes[size]) for size in range(1, max(sizes) + 1)]
-                assert [sorted(sets) for sets in got] == want, (graph6_encode(g), k, u)
+                want = [sizes[size] for size in range(1, max(sizes) + 1)]
+                assert got == want, (graph6_encode(g), k, u)
     assert min(verdicts.values()) > 1000, verdicts
 
 
@@ -247,7 +248,7 @@ def test_max_degree_masks():
     for k, m, n in RULE_CELLS:
         for i, level in enumerate(_levels(k, m, n - 1)):
             for g, gens, code in level:
-                masks = _attachable_masks(g, gens, k, m)
+                masks = _attachable_masks(g, k, m)
                 kept = _max_degree_masks(g, masks)
                 # deg(u) + [u in M] in the child against |M| for the new vertex
                 degs = g.degrees()
@@ -407,6 +408,34 @@ def test_final_filters():
     assert set(em) <= set(base)
     # max edge count is attained inside the edge-maximal subset
     assert max(g.edge_count() for g in em) == max(g.edge_count() for g in base)
+
+
+def test_edge_maximal_against_the_level():
+    """The edge_maximal filter keeps exactly the graphs g of the level on n
+    vertices for which g + e is outside the class for every non-edge e,
+    that is, canonical(g + e) is not among the level's codes."""
+    for k, m, n in [(5, None, 7), (5, 3, 7), (6, 4, 7), (None, 4, 6), (4, None, 6)]:
+        level = _levels(k, m, n)[n]
+        codes = {code for _g, _gens, code in level}
+        want = []
+        for g, _gens, _code in level:
+            edges = list(g.edges())
+            grown = [
+                make_graph(n, edges + [(u, v)])
+                for u in range(n)
+                for v in range(u)
+                if not g.has_edge(u, v)
+            ]
+            if all(
+                graph6_encode(canonical_with_generators(h)[0]) not in codes
+                for h in grown
+            ):
+                want.append(g)
+        config = EnumerationConfig(
+            n=n, forbid_path=k, forbid_clique=m, edge_maximal=True
+        )
+        assert enumerate_graphs(config) == want, (k, m, n)
+        assert 0 < len(want) < len(level), (k, m, n)
 
 
 def test_cap_enforcement(monkeypatch):
