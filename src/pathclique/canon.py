@@ -4,7 +4,8 @@ The canonical form of a graph is the relabelling whose adjacency code
 (tuple of row bitmasks) is lexicographically smallest over the leaves of
 an individualisation-refinement search tree.  Two invariants are what
 callers rely on: isomorphic graphs get equal codes, and the code is
-unchanged by any relabelling of the input.
+unchanged by any relabelling of the input.  The best leaf's code is the
+rows of the canonical form, so the form is built from it directly.
 
 Branches are pruned with automorphisms: the generators are the twin
 transpositions (interchangeable vertices are everywhere in joins and
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graph6 import graph6_encode
-from .graphs import Graph, iter_bits, lower_twins, relabel
+from .graphs import Graph, iter_bits, lower_twins
 
 
 def _twin_transpositions(
@@ -114,9 +115,9 @@ def _find(up: list[int], u: int) -> int:
     return u
 
 
-def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
-    """(perm, lower twins, automorphisms found at equal leaves), with
-    perm[old] = new canonical label."""
+def _search(g: Graph) -> tuple[Graph, list[int], list[int], list[tuple[int, ...]]]:
+    """(canonical form, perm, lower twins, automorphisms found at equal
+    leaves), with perm[old] = new canonical label."""
     n, rows = g.n, g.rows
     bydeg: dict[int, list[int]] = {}
     for v in range(n):
@@ -204,20 +205,20 @@ def _search(g: Graph) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     perm = [0] * n
     for i, v in enumerate(order):
         perm[v] = i
-    return perm, lower, [a for a, _support in autos]
+    cf = Graph(n, best_code[0] or ())
+    return cf, perm, lower, [a for a, _support in autos]
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabelled copy of g."""
-    perm, _lower, _found = _search(g)
-    return relabel(g, perm)
+    return _search(g)[0]
 
 
 def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     """Canonical form plus automorphism generators in canonical labels: the
     twin swaps, then the automorphisms the search found, without repeats.
     They generate a subgroup of Aut(g), not necessarily all of it."""
-    perm, lower, found = _search(g)
+    cf, perm, lower, found = _search(g)
     out = _twin_transpositions(lower, perm)
     seen = set(out)
     for a in found:
@@ -228,7 +229,7 @@ def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
         if tb not in seen:
             seen.add(tb)
             out.append(tb)
-    return relabel(g, perm), out
+    return cf, out
 
 
 def canonical(g: Graph) -> bytes:

@@ -123,30 +123,30 @@ def _case_line(k: int, m: int, r: int) -> str:
     return f"{case.tag} lhs={case.lhs} rhs={num}/{k - 1}"
 
 
+def _predicted_line(args) -> str:
+    if args.connected:
+        return str(predicted_ex_con(args.n, args.k, args.m, args.r))
+    value, exact = predicted_ex(args.n, args.k, args.m, args.r)
+    return f"{value} {'exact' if exact else 'upper_bound'}"
+
+
+# (flag, the flags it needs, its output line), in order of precedence; the
+# last entry has no flag and is the default
+_FORMULAS = (
+    ("case", ("k", "m", "r"), lambda a: _case_line(a.k, a.m, a.r)),
+    ("katona", ("n", "k", "m"), lambda a: katona_value(a.n, a.k, a.m)),
+    ("luo", ("n", "k", "r"), lambda a: luo_value(a.n, a.k, a.r)),
+    ("predicted", ("n", "k", "m", "r"), _predicted_line),
+    (None, ("n", "k", "m", "r"), lambda a: h_value(a.n, a.m, a.k, a.r)),
+)
+
+
 def _cmd_formula(args) -> int:
-    if args.case:
-        _require(args, ["k", "m", "r"])
-        print(_case_line(args.k, args.m, args.r))
-        return EXIT_OK
-    if args.katona:
-        _require(args, ["n", "k", "m"])
-        print(katona_value(args.n, args.k, args.m))
-        return EXIT_OK
-    if args.luo:
-        _require(args, ["n", "k", "r"])
-        print(luo_value(args.n, args.k, args.r))
-        return EXIT_OK
-    if args.predicted:
-        _require(args, ["n", "k", "m", "r"])
-        if args.connected:
-            print(predicted_ex_con(args.n, args.k, args.m, args.r))
-        else:
-            value, exact = predicted_ex(args.n, args.k, args.m, args.r)
-            print(f"{value} {'exact' if exact else 'upper_bound'}")
-        return EXIT_OK
-    _require(args, ["n", "k", "m", "r"])
-    print(h_value(args.n, args.m, args.k, args.r))
-    return EXIT_OK
+    for flag, needs, line in _FORMULAS:
+        if flag is None or getattr(args, flag):
+            _require(args, list(needs))
+            print(line(args))
+            return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:

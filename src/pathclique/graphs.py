@@ -80,23 +80,14 @@ class Graph:
         return out
 
     def neighbors(self, u: int) -> list[int]:
-        return bits(self.rows[u])
+        return list(iter_bits(self.rows[u]))
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
 
-def bits(mask: int) -> list[int]:
-    """Indices of set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of set bits, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -19,6 +19,9 @@ the child are kept, since every graph in the class arises by attaching a
 vertex of maximum degree (see _extend); only their orbit representatives
 under the parent's automorphisms are built and labelled canonically.
 
+The edge_maximal filter is decided in each finished graph the same way,
+by rooted path and clique searches in it (see _edge_maximal).
+
 Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
 cache doubles as a checkpoint since a timed-out sweep resumes from the
 last completed level.
@@ -28,20 +31,19 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .canon import canonical_with_generators
+from .canon import canonical, canonical_with_generators
 from .constructions import double_star, h_extremal, h_minus, turan_union
 from .detect import (
     blocks,
     class_table,
     count_cliques,
     has_clique_in,
-    has_path,
+    has_path,  # no caller here; bound for the perfbench tracer (test_tracing)
     is_2connected,
     is_connected,
-    is_free,
     rooted_path_sets,
 )
 from .formulas import (
@@ -93,7 +95,8 @@ class EnumerationConfig:
     forbid_path / forbid_clique of None mean unconstrained; fully
     unconstrained runs are capped harder because the class explodes.
     connected_only, min_degree and edge_maximal are applied only to the
-    finished level (they are not closed under vertex deletion).
+    finished level (they are not closed under vertex deletion);
+    edge_maximal is decided in each graph without building g + e.
     """
 
     n: int
@@ -103,9 +106,6 @@ class EnumerationConfig:
     min_degree: int = 0
     edge_maximal: bool = False
     time_budget_s: Optional[float] = None
-    progress: Optional[Callable[[int, int], None]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -322,7 +322,6 @@ def _levels(
     forbid_clique: Optional[int],
     n: int,
     deadline: Optional[float] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> list[list[tuple[Graph, tuple, str]]]:
     key = (forbid_path, forbid_clique)
     g0 = Graph(0, ())
@@ -330,27 +329,37 @@ def _levels(
     while len(levels) <= n:
         # only whole levels are cached: _extend raises before appending
         levels.append(_extend(levels, forbid_path, forbid_clique, deadline))
-        if progress is not None:
-            progress(len(levels) - 1, len(levels[-1]))
     return levels[: n + 1]
 
 
 def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
+    """True iff g + uv has a P_k or a K_m for every non-edge uv of g, a
+    {P_k, K_m}-free graph; decided in g, building no g + uv.
+
+    Soundness.  A P_k or K_m in g + uv uses uv, since g has none.
+    - K_m: its other m - 2 vertices span a K_{m-2} in N(u) ∩ N(v).  For
+      m = 2, uv is the K_2 and has_clique_in finds a K_0, so every
+      non-edge is blocked; m <= 1 leaves only the graph on 0 vertices.
+    - P_k: a path in g that ends at u, then a disjoint path from v, with
+      k vertices together.  A prefix of a path from u is a path from u,
+      so a longer pair cuts to exactly k, and _paths_clash with k + 1
+      compares the sizes a + b = k, as in _attachable_masks.  g has no
+      P_k, so rooted_path_sets(g, u, k + 1), which stops only at a path
+      on k vertices, never stops early.  For k = 2 the pair {u}, {v}
+      blocks every non-edge; for k = 3, uv is blocked iff u or v has a
+      neighbour; k <= 1 leaves only the graph on 0 vertices.
+    """
+    n, rows = g.n, g.rows
+    paths = [] if k is None else [rooted_path_sets(g, u, k + 1) for u in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v) & 1:
                 continue
-            rows = list(g.rows)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            bigger = Graph(g.n, tuple(rows))
-            ok = True
-            if m is not None and has_clique_in(bigger, bigger.vertex_mask(), m):
-                ok = False
-            if ok and k is not None and has_path(bigger, k):
-                ok = False
-            if ok:
-                return False
+            if m is not None and has_clique_in(g, rows[u] & rows[v], m - 2):
+                continue
+            if k is not None and _paths_clash(paths[u], paths[v], k + 1):
+                continue
+            return False
     return True
 
 
@@ -360,9 +369,7 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     deadline = None
     if config.time_budget_s is not None:
         deadline = time.monotonic() + config.time_budget_s
-    levels = _levels(
-        config.forbid_path, config.forbid_clique, config.n, deadline, config.progress
-    )
+    levels = _levels(config.forbid_path, config.forbid_clique, config.n, deadline)
     out = []
     for g, _gens, _code in levels[config.n]:
         if config.connected_only and not is_connected(g):
@@ -529,8 +536,7 @@ def _predicted_family(
     def code_if_attains(g: Graph) -> Optional[str]:
         if count_cliques(g, r) != predicted:
             return None
-        cf, _ = canonical_with_generators(g)
-        return graph6_encode(cf)
+        return canonical(g).decode("ascii")
 
     fam: set[str] = set()
     candidates: list[Graph] = []

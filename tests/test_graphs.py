@@ -8,6 +8,7 @@ from pathclique.canon import (
     _search,
     _twin_transpositions,
     canonical,
+    canonical_form,
     canonical_with_generators,
 )
 from pathclique.constructions import double_star, h_extremal, turan
@@ -365,7 +366,8 @@ def _reference_canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, 
 
 def test_canonical_labeling_matches_reference():
     """The union-find search visits the same leaves as the closure it
-    replaced: equal perm and equal generators, in order, on random graphs,
+    replaced: equal perm and equal generators, in order, and the form read
+    from the best leaf is g relabelled by perm, on random graphs,
     on the (P_7, K_4)-free levels to n = 8 as stored and relabelled, and
     on relabelled Turan graphs, H_n and double stars, 10 <= n <= 30."""
     rng = random.Random(53)
@@ -384,6 +386,7 @@ def test_canonical_labeling_matches_reference():
         rng.shuffle(perm)
         graphs.append(relabel(g, perm))
     for g in graphs:
-        perm, lower, found = _search(g)
+        _cf, perm, lower, found = _search(g)
         gens = _twin_transpositions(lower, range(g.n)) + found
         assert (perm, gens) == _reference_canonical_labeling(g)
+        assert canonical_form(g) == relabel(g, perm)

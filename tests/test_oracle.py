@@ -414,7 +414,9 @@ def test_edge_maximal_against_the_level():
     """The edge_maximal filter keeps exactly the graphs g of the level on n
     vertices for which g + e is outside the class for every non-edge e,
     that is, canonical(g + e) is not among the level's codes."""
-    for k, m, n in [(5, None, 7), (5, 3, 7), (6, 4, 7), (None, 4, 6), (4, None, 6)]:
+    cells = [(5, None, 7), (5, 3, 7), (6, 4, 7), (None, 4, 6), (4, None, 6)]
+    cells += [(3, None, 6), (None, 3, 6), (None, None, 5), (4, 3, 7)]
+    for k, m, n in cells:
         level = _levels(k, m, n)[n]
         codes = {code for _g, _gens, code in level}
         want = []
