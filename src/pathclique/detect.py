@@ -1,9 +1,9 @@
 """Exact subgraph and structure detection over bitmask adjacency rows.
 
-Two path searches serve different questions.  longest_path_order, behind
-has_path and is_free, answers "is there a path on k vertices" on a whole
-graph by depth-first branch and bound, with twin pruning, a reachability
-bound and a memo of failed states, so it stays fast on large graphs.
+Two path searches serve different questions.  has_path answers "is there
+a path on k vertices" on a whole graph by depth-first search, with twin
+pruning, a reachability bound and a memo of failed states, so it stays
+fast on large graphs; is_free and longest_path_order ask it.
 rooted_path_sets lists the paths from one start vertex by their vertex
 sets and end vertices.  Enumeration asks it of a parent graph to decide
 attachment masks (oracle._attachable_masks), and the strong dominating
@@ -95,67 +95,6 @@ def _reachable(rows: tuple[int, ...], seed: int, banned: int) -> int:
     return seen
 
 
-def longest_path_order(g: Graph, stop_at: Optional[int] = None) -> int:
-    """Order of a longest path (0 for the graph on 0 vertices).
-
-    Branch-and-bound from every start vertex, pruned by the size of the
-    region still reachable; with stop_at the search exits as soon as a
-    path on stop_at vertices is found.
-
-    Twin pruning (twins as in graphs.lower_twins): of each twin class only
-    the lowest unvisited member is tried, as a start vertex and as the
-    next vertex at every node.  Soundness: swapping two unvisited twins
-    u < w is an automorphism that fixes every visited vertex, so it fixes
-    the path so far, its end vertex and the reach bound, and it maps the
-    subtree below "extend by w" onto the subtree below "extend by u" with
-    path orders preserved.  u is adjacent to the end vertex whenever w
-    is, and it comes first in the ascending scan with the same bound, so
-    skipping w neither loses a longest path nor marks as failed a state
-    that could still reach stop_at.
-    """
-    n, rows = g.n, g.rows
-    if n == 0:
-        return 0
-    lower = lower_twins(g)
-    best = 1
-    goal = stop_at if stop_at is not None else n
-    # with a fixed target, a state (visited, end) that failed once can
-    # never succeed; memoizing these turns the search tree into a DAG
-    failed: set[tuple[int, int]] = set()
-
-    def dfs(v: int, visited: int, length: int) -> bool:
-        nonlocal best
-        if length > best:
-            best = length
-            if best >= goal:
-                return True
-        if stop_at is not None and (visited, v) in failed:
-            return False
-        ext = rows[v] & ~visited
-        while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            if lower[u] & ~visited:
-                continue
-            reach = _reachable(rows, 1 << u, visited)
-            bound = length + reach.bit_count()
-            if stop_at is not None:
-                if bound < goal:
-                    continue
-            elif bound <= best:
-                continue
-            if dfs(u, visited | (1 << u), length + 1):
-                return True
-        if stop_at is not None:
-            failed.add((visited, v))
-        return False
-
-    for s in range(n):
-        if not lower[s] and dfs(s, 1 << s, 1):
-            break
-    return best
-
-
 def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[dict[int, int]]]:
     """The paths in g that start at u, by the levels of a breadth-first
     search over the states (vertex set, end vertex): out[j] maps the
@@ -187,12 +126,59 @@ def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[dict[int, int]]]
 
 
 def has_path(g: Graph, k: int) -> bool:
-    """True iff g contains a path on k vertices."""
+    """True iff g contains a path on k vertices.
+
+    Depth-first search from every start vertex.  A next vertex u is
+    skipped when the path so far plus the region reachable from u off the
+    path has fewer than k vertices, and a state (visited set, end vertex)
+    that failed once is not searched again, since the target is fixed.
+
+    Twin pruning (twins as in graphs.lower_twins): of each twin class only
+    the lowest unvisited member is tried, as a start vertex and as the
+    next vertex at every node.  Soundness: swapping two unvisited twins
+    u < w is an automorphism that fixes every visited vertex, so it fixes
+    the path so far, its end vertex and the reach bound, and it maps the
+    paths below "extend by w" onto the paths below "extend by u".  u is
+    adjacent to the end vertex whenever w is, so skipping w loses no path
+    on k vertices and marks no state as failed that could still reach one.
+    """
+    n, rows = g.n, g.rows
     if k <= 0:
         return True
-    if k == 1:
-        return g.n >= 1
-    return longest_path_order(g, stop_at=k) >= k
+    if k > n:
+        return False
+    lower = lower_twins(g)
+    failed: set[tuple[int, int]] = set()
+
+    def dfs(v: int, visited: int, length: int) -> bool:
+        if length >= k:
+            return True
+        if (visited, v) in failed:
+            return False
+        ext = rows[v] & ~visited
+        while ext:
+            u = (ext & -ext).bit_length() - 1
+            ext &= ext - 1
+            if lower[u] & ~visited:
+                continue
+            if length + _reachable(rows, 1 << u, visited).bit_count() < k:
+                continue
+            if dfs(u, visited | (1 << u), length + 1):
+                return True
+        failed.add((visited, v))
+        return False
+
+    return any(not lower[s] and dfs(s, 1 << s, 1) for s in range(n))
+
+
+def longest_path_order(g: Graph) -> int:
+    """Order of a longest path (0 for the graph on 0 vertices): the
+    largest k with has_path(g, k), asked for k = 1, 2, ... until the
+    answer is no."""
+    k = 0
+    while has_path(g, k + 1):
+        k += 1
+    return k
 
 
 def is_free(g: Graph, k: int, m: int) -> bool:

@@ -347,9 +347,12 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
       P_k, so rooted_path_sets(g, u, k + 1), which stops only at a path
       on k vertices, never stops early.  For k = 2 the pair {u}, {v}
       blocks every non-edge; for k = 3, uv is blocked iff u or v has a
-      neighbour; k <= 1 leaves only the graph on 0 vertices.
+      neighbour; k <= 1 leaves only the graph on 0 vertices.  With fewer
+      than k vertices, g + uv has no room for a P_k, so no path is searched.
     """
     n, rows = g.n, g.rows
+    if k is not None and n < k:
+        k = None
     paths = [] if k is None else [rooted_path_sets(g, u, k + 1) for u in range(n)]
     for u in range(n):
         for v in range(u + 1, n):

@@ -9,21 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-
-ROW_FIELDS = (
-    "k",
-    "m",
-    "r",
-    "n",
-    "scope",
-    "case_tag",
-    "oracle_value",
-    "predicted_value",
-    "status",
-    "extremal_match",
-    "witnesses",
-)
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -48,6 +34,10 @@ class VerificationRow:
     extremal_match: str
     runtime_ms: float
     witnesses: tuple[str, ...]
+
+
+# the data columns, in the order of VerificationRow; runtime_ms is timing
+ROW_FIELDS = tuple(f.name for f in fields(VerificationRow) if f.name != "runtime_ms")
 
 
 def sort_rows(rows: list[VerificationRow]) -> list[VerificationRow]:

@@ -104,6 +104,7 @@ def twin_blowup(rng, max_n: int) -> Graph:
 
 
 def assert_path_search_exact(g: Graph) -> None:
+    """has_path at every k, and longest_path_order, against the DP."""
     want = longest_path_dp(g)
     assert longest_path_order(g) == want
     for k in range(g.n + 2):
@@ -178,7 +179,7 @@ def test_longest_path_vs_dp_oracle():
     rng = random.Random(37)
     for _ in range(120):
         g = random_graph(rng, rng.randint(0, 8), rng.choice([0.2, 0.5, 0.8]))
-        assert longest_path_order(g) == longest_path_dp(g)
+        assert_path_search_exact(g)
     # twin-heavy inputs, where the twin pruning of the path search acts
     for _ in range(150):
         assert_path_search_exact(twin_blowup(rng, 11))
@@ -202,8 +203,10 @@ def test_longest_path_vs_dp_oracle():
 
 
 def test_longest_path_vs_dp_on_enumerated_corpus():
-    for g in enumerate_graphs(EnumerationConfig(n=6)):
-        assert longest_path_order(g) == longest_path_dp(g)
+    corpus = enumerate_graphs(EnumerationConfig(n=6))
+    assert len(corpus) == 156
+    for g in corpus:
+        assert_path_search_exact(g)
 
 
 def test_has_path():

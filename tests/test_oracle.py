@@ -416,6 +416,8 @@ def test_edge_maximal_against_the_level():
     that is, canonical(g + e) is not among the level's codes."""
     cells = [(5, None, 7), (5, 3, 7), (6, 4, 7), (None, 4, 6), (4, None, 6)]
     cells += [(3, None, 6), (None, 3, 6), (None, None, 5), (4, 3, 7)]
+    # n = k, where g + uv may hold a P_k, and n < k, where it cannot
+    cells += [(6, 4, 6), (8, 4, 6)]
     for k, m, n in cells:
         level = _levels(k, m, n)[n]
         codes = {code for _g, _gens, code in level}
