@@ -19,12 +19,20 @@ the child are kept, since every graph in the class arises by attaching a
 vertex of maximum degree (see _extend); only their orbit representatives
 under the parent's automorphisms are built and labelled canonically.
 
-The edge_maximal filter is decided in each finished graph the same way,
-by rooted path and clique searches in it (see _edge_maximal).
+A min_degree bound δ is pushed into generation (look-ahead): deleting a
+vertex lowers every other degree by at most 1, so a graph on n vertices
+with min degree >= δ descends from graphs on i vertices with min degree
+>= δ - (n - i).  Level n is therefore grown from the unfiltered level
+n - δ by δ filtered steps (see _extend).  The connected_only and
+edge_maximal filters are not inherited by subgraphs and stay final; the
+edge_maximal one is decided in each finished graph by rooted path and
+clique searches in it (see _edge_maximal).
 
-Enumeration levels are cached per (forbid_path, forbid_clique) pair; the
-cache doubles as a checkpoint since a timed-out sweep resumes from the
-last completed level.
+An Enumerator owns the levels: the unfiltered chains, one per
+(forbid_path, forbid_clique) pair and shared by every caller, and the
+filtered chains, one per (forbid_path, forbid_clique, n, δ).  Only whole
+levels are cached, so the cache doubles as a checkpoint: a timed-out
+sweep resumes from the last completed level.
 """
 
 from __future__ import annotations
@@ -94,9 +102,10 @@ class EnumerationConfig:
 
     forbid_path / forbid_clique of None mean unconstrained; fully
     unconstrained runs are capped harder because the class explodes.
-    connected_only, min_degree and edge_maximal are applied only to the
-    finished level (they are not closed under vertex deletion);
-    edge_maximal is decided in each graph without building g + e.
+    min_degree prunes during generation, by look-ahead from the orders
+    below n; connected_only and edge_maximal are not closed under vertex
+    deletion and are applied only to the finished level; edge_maximal is
+    decided in each graph without building g + e.
     """
 
     n: int
@@ -117,14 +126,8 @@ class EnumerationConfig:
             raise CapExceeded(f"n={self.n} exceeds enumeration cap {cap}")
 
 
-# level i holds (canonical graph, automorphism generators, graph6 code)
-_LEVEL_CACHE: dict[tuple, list[list[tuple[Graph, tuple, str]]]] = {}
-
-
-def clear_cache() -> None:
-    """Empty the level cache and the classifier's table of candidates."""
-    _LEVEL_CACHE.clear()
-    class_table.cache_clear()
+# a level holds (canonical graph, automorphism generators, graph6 code)
+Level = list[tuple[Graph, tuple, str]]
 
 
 def _subset_orbits(masks: list[int], gens: tuple) -> list[list[int]]:
@@ -260,32 +263,42 @@ def _attachable_masks(
     return out
 
 
-def _max_degree_masks(g: Graph, masks: list[int]) -> list[int]:
+def _degree_masks(g: Graph, masks: list[int], bound: int) -> list[int]:
     """The masks M, in their order, for which the new vertex has maximum
-    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u.
+    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u;
+    and, for bound > 0, g + v(M) has min degree >= bound, given that g
+    has min degree >= bound - 1.
 
-    With D the maximum degree of g, that is |M| > D, or |M| = D and M
-    holds no vertex of degree D.  The test reads only degrees, so it is
-    invariant under Aut(g): masks that were ascending and closed under a
-    set of automorphisms stay so."""
+    With D the maximum degree of g, the first is |M| > D, or |M| = D and
+    M holds no vertex of degree D.  The second is |M| >= bound for the
+    new vertex, and M holds every vertex of g of degree < bound: those
+    have degree bound - 1 and reach bound only if M holds them.  Both
+    tests read only degrees, so they are invariant under Aut(g): masks
+    that were ascending and closed under a set of automorphisms stay so."""
     degs = g.degrees()
     top = max(degs, default=0)
     at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
-    return [
+    out = [
         mask
         for mask in masks
         if (size := mask.bit_count()) > top or (size == top and not mask & at_top)
     ]
+    if bound > 0:
+        low = sum(1 << u for u, d in enumerate(degs) if d < bound)
+        out = [mask for mask in out if mask & low == low and mask.bit_count() >= bound]
+    return out
 
 
 def _extend(
-    levels: list[list[tuple[Graph, tuple, str]]],
+    levels: list[Level],
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
+    bound: int,
     deadline: Optional[float],
-) -> list[tuple[Graph, tuple, str]]:
-    """The next level after levels[-1]; the deadline is checked once per
-    parent, so a budget overruns by at most one parent's extensions.
+) -> Level:
+    """The next level after levels[-1], restricted to min degree >= bound
+    (0: unfiltered); the deadline is checked once per parent, so a budget
+    overruns by at most one parent's extensions.
 
     Only children whose new vertex has maximum degree are labelled (the
     degree test of canonical augmentation, McKay, "Isomorph-free
@@ -298,7 +311,17 @@ def _extend(
     the group of P's generators, gives P + v(M') ≅ P + v(M) with v fixed,
     so M' passes too and G is labelled.  The generators may span only a
     subgroup of Aut(P), and one class can arise from several parents, so
-    the children are still deduplicated by canonical code."""
+    the children are still deduplicated by canonical code.
+
+    Look-ahead.  For bound > 0, levels[i] must hold exactly the graphs of
+    the class on i vertices with min degree >= bound - 1, and only masks
+    whose child has min degree >= bound are kept (_degree_masks).  The
+    argument above still holds: G - u, for u of maximum degree in G,
+    loses at most 1 from every other degree, so it has min degree
+    >= bound - 1 and lies in levels[i], which is complete for its own
+    bound; M = φ(N(u)) gives a child isomorphic to G, so it passes the
+    min-degree test.  That test reads only the child's degrees, so M' in
+    the orbit of M passes too, and _subset_orbits stays valid."""
     i = len(levels) - 1
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, gens, _code in levels[i]:
@@ -308,7 +331,7 @@ def _extend(
                 {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
             )
         masks = _attachable_masks(g, forbid_path, forbid_clique)
-        masks = _max_degree_masks(g, masks)
+        masks = _degree_masks(g, masks, bound)
         for orbit in _subset_orbits(masks, gens):
             cf, cgens = canonical_with_generators(_attach(g, orbit[0]))
             code = graph6_encode(cf)
@@ -317,19 +340,72 @@ def _extend(
     return [out[c] for c in sorted(out)]
 
 
-def _levels(
-    forbid_path: Optional[int],
-    forbid_clique: Optional[int],
-    n: int,
-    deadline: Optional[float] = None,
-) -> list[list[tuple[Graph, tuple, str]]]:
-    key = (forbid_path, forbid_clique)
-    g0 = Graph(0, ())
-    levels = _LEVEL_CACHE.setdefault(key, [[(g0, (), graph6_encode(g0))]])
-    while len(levels) <= n:
-        # only whole levels are cached: _extend raises before appending
-        levels.append(_extend(levels, forbid_path, forbid_clique, deadline))
-    return levels[: n + 1]
+class Enumerator:
+    """Owns the enumeration levels, each sorted by graph6 code.
+
+    unfiltered[(k, m)] is the chain of levels 0, 1, ... of the class of
+    {P_k, K_m}-free graphs, shared by every caller.  filtered[(k, m, n,
+    δ)] holds the levels n - δ + 1, ..., n of the look-ahead chain for
+    order n and min degree δ: level i of it has min degree >= δ - (n - i).
+    It grows from the unfiltered level n - δ, where that bound is 0, so
+    the unfiltered chain is built only to n - δ.  Only whole levels are
+    appended: _extend raises before it returns."""
+
+    def __init__(self) -> None:
+        self.unfiltered: dict[tuple, list[Level]] = {}
+        self.filtered: dict[tuple, list[Level]] = {}
+
+    def clear(self) -> None:
+        self.unfiltered.clear()
+        self.filtered.clear()
+
+    def levels(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        deadline: Optional[float] = None,
+    ) -> list[Level]:
+        """The unfiltered levels 0, ..., n."""
+        g0 = Graph(0, ())
+        levels = self.unfiltered.setdefault(
+            (forbid_path, forbid_clique), [[(g0, (), graph6_encode(g0))]]
+        )
+        while len(levels) <= n:
+            levels.append(_extend(levels, forbid_path, forbid_clique, 0, deadline))
+        return levels[: n + 1]
+
+    def level(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        min_degree: int,
+        deadline: Optional[float],
+    ) -> Level:
+        """The graphs of the class on n vertices with min degree >= min_degree."""
+        delta = max(min_degree, 0)
+        if delta > max(n - 1, 0):
+            # min degree is at most n - 1, and 0 on the graph on 0 vertices
+            return []
+        levels = self.levels(forbid_path, forbid_clique, n - delta, deadline)
+        if not delta:
+            return levels[n]
+        tail = self.filtered.setdefault((forbid_path, forbid_clique, n, delta), [])
+        while len(tail) < delta:
+            tail.append(
+                _extend(levels + tail, forbid_path, forbid_clique, len(tail) + 1, deadline)
+            )
+        return tail[-1]
+
+
+_ENUMERATOR = Enumerator()
+
+
+def clear_cache() -> None:
+    """Empty the enumerator's chains and the classifier's table of candidates."""
+    _ENUMERATOR.clear()
+    class_table.cache_clear()
 
 
 def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
@@ -353,15 +429,18 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
     n, rows = g.n, g.rows
     if k is not None and n < k:
         k = None
-    paths = [] if k is None else [rooted_path_sets(g, u, k + 1) for u in range(n)]
+    paths: list = [None] * n  # each vertex's paths, searched on first use
     for u in range(n):
         for v in range(u + 1, n):
             if (rows[u] >> v) & 1:
                 continue
             if m is not None and has_clique_in(g, rows[u] & rows[v], m - 2):
                 continue
-            if k is not None and _paths_clash(paths[u], paths[v], k + 1):
-                continue
+            if k is not None:
+                pu = paths[u] = paths[u] or rooted_path_sets(g, u, k + 1)
+                pv = paths[v] = paths[v] or rooted_path_sets(g, v, k + 1)
+                if _paths_clash(pu, pv, k + 1):
+                    continue
             return False
     return True
 
@@ -372,12 +451,12 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     deadline = None
     if config.time_budget_s is not None:
         deadline = time.monotonic() + config.time_budget_s
-    levels = _levels(config.forbid_path, config.forbid_clique, config.n, deadline)
+    level = _ENUMERATOR.level(
+        config.forbid_path, config.forbid_clique, config.n, config.min_degree, deadline
+    )
     out = []
-    for g, _gens, _code in levels[config.n]:
+    for g, _gens, _code in level:
         if config.connected_only and not is_connected(g):
-            continue
-        if config.min_degree and g.min_degree() < config.min_degree:
             continue
         if config.edge_maximal and not _edge_maximal(
             g, config.forbid_path, config.forbid_clique

@@ -26,7 +26,7 @@ from pathclique.graphs import (
     primitive,
     relabel,
 )
-from pathclique.oracle import _levels
+from pathclique.oracle import _ENUMERATOR
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -375,7 +375,7 @@ def test_canonical_labeling_matches_reference():
         random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         for _ in range(2000)
     ]
-    for level in _levels(7, 4, 8):
+    for level in _ENUMERATOR.levels(7, 4, 8):
         graphs += [cf for cf, _gens, _code in level]
     for n in range(10, 31, 2):
         graphs += [turan(n, p) for p in (2, 3, 5)]

@@ -1,14 +1,17 @@
 import hashlib
 import random
 import time
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from pathclique import oracle
 from pathclique.canon import canonical, canonical_with_generators
 from pathclique.constructions import double_star, h_extremal, turan, turan_union
 from pathclique.detect import (
+    class_table,
     count_cliques,
     has_clique,
     has_path,
@@ -25,9 +28,10 @@ from pathclique.oracle import (
     BudgetExceeded,
     CapExceeded,
     EnumerationConfig,
+    Enumerator,
+    _ENUMERATOR,
     _attachable_masks,
-    _levels,
-    _max_degree_masks,
+    _degree_masks,
     _paths_clash,
     clear_cache,
     disintegrate,
@@ -147,7 +151,7 @@ def test_mask_rule_matches_unpruned_extension():
     first depends on the filter, so the stored generators may differ;
     they must be automorphisms of the stored graph."""
     for k, m, n in RULE_CELLS:
-        levels = _levels(k, m, n)
+        levels = _ENUMERATOR.levels(k, m, n)
         for i in range(n):
             out = {}
             for g, gens, code in levels[i]:
@@ -212,7 +216,7 @@ def test_rooted_path_checks_match_child_searches():
 
     cells = [(k, m, n - 1) for k, m, n in RULE_CELLS if k is not None]
     for k, m, n in cells + [(2, None, 6), (3, None, 6)]:
-        for level in _levels(k, m, n):
+        for level in _ENUMERATOR.levels(k, m, n):
             for g, _gens, _code in level:
                 check(g, k)
     rng = random.Random(3)
@@ -243,35 +247,109 @@ def test_rooted_path_checks_match_child_searches():
 def test_max_degree_masks():
     """For every parent of the rule cells' levels below n, the degree
     filter keeps exactly the attachable masks whose new vertex has maximum
-    degree in the child, and what it keeps is closed under the parent's
-    generators, as _subset_orbits needs."""
+    degree in the child, and, with a bound b from 1 to the parent's min
+    degree + 1, those whose child also has min degree >= b.  What it
+    keeps is closed under the parent's generators, as _subset_orbits
+    needs."""
+    bounded = 0
     for k, m, n in RULE_CELLS:
-        for i, level in enumerate(_levels(k, m, n - 1)):
+        for i, level in enumerate(_ENUMERATOR.levels(k, m, n - 1)):
             for g, gens, code in level:
                 masks = _attachable_masks(g, k, m)
-                kept = _max_degree_masks(g, masks)
                 # deg(u) + [u in M] in the child against |M| for the new vertex
                 degs = g.degrees()
-                want = [
-                    mask
-                    for mask in masks
-                    if all(
-                        d + (mask >> u & 1) <= mask.bit_count()
-                        for u, d in enumerate(degs)
+                for b in range(g.min_degree() + 2):
+                    kept = _degree_masks(g, masks, b)
+                    want = [
+                        mask
+                        for mask in masks
+                        if all(
+                            b <= d + (mask >> u & 1) <= mask.bit_count()
+                            for u, d in enumerate(degs)
+                        )
+                        and mask.bit_count() >= b
+                    ]
+                    assert kept == want, (k, m, code, b)
+                    members = set(kept)
+                    for mask in kept:
+                        for a in gens:
+                            img = sum(1 << a[u] for u in range(i) if (mask >> u) & 1)
+                            assert img in members, (k, m, code, b, mask)
+                    bounded += len(kept) if b else 0
+    assert bounded > 1000
+
+
+# (forbid_path, forbid_clique, orders) cells of the look-ahead test
+LOOK_AHEAD_CELLS = [
+    (7, 4, range(7, 10)), (6, 4, range(6, 10)), (5, 3, range(5, 10)),
+    (5, None, range(5, 9)), (None, 3, range(5, 9)), (4, 3, range(0, 5)),
+]
+
+
+def test_look_ahead_matches_filtering_afterwards():
+    """enumerate_graphs with min_degree δ, which prunes by look-ahead from
+    the unfiltered level n - δ, returns exactly the unfiltered level n
+    filtered afterwards, with and without connected_only; one cell is
+    path-only, one clique-only, and one runs n below δ + 1."""
+    kept = 0
+    for k, m, orders in LOOK_AHEAD_CELLS:
+        for n in orders:
+            full = [g for g, _gens, _code in _ENUMERATOR.levels(k, m, n)[n]]
+            for delta in (1, 2, 3):
+                for connected in (False, True):
+                    want = [
+                        g
+                        for g in full
+                        if g.min_degree() >= delta and (not connected or is_connected(g))
+                    ]
+                    config = EnumerationConfig(
+                        n=n, forbid_path=k, forbid_clique=m,
+                        connected_only=connected, min_degree=delta,
                     )
-                ]
-                assert kept == want, (k, m, code)
-                members = set(kept)
-                for mask in kept:
-                    for a in gens:
-                        img = sum(1 << a[u] for u in range(i) if (mask >> u) & 1)
-                        assert img in members, (k, m, code, mask)
+                    assert enumerate_graphs(config) == want, (k, m, n, delta, connected)
+                    kept += len(want)
+    assert kept > 1000
+
+
+def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
+    """A filtered chain for n = 9, δ = 2 extends the unfiltered levels only
+    to level 7, reuses the levels that ex_oracle cached, and adds levels 8
+    and 9 with bounds 1 and 2; clear_cache empties both chains and the
+    classifier's tables.  A fresh enumerator keeps the shared one warm
+    for the other tests."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    ex_oracle(7, 7, 4, 2)
+    chain = enumerator.unfiltered[(7, 4)]
+    cached = list(chain)
+    assert len(cached) == 8
+    steps = []
+    extend = oracle._extend
+
+    def spy(levels, k, m, bound, deadline):
+        steps.append((len(levels), bound))
+        return extend(levels, k, m, bound, deadline)
+
+    monkeypatch.setattr(oracle, "_extend", spy)
+    config = EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
+    got = enumerate_graphs(config)
+    assert steps == [(8, 1), (9, 2)]
+    assert len(chain) == 8 and all(a is b for a, b in zip(chain, cached))
+    tail = enumerator.filtered[(7, 4, 9, 2)]
+    assert len(tail) == 2 and [g for g, _gens, _code in tail[1]] == got
+    # a second call is served from the cache
+    assert enumerate_graphs(config) == got and len(steps) == 2
+    class_table(9, 7, 4, False)
+    assert class_table.cache_info().currsize > 0
+    clear_cache()
+    assert not enumerator.unfiltered and not enumerator.filtered
+    assert class_table.cache_info().currsize == 0
 
 
 def test_levels_stop_at_the_order_asked():
-    _levels(7, 4, 8)
-    assert len(_levels(7, 4, 6)) == 7
-    assert len(_levels(7, 4, 8)) == 9
+    _ENUMERATOR.levels(7, 4, 8)
+    assert len(_ENUMERATOR.levels(7, 4, 6)) == 7
+    assert len(_ENUMERATOR.levels(7, 4, 8)) == 9
 
 
 def _group_order(n: int, gens) -> int:
@@ -375,7 +453,7 @@ def test_generators_generate_the_automorphism_group():
     automorphisms of K_{2,8}, so those are counted by stabilisers)."""
     checked = 0
     for k, m in ((7, 4), (5, 3), (None, 4)):
-        for level in _levels(k, m, 7):
+        for level in _ENUMERATOR.levels(k, m, 7):
             for g, gens, code in level:
                 matcher = GraphMatcher(_nx_graph(g), _nx_graph(g))
                 count = sum(1 for _ in matcher.isomorphisms_iter())
@@ -419,7 +497,7 @@ def test_edge_maximal_against_the_level():
     # n = k, where g + uv may hold a P_k, and n < k, where it cannot
     cells += [(6, 4, 6), (8, 4, 6)]
     for k, m, n in cells:
-        level = _levels(k, m, n)[n]
+        level = _ENUMERATOR.levels(k, m, n)[n]
         codes = {code for _g, _gens, code in level}
         want = []
         for g, _gens, _code in level:
@@ -606,3 +684,31 @@ def test_time_budget_overshoot_and_recovery():
     resumed = enumerate_graphs(config)
     clear_cache()
     assert enumerate_graphs(config) == resumed
+
+
+def test_time_budget_inside_the_filtered_chain(monkeypatch):
+    """The deadline is checked per parent in look-ahead steps too.  With
+    the unfiltered triangle-free levels to 8 cached, a 0.1 s budget runs
+    out in the filtered steps to n = 10, δ = 2 (about half a second each
+    on 2 cores); the stats name the levels completed, the filtered chain
+    holds only whole levels, and a resumed run gives what a cold one does."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    enumerator.levels(None, 3, 8)
+    budget = 0.1
+    config = EnumerationConfig(n=10, forbid_clique=3, min_degree=2, time_budget_s=budget)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_graphs(config)
+    assert time.monotonic() - t0 < budget + 2.0
+    stats = info.value.stats
+    done = stats["completed_levels"]
+    assert 8 <= done < 10
+    assert len(stats["level_sizes"]) == done + 1
+    assert stats["level_sizes"][:9] == [len(l) for l in enumerator.levels(None, 3, 8)]
+    # the interrupted filtered level was not cached half-built
+    assert len(enumerator.filtered[(None, 3, 10, 2)]) == done - 8
+    unbudgeted = replace(config, time_budget_s=None)
+    resumed = enumerate_graphs(unbudgeted)
+    enumerator.clear()
+    assert enumerate_graphs(unbudgeted) == resumed
