@@ -3,7 +3,8 @@
 Two path searches serve different questions.  has_path answers "is there
 a path on k vertices" on a whole graph by depth-first search, with twin
 pruning, a reachability bound and a memo of failed states, so it stays
-fast on large graphs; is_free and longest_path_order ask it.
+fast on large graphs; is_free asks it, and longest_path_order asks the
+same search for k = 1, 2, ... with one memo.
 rooted_path_sets lists the paths from one start vertex by their vertex
 sets and end vertices.  Enumeration asks it of a parent graph to decide
 attachment masks (oracle._attachable_masks), and the strong dominating
@@ -142,42 +143,62 @@ def has_path(g: Graph, k: int) -> bool:
     adjacent to the end vertex whenever w is, so skipping w loses no path
     on k vertices and marks no state as failed that could still reach one.
     """
-    n, rows = g.n, g.rows
     if k <= 0:
         return True
-    if k > n:
+    if k > g.n:
         return False
+    return bool(_path_search(g)(k))
+
+
+def _path_search(g: Graph):
+    """has_path(g, k) for 1 <= k <= g.n, as a function of k that keeps its
+    twins and its failed states between calls: a state that cannot reach
+    a path on k vertices cannot reach one on more.  A path found is
+    extended greedily, and the function returns its order (0: none)."""
+    n, rows = g.n, g.rows
     lower = lower_twins(g)
     failed: set[tuple[int, int]] = set()
 
-    def dfs(v: int, visited: int, length: int) -> bool:
-        if length >= k:
-            return True
-        if (visited, v) in failed:
-            return False
-        ext = rows[v] & ~visited
-        while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            if lower[u] & ~visited:
-                continue
-            if length + _reachable(rows, 1 << u, visited).bit_count() < k:
-                continue
-            if dfs(u, visited | (1 << u), length + 1):
-                return True
-        failed.add((visited, v))
-        return False
+    def search(k: int) -> int:
+        def dfs(v: int, visited: int, length: int) -> int:
+            if length >= k:
+                while ext := rows[v] & ~visited:
+                    v = (ext & -ext).bit_length() - 1
+                    visited |= 1 << v
+                    length += 1
+                return length
+            if (visited, v) in failed:
+                return 0
+            ext = rows[v] & ~visited
+            while ext:
+                u = (ext & -ext).bit_length() - 1
+                ext &= ext - 1
+                if lower[u] & ~visited:
+                    continue
+                if length + _reachable(rows, 1 << u, visited).bit_count() < k:
+                    continue
+                if found := dfs(u, visited | (1 << u), length + 1):
+                    return found
+            failed.add((visited, v))
+            return 0
 
-    return any(not lower[s] and dfs(s, 1 << s, 1) for s in range(n))
+        for s in range(n):
+            if not lower[s] and (found := dfs(s, 1 << s, 1)):
+                return found
+        return 0
+
+    return search
 
 
 def longest_path_order(g: Graph) -> int:
     """Order of a longest path (0 for the graph on 0 vertices): the
     largest k with has_path(g, k), asked for k = 1, 2, ... until the
-    answer is no."""
+    answer is no, by one search that keeps its failed states; a path
+    found on more vertices skips the orders up to its own."""
+    search = _path_search(g)
     k = 0
-    while has_path(g, k + 1):
-        k += 1
+    while k < g.n and (found := search(k + 1)):
+        k = found
     return k
 
 

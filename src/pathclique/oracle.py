@@ -11,22 +11,28 @@ candidate graph is built.  The parent is free, so a new P_k or K_m must
 use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
 one vertex or two vertices whose attachment alone creates a P_k.  Both
 are decided in the parent itself, from the vertex sets of the paths that
-start at each vertex: a parent on i vertices costs i rooted path
-searches, one comparison of path sets per pair of good vertices, and one
-pass over its 2^i masks.  The argument is in _attachable_masks.  Of the
-surviving masks, only those that give the new vertex maximum degree in
-the child are kept, since every graph in the class arises by attaching a
-vertex of maximum degree (see _extend); only their orbit representatives
-under the parent's automorphisms are built and labelled canonically.
+start at each vertex: a parent on i vertices costs at most i rooted
+path searches, at most one comparison of path sets per pair of good
+vertices, and one pass over the subsets of the vertices that a kept mask
+may hold.  The argument is in _attachable_masks.  Only masks that give
+the new vertex maximum degree in the child are kept, since every graph
+in the class arises by attaching a vertex of maximum degree (see
+_extend), so a mask needs at least as many vertices as the parent's
+maximum degree; only their orbit representatives under the parent's
+automorphisms are built and labelled canonically.
 
 A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
 with min degree >= δ descends from graphs on i vertices with min degree
 >= δ - (n - i).  Level n is therefore grown from the unfiltered level
-n - δ by δ filtered steps (see _extend).  The connected_only and
-edge_maximal filters are not inherited by subgraphs and stay final; the
-edge_maximal one is decided in each finished graph by rooted path and
-clique searches in it (see _edge_maximal).
+n - δ by δ filtered steps (see _extend).  In those steps a kept mask
+must hold every parent vertex of degree below the step's bound; those
+vertices are decided first, and a parent where one of them is bad, two
+of them clash, or too few vertices are left to hold gets no child before
+the other pairs are compared or any mask is built.  The connected_only
+and edge_maximal filters are not inherited by subgraphs and stay final;
+the edge_maximal one is decided in each finished graph by rooted path
+and clique searches in it (see _edge_maximal).
 
 An Enumerator owns the levels: the unfiltered chains, one per
 (forbid_path, forbid_clique) pair and shared by every caller, and the
@@ -182,10 +188,15 @@ def _paths_clash(su: list[dict[int, int]], sw: list[dict[int, int]], k: int) -> 
 
 
 def _attachable_masks(
-    g: Graph, forbid_path: Optional[int], forbid_clique: Optional[int]
+    g: Graph,
+    forbid_path: Optional[int],
+    forbid_clique: Optional[int],
+    need: int = 0,
+    size: int = 0,
 ) -> list[int]:
     """Every mask M, ascending, for which g + v(M) is {P_k, K_m}-free,
-    where g is {P_k, K_m}-free and v is a new vertex with neighbourhood M.
+    where g is {P_k, K_m}-free and v is a new vertex with neighbourhood M,
+    and which holds every vertex of need and has at least size vertices.
 
     Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
     - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
@@ -216,41 +227,71 @@ def _attachable_masks(
       it has a neighbour, and two isolated vertices clash (1 + 1 = 2).
       When g has fewer than k - 1 vertices, the child has fewer than k,
       so no vertex is bad, no pair clashes and nothing is searched.
-    Both conditions are closed under taking subsets, so one pass in
-    ascending order decides every mask from M - t, t the top vertex of M:
-    M survives iff M - t does, t is not bad and clashes with no vertex of
-    M - t, and the clique number max(ω(M - t), 1 + ω(N(t) ∩ (M - t)))
-    is below m - 1.  M - t and N(t) ∩ (M - t) are smaller subsets of a
-    survivor, so they are survivors whose clique numbers are known.
-    Each vertex's paths are searched once per parent, and each good pair
-    is compared once.  An automorphism a of g maps g + v(S) onto
-    g + v(a(S)), so every verdict is invariant under Aut(g), and the
-    survivors are closed under it, as _subset_orbits needs.
+
+    Required vertices first.  A kept mask holds need, so it holds no bad
+    vertex of need, no clashing pair inside need, and no vertex that
+    clashes with one of need.  The vertices of need are searched first
+    and their pairs compared before any other pair, and [] is returned at
+    the first bad one or clash; the other vertices that are bad or clash
+    with need leave allowed, the vertices a kept mask may hold.  With
+    fewer than size of them left, no pair outside need is compared.
+
+    Both conditions are closed under taking subsets, so one pass over
+    the submasks of allowed in ascending order decides every mask from
+    M - t, t the top vertex of M: M survives iff M - t does, t clashes
+    with no vertex of M - t, and the clique number max(ω(M - t),
+    1 + ω(N(t) ∩ (M - t))) is below m - 1.  M - t and N(t) ∩ (M - t) are
+    smaller submasks of allowed and subsets of a survivor, so they are
+    survivors whose clique numbers are known.  Each vertex's paths are
+    searched at most once per parent, and each pair compared at most once.
+    An automorphism a of g maps g + v(S) onto g + v(a(S)), so every
+    verdict is invariant under Aut(g).  need and size must be too (they
+    are read from degrees in _extend); then allowed is invariant, and the
+    kept masks are closed under Aut(g), as _subset_orbits needs.
     """
     k, m = forbid_path, forbid_clique
     if (k is not None and k <= 1) or (m is not None and m <= 1):
         return []
     i, rows = g.n, g.rows
-    # clash[u]: the vertices u cannot share a mask with; u itself if bad
-    clash = [0] * i
+    allowed = (1 << i) - 1
+    free: list[int] = []  # the allowed vertices outside need, once searched
     if k is not None and i >= k - 1:
-        paths = [rooted_path_sets(g, u, k) for u in range(i)]
-        for u, sets in enumerate(paths):
-            if sets is None:
-                clash[u] = 1 << u
-        good = [u for u in range(i) if not clash[u]]
-        for b, w in enumerate(good):
-            for u in good[:b]:
+        required = [u for u in range(i) if (need >> u) & 1]
+        paths: list = [None] * i
+        for u in required + [u for u in range(i) if not (need >> u) & 1]:
+            paths[u] = rooted_path_sets(g, u, k)
+            if paths[u] is None:
+                if (need >> u) & 1:
+                    return []
+                allowed ^= 1 << u
+        for b, w in enumerate(required):
+            for u in required[:b]:
                 if _paths_clash(paths[u], paths[w], k):
-                    clash[u] |= 1 << w
-                    clash[w] |= 1 << u
+                    return []
+        for u in range(i):
+            if (allowed >> u) & 1 and not (need >> u) & 1:
+                if required and any(_paths_clash(paths[u], paths[w], k) for w in required):
+                    allowed ^= 1 << u
+                else:
+                    free.append(u)
+    if allowed.bit_count() < size:
+        return []
+    # clash[u]: the vertices of free that u cannot share a mask with
+    clash = [0] * i
+    for b, w in enumerate(free):
+        for u in free[:b]:
+            if _paths_clash(paths[u], paths[w], k):
+                clash[u] |= 1 << w
+                clash[w] |= 1 << u
     # table[M] = 1 + clique number of M if M survives, else 0; a survivor
     # has 1 + ω(M) < m, and 1 + ω(M) <= i + 1 always
     limit = i + 2 if m is None else m
     table = bytearray(1 << i)
     table[0] = 1
-    out = [0]
-    for mask in range(1, 1 << i):
+    out = [] if need or size else [0]
+    mask = 0
+    while mask != allowed:
+        mask = (mask - allowed) & allowed
         t = mask.bit_length() - 1
         rest = mask ^ (1 << t)
         w = table[rest]
@@ -259,34 +300,27 @@ def _attachable_masks(
         w = max(w, table[rows[t] & rest] + 1)
         if w < limit:
             table[mask] = w
-            out.append(mask)
+            if mask & need == need and mask.bit_count() >= size:
+                out.append(mask)
     return out
 
 
-def _degree_masks(g: Graph, masks: list[int], bound: int) -> list[int]:
+def _degree_masks(g: Graph, masks: list[int]) -> list[int]:
     """The masks M, in their order, for which the new vertex has maximum
-    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u;
-    and, for bound > 0, g + v(M) has min degree >= bound, given that g
-    has min degree >= bound - 1.
+    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u.
 
-    With D the maximum degree of g, the first is |M| > D, or |M| = D and
-    M holds no vertex of degree D.  The second is |M| >= bound for the
-    new vertex, and M holds every vertex of g of degree < bound: those
-    have degree bound - 1 and reach bound only if M holds them.  Both
-    tests read only degrees, so they are invariant under Aut(g): masks
-    that were ascending and closed under a set of automorphisms stay so."""
+    With D the maximum degree of g, that is |M| > D, or |M| = D and M
+    holds no vertex of degree D.  The test reads only degrees, so it is
+    invariant under Aut(g): masks that were ascending and closed under a
+    set of automorphisms stay so."""
     degs = g.degrees()
     top = max(degs, default=0)
     at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
-    out = [
+    return [
         mask
         for mask in masks
         if (size := mask.bit_count()) > top or (size == top and not mask & at_top)
     ]
-    if bound > 0:
-        low = sum(1 << u for u, d in enumerate(degs) if d < bound)
-        out = [mask for mask in out if mask & low == low and mask.bit_count() >= bound]
-    return out
 
 
 def _extend(
@@ -315,23 +349,36 @@ def _extend(
 
     Look-ahead.  For bound > 0, levels[i] must hold exactly the graphs of
     the class on i vertices with min degree >= bound - 1, and only masks
-    whose child has min degree >= bound are kept (_degree_masks).  The
-    argument above still holds: G - u, for u of maximum degree in G,
-    loses at most 1 from every other degree, so it has min degree
-    >= bound - 1 and lies in levels[i], which is complete for its own
-    bound; M = φ(N(u)) gives a child isomorphic to G, so it passes the
-    min-degree test.  That test reads only the child's degrees, so M' in
-    the orbit of M passes too, and _subset_orbits stays valid."""
+    whose child has min degree >= bound are kept: M holds need, the
+    vertices of degree < bound (degree bound - 1, raised only by v), and
+    |M| >= bound.  The argument above still holds: G - u, for u of
+    maximum degree in G, loses at most 1 from every other degree, so it
+    has min degree >= bound - 1 and lies in levels[i], which is complete
+    for its own bound; M = φ(N(u)) gives a child isomorphic to G, so it
+    passes the min-degree test.
+
+    _attachable_masks keeps only the masks that hold need and have at
+    least size = max(D, bound) vertices, D the maximum degree of g, the
+    least |M| that passes both tests; for bound = 0, need is empty.  Both
+    are read from degrees, so they are invariant under Aut(g), M' in the
+    orbit of M passes too, and _subset_orbits stays valid."""
     i = len(levels) - 1
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, gens, _code in levels[i]:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(
                 f"time budget exhausted after level {i}",
-                {"completed_levels": i, "level_sizes": [len(l) for l in levels]},
+                {
+                    "completed_levels": i,
+                    "level_sizes": [len(l) for l in levels],
+                    "stage": "levels",
+                },
             )
-        masks = _attachable_masks(g, forbid_path, forbid_clique)
-        masks = _degree_masks(g, masks, bound)
+        degs = g.degrees()
+        need = sum(1 << u for u, d in enumerate(degs) if d < bound)
+        size = max(max(degs, default=0), bound)
+        masks = _attachable_masks(g, forbid_path, forbid_clique, need, size)
+        masks = _degree_masks(g, masks)
         for orbit in _subset_orbits(masks, gens):
             cf, cgens = canonical_with_generators(_attach(g, orbit[0]))
             code = graph6_encode(cf)
@@ -375,28 +422,30 @@ class Enumerator:
             levels.append(_extend(levels, forbid_path, forbid_clique, 0, deadline))
         return levels[: n + 1]
 
-    def level(
+    def chain(
         self,
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
         min_degree: int,
         deadline: Optional[float],
-    ) -> Level:
-        """The graphs of the class on n vertices with min degree >= min_degree."""
+    ) -> list[Level]:
+        """The levels 0, ..., n of the chain whose level n holds the graphs
+        of the class on n vertices with min degree >= min_degree; [] when
+        there are none."""
         delta = max(min_degree, 0)
         if delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
             return []
         levels = self.levels(forbid_path, forbid_clique, n - delta, deadline)
         if not delta:
-            return levels[n]
+            return levels
         tail = self.filtered.setdefault((forbid_path, forbid_clique, n, delta), [])
         while len(tail) < delta:
             tail.append(
                 _extend(levels + tail, forbid_path, forbid_clique, len(tail) + 1, deadline)
             )
-        return tail[-1]
+        return levels + tail
 
 
 _ENUMERATOR = Enumerator()
@@ -447,15 +496,30 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
 
 def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     """All graphs of the configured class on config.n vertices, one per
-    isomorphism class, in canonical labels, sorted by canonical code."""
+    isomorphism class, in canonical labels, sorted by canonical code.
+
+    The time budget starts with the call.  Its deadline is checked once
+    per parent while levels are built and once per graph in the final
+    filters, so the call overruns it by at most one parent's extensions
+    or one graph's filters; BudgetExceeded.stats names the stage."""
     deadline = None
     if config.time_budget_s is not None:
         deadline = time.monotonic() + config.time_budget_s
-    level = _ENUMERATOR.level(
+    levels = _ENUMERATOR.chain(
         config.forbid_path, config.forbid_clique, config.n, config.min_degree, deadline
     )
+    filtered = config.connected_only or config.edge_maximal
     out = []
-    for g, _gens, _code in level:
+    for g, _gens, _code in levels[-1] if levels else []:
+        if filtered and deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(
+                f"time budget exhausted in the final filters at level {config.n}",
+                {
+                    "completed_levels": config.n,
+                    "level_sizes": [len(l) for l in levels],
+                    "stage": "filters",
+                },
+            )
         if config.connected_only and not is_connected(g):
             continue
         if config.edge_maximal and not _edge_maximal(

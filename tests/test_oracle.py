@@ -59,6 +59,15 @@ LEVEL_DIGESTS = {
     (7, 4, 9): "86497718268e7ce3f4744f72e40597371bf1ba14223b19c1b909b6828966a0be",
     (8, 5, 8): "a049fe912b386c96c131a258a6744221498f27462d4f34d692ecb748a5eedc3f",
 }
+# sha256 of the look-ahead chains for (k, m, n, δ) ("<order> <code>" lines,
+# levels n - δ + 1..n), recorded before the vertices every kept mask must
+# hold were decided first
+FILTERED_DIGESTS = {
+    (7, 4, 10, 2): "f3f548245de2642abe5a87ebbd6e3da124dffcf4094b1b2ba43aec7ca07a3b3b",
+    (6, 4, 9, 2): "abd7f471afd5b5b524ac4a22a42b684988a6c8a77982d6b179efc373fcef31a2",
+    (5, 3, 9, 1): "5e837961b473148b8abe4adc7bc55f99f41ad4e1e43dccc25e21b63887d98e8f",
+    (None, 3, 8, 2): "6e1793e50165975e10c15f9822ad4a82c811a87c3a8c72e032c7839268798c95",
+}
 # (forbid_path, forbid_clique, n) cells checked mask by mask against the
 # rule on every parent below order n
 RULE_CELLS = [
@@ -109,6 +118,19 @@ def test_level_lists_byte_identical():
             config = EnumerationConfig(n=order, forbid_path=k, forbid_clique=m)
             lines += [f"{order} {graph6_encode(g)}" for g in enumerate_graphs(config)]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want, (k, m, n)
+
+
+def test_filtered_levels_byte_identical():
+    for (k, m, n, delta), want in FILTERED_DIGESTS.items():
+        _ENUMERATOR.chain(k, m, n, delta, None)
+        tail = _ENUMERATOR.filtered[(k, m, n, delta)]
+        lines = [
+            f"{n - delta + 1 + j} {code}"
+            for j, level in enumerate(tail)
+            for _g, _gens, code in level
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == want, (k, m, n, delta)
 
 
 def _orbit_minima(i: int, gens: tuple) -> list[int]:
@@ -244,9 +266,18 @@ def test_rooted_path_checks_match_child_searches():
     assert min(verdicts.values()) > 1000, verdicts
 
 
+def _look_ahead(g: Graph, bound: int) -> tuple[int, int]:
+    """need and size as _extend reads them: the vertices of degree <
+    bound, and the least mask size that passes the degree tests."""
+    degs = g.degrees()
+    need = sum(1 << u for u, d in enumerate(degs) if d < bound)
+    return need, max(max(degs, default=0), bound)
+
+
 def test_max_degree_masks():
-    """For every parent of the rule cells' levels below n, the degree
-    filter keeps exactly the attachable masks whose new vertex has maximum
+    """For every parent of the rule cells' levels below n, the masks that
+    _extend keeps (_attachable_masks with need and size, then the degree
+    filter) are exactly the attachable masks whose new vertex has maximum
     degree in the child, and, with a bound b from 1 to the parent's min
     degree + 1, those whose child also has min degree >= b.  What it
     keeps is closed under the parent's generators, as _subset_orbits
@@ -259,7 +290,7 @@ def test_max_degree_masks():
                 # deg(u) + [u in M] in the child against |M| for the new vertex
                 degs = g.degrees()
                 for b in range(g.min_degree() + 2):
-                    kept = _degree_masks(g, masks, b)
+                    kept = _degree_masks(g, _attachable_masks(g, k, m, *_look_ahead(g, b)))
                     want = [
                         mask
                         for mask in masks
@@ -309,6 +340,93 @@ def test_look_ahead_matches_filtering_afterwards():
                     assert enumerate_graphs(config) == want, (k, m, n, delta, connected)
                     kept += len(want)
     assert kept > 1000
+
+
+def _parents(cells: list, chains: list) -> list:
+    """(k, m, graph) for every parent of the unfiltered levels below n of
+    cells and of the filtered chains for δ = 1, 2, 3 (every level but the
+    last), each graph once per (k, m)."""
+    out = {}
+    for k, m, n in cells:
+        for level in _ENUMERATOR.levels(k, m, n - 1):
+            out.update(((k, m, code), g) for g, _gens, code in level)
+    for k, m, orders in chains:
+        for n in orders:
+            for delta in range(1, min(n, 4)):
+                _ENUMERATOR.chain(k, m, n, delta, None)
+                levels = _ENUMERATOR.levels(k, m, n - delta)[-1:]
+                levels += _ENUMERATOR.filtered[(k, m, n, delta)][:-1]
+                for level in levels:
+                    out.update(((k, m, code), g) for g, _gens, code in level)
+    return [(k, m, g) for (k, m, _code), g in out.items()]
+
+
+def test_required_vertices_decided_first(monkeypatch):
+    """_attachable_masks with need and size, for every parent of the rule
+    cells' levels and of the look-ahead cells' filtered chains and every
+    bound b from 0 to the parent's min degree + 1, returns the unpruned
+    masks that hold need and have at least size vertices.
+
+    Where no mask can be kept, it stops early, and each early exit is
+    seen to fire, by the searches and comparisons it makes: at a bad
+    vertex of need, only vertices of need up to it are searched and no
+    pair is compared; at a clash inside need, only pairs inside need are
+    compared; with too few allowed vertices, no pair outside need is."""
+    parents = _parents(RULE_CELLS, LOOK_AHEAD_CELLS)
+    searched: list[int] = []
+    compared: list[tuple[int, int]] = []
+    owner: dict[int, int] = {}
+
+    def search(g, u, k):
+        searched.append(u)
+        sets = rooted_path_sets(g, u, k)
+        owner[id(sets)] = u
+        return sets
+
+    def compare(su, sw, k):
+        compared.append((owner[id(su)], owner[id(sw)]))
+        return _paths_clash(su, sw, k)
+
+    monkeypatch.setattr(oracle, "rooted_path_sets", search)
+    monkeypatch.setattr(oracle, "_paths_clash", compare)
+    exits = {"bad": 0, "pair": 0, "size": 0}
+    for k, m, g in parents:
+        full = _attachable_masks(g, k, m)
+        paths: list = [[]] * g.n  # nothing searched: no vertex bad, no pair clashes
+        if k is not None and g.n >= k - 1:
+            paths = [rooted_path_sets(g, u, k) for u in range(g.n)]
+        bad = sum(1 << u for u, sets in enumerate(paths) if sets is None)
+        # clash[u]: the good vertices w != u whose paths clash with u's
+        clash = [
+            sum(
+                1 << w
+                for w in range(g.n)
+                if w != u and paths[u] and paths[w] and _paths_clash(paths[u], paths[w], k)
+            )
+            for u in range(g.n)
+        ]
+        for b in range(g.min_degree() + 2):
+            need, size = _look_ahead(g, b)
+            searched.clear()
+            compared.clear()
+            got = _attachable_masks(g, k, m, need, size)
+            want = [mask for mask in full if mask & need == need and mask.bit_count() >= size]
+            assert got == want, (k, m, graph6_encode(g), b)
+            allowed = [u for u in range(g.n) if not (bad >> u) & 1 and not clash[u] & need]
+            if need & bad:
+                first = (need & bad & -(need & bad)).bit_length() - 1
+                assert searched == [u for u in range(first + 1) if (need >> u) & 1]
+                assert not compared
+                exits["bad"] += 1
+            elif any(clash[u] & need for u in range(g.n) if (need >> u) & 1):
+                assert got == []
+                assert all((need >> u) & (need >> w) & 1 for u, w in compared)
+                exits["pair"] += 1
+            elif len(allowed) < size:
+                assert got == []
+                assert all(((need >> u) | (need >> w)) & 1 for u, w in compared)
+                exits["size"] += 1
+    assert exits["bad"] > 1000 and exits["pair"] > 300 and exits["size"] > 3000, exits
 
 
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
@@ -712,3 +830,20 @@ def test_time_budget_inside_the_filtered_chain(monkeypatch):
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
     assert enumerate_graphs(unbudgeted) == resumed
+
+
+def test_time_budget_in_the_final_filters(monkeypatch):
+    """The deadline is checked per graph in the final filters too.  With
+    the (7,4) levels to 10 warm, no level is built, so a budget of 0 runs
+    out in the edge_maximal filter, and the stats name that stage."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    enumerator.unfiltered[(7, 4)] = list(_ENUMERATOR.levels(7, 4, 10))
+    config = EnumerationConfig(
+        n=10, forbid_path=7, forbid_clique=4, edge_maximal=True, time_budget_s=0
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_graphs(config)
+    stats = info.value.stats
+    assert stats["stage"] == "filters" and stats["completed_levels"] == 10
+    assert stats["level_sizes"] == [len(l) for l in enumerator.levels(7, 4, 10)]
