@@ -28,12 +28,17 @@ from .graphs import Graph, copies, join, lower_twins, primitive
 
 def count_cliques(g: Graph, r: int) -> int:
     """Number of K_r subgraphs; N_0 = 1, N_1 = n, N_2 = e(G)."""
+    return count_cliques_in(g, g.vertex_mask(), r)
+
+
+def count_cliques_in(g: Graph, mask: int, r: int) -> int:
+    """Number of K_r subgraphs inside the vertices of mask."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return 1
     if r == 1:
-        return g.n
+        return mask.bit_count()
     rows = g.rows
     total = 0
 
@@ -49,7 +54,7 @@ def count_cliques(g: Graph, r: int) -> int:
             cand &= cand - 1
             rec(rows[v] & cand, need - 1)
 
-    rec((1 << g.n) - 1, r)
+    rec(mask, r)
     return total
 
 

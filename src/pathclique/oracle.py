@@ -34,11 +34,20 @@ and edge_maximal filters are not inherited by subgraphs and stay final;
 the edge_maximal one is decided in each finished graph by rooted path
 and clique searches in it (see _edge_maximal).
 
+The oracle (ex_oracle, and so verify and the oracle command) needs at
+order n only the maximum K_r count and the classes that reach it.  It
+labels no other class of that order: each child is scored as
+N_r(P) + N_{r-1}(P[M]) from its parent P and mask M without being built,
+and only the top-scoring children are labelled (Enumerator.extremal).
+Every level below n is labelled in full, as it holds the parents;
+classify labels every graph it classifies.
+
 An Enumerator owns the levels: the unfiltered chains, one per
-(forbid_path, forbid_clique) pair and shared by every caller, and the
-filtered chains, one per (forbid_path, forbid_clique, n, δ).  Only whole
-levels are cached, so the cache doubles as a checkpoint: a timed-out
-sweep resumes from the last completed level.
+(forbid_path, forbid_clique) pair and shared by every caller, with the
+unlabelled candidates of each of their orders, and the filtered chains,
+one per (forbid_path, forbid_clique, n, δ).  Only whole levels and
+candidate lists are cached, so the cache doubles as a checkpoint: a
+timed-out sweep resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -53,7 +62,9 @@ from .constructions import double_star, h_extremal, h_minus, turan_union
 from .detect import (
     blocks,
     class_table,
+    _reachable,
     count_cliques,
+    count_cliques_in,
     has_clique_in,
     has_path,  # no caller here; bound for the perfbench tracer (test_tracing)
     is_2connected,
@@ -111,7 +122,11 @@ class EnumerationConfig:
     min_degree prunes during generation, by look-ahead from the orders
     below n; connected_only and edge_maximal are not closed under vertex
     deletion and are applied only to the finished level; edge_maximal is
-    decided in each graph without building g + e.
+    decided in each graph without building g + e.  extremal_r = r keeps
+    only the graphs with the most K_r (connected ones, with
+    connected_only), found by scoring the unlabelled children on n
+    vertices; edge_maximal then filters those winners, which loses no
+    maximum.  It cannot be combined with min_degree.
     """
 
     n: int
@@ -121,10 +136,16 @@ class EnumerationConfig:
     min_degree: int = 0
     edge_maximal: bool = False
     time_budget_s: Optional[float] = None
+    extremal_r: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("n must be nonnegative")
+        if self.extremal_r is not None:
+            if self.extremal_r < 2:
+                raise ParameterError("r must be at least 2")
+            if self.min_degree > 0:
+                raise ParameterError("extremal_r cannot be combined with min_degree")
         cap = enumeration_cap()
         if self.forbid_path is None and self.forbid_clique is None:
             cap = min(cap, UNCONSTRAINED_CAP)
@@ -323,18 +344,47 @@ def _degree_masks(g: Graph, masks: list[int]) -> list[int]:
     ]
 
 
-def _extend(
+def _deadline(time_budget_s: Optional[float]) -> Optional[float]:
+    return None if time_budget_s is None else time.monotonic() + time_budget_s
+
+
+def _time_left(deadline: Optional[float]) -> Optional[float]:
+    """The budget left before deadline, never negative; None for none."""
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
+
+def _check_deadline(deadline: Optional[float], levels: list[Level], stage: str) -> None:
+    """Raise BudgetExceeded, with the whole levels built so far and the
+    stage, once the deadline has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        done = len(levels) - 1
+        raise BudgetExceeded(
+            f"time budget exhausted in the {stage} stage after level {done}",
+            {
+                "completed_levels": done,
+                "level_sizes": [len(l) for l in levels],
+                "stage": stage,
+            },
+        )
+
+
+# a child of the next level, not yet built: a parent and an attachment mask
+Candidate = tuple[Graph, int]
+
+
+def _candidates(
     levels: list[Level],
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
     bound: int,
     deadline: Optional[float],
-) -> Level:
-    """The next level after levels[-1], restricted to min degree >= bound
-    (0: unfiltered); the deadline is checked once per parent, so a budget
-    overruns by at most one parent's extensions.
+) -> list[Candidate]:
+    """The children (parent, mask) of the next level after levels[-1],
+    restricted to min degree >= bound (0: unfiltered), one per orbit of
+    kept masks, in parent order; none is built or labelled.  The deadline
+    is checked once per parent.
 
-    Only children whose new vertex has maximum degree are labelled (the
+    Only children whose new vertex has maximum degree are kept (the
     degree test of canonical augmentation, McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26 (1998)).  Soundness: let G
     be in the class on i + 1 vertices and u a vertex of maximum degree.
@@ -343,9 +393,9 @@ def _extend(
     M = φ(N(u)) is an attachable mask and P + v(M) ≅ G with v ↦ u, so M
     passes the degree test.  The orbit representative M' = a(M), a in
     the group of P's generators, gives P + v(M') ≅ P + v(M) with v fixed,
-    so M' passes too and G is labelled.  The generators may span only a
-    subgroup of Aut(P), and one class can arise from several parents, so
-    the children are still deduplicated by canonical code.
+    so M' passes too and G has a candidate.  The generators may span only
+    a subgroup of Aut(P), and one class can arise from several parents,
+    so one class can have several candidates.
 
     Look-ahead.  For bound > 0, levels[i] must hold exactly the graphs of
     the class on i vertices with min degree >= bound - 1, and only masks
@@ -362,49 +412,86 @@ def _extend(
     least |M| that passes both tests; for bound = 0, need is empty.  Both
     are read from degrees, so they are invariant under Aut(g), M' in the
     orbit of M passes too, and _subset_orbits stays valid."""
-    i = len(levels) - 1
-    out: dict[str, tuple[Graph, tuple, str]] = {}
-    for g, gens, _code in levels[i]:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"time budget exhausted after level {i}",
-                {
-                    "completed_levels": i,
-                    "level_sizes": [len(l) for l in levels],
-                    "stage": "levels",
-                },
-            )
+    out: list[Candidate] = []
+    for g, gens, _code in levels[-1]:
+        _check_deadline(deadline, levels, "levels")
         degs = g.degrees()
         need = sum(1 << u for u, d in enumerate(degs) if d < bound)
         size = max(max(degs, default=0), bound)
         masks = _attachable_masks(g, forbid_path, forbid_clique, need, size)
         masks = _degree_masks(g, masks)
-        for orbit in _subset_orbits(masks, gens):
-            cf, cgens = canonical_with_generators(_attach(g, orbit[0]))
-            code = graph6_encode(cf)
-            if code not in out:
-                out[code] = (cf, tuple(cgens), code)
+        out += [(g, orbit[0]) for orbit in _subset_orbits(masks, gens)]
+    return out
+
+
+def _label(levels: list[Level], candidates: list[Candidate], deadline: Optional[float]) -> Level:
+    """The level of the candidates' children: each built, labelled
+    canonically and kept once per code, with the generators of the first
+    child of its class, sorted by code.  The deadline is checked once per
+    child; levels are the whole levels below, for BudgetExceeded."""
+    out: dict[str, tuple[Graph, tuple, str]] = {}
+    for g, mask in candidates:
+        _check_deadline(deadline, levels, "levels")
+        cf, cgens = canonical_with_generators(_attach(g, mask))
+        code = graph6_encode(cf)
+        if code not in out:
+            out[code] = (cf, tuple(cgens), code)
     return [out[c] for c in sorted(out)]
+
+
+def _extend(
+    levels: list[Level],
+    forbid_path: Optional[int],
+    forbid_clique: Optional[int],
+    bound: int,
+    deadline: Optional[float],
+) -> Level:
+    """The next level after levels[-1], restricted to min degree >= bound
+    (0: unfiltered); the deadline is checked once per parent and once per
+    child, so a budget overruns by at most one parent's extensions."""
+    candidates = _candidates(levels, forbid_path, forbid_clique, bound, deadline)
+    return _label(levels, candidates, deadline)
 
 
 class Enumerator:
     """Owns the enumeration levels, each sorted by graph6 code.
 
     unfiltered[(k, m)] is the chain of levels 0, 1, ... of the class of
-    {P_k, K_m}-free graphs, shared by every caller.  filtered[(k, m, n,
-    δ)] holds the levels n - δ + 1, ..., n of the look-ahead chain for
-    order n and min degree δ: level i of it has min degree >= δ - (n - i).
-    It grows from the unfiltered level n - δ, where that bound is 0, so
-    the unfiltered chain is built only to n - δ.  Only whole levels are
-    appended: _extend raises before it returns."""
+    {P_k, K_m}-free graphs, shared by every caller, and candidates[(k, m)]
+    holds, beside it, the candidates of each order 1, 2, ... it has
+    computed; a level is labelled from its candidates, and an order whose
+    extremal graphs were asked for may have candidates but no level yet.
+    filtered[(k, m, n, δ)] holds the levels n - δ + 1, ..., n of the
+    look-ahead chain for order n and min degree δ: level i of it has min
+    degree >= δ - (n - i).  It grows from the unfiltered level n - δ,
+    where that bound is 0, so the unfiltered chain is built only to
+    n - δ.  Only whole levels and whole candidate lists are appended:
+    _candidates and _label raise before they return."""
 
     def __init__(self) -> None:
         self.unfiltered: dict[tuple, list[Level]] = {}
+        self.candidates: dict[tuple, list[list[Candidate]]] = {}
         self.filtered: dict[tuple, list[Level]] = {}
 
     def clear(self) -> None:
         self.unfiltered.clear()
+        self.candidates.clear()
         self.filtered.clear()
+
+    def children(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        deadline: Optional[float] = None,
+    ) -> list[Candidate]:
+        """The candidates of order n of the unfiltered chain, computed once
+        from the level n - 1; the graph on 0 vertices has none."""
+        cached = self.candidates.setdefault((forbid_path, forbid_clique), [[]])
+        while len(cached) <= n:
+            levels = self.levels(forbid_path, forbid_clique, len(cached) - 1, deadline)
+            cached.append(_candidates(levels, forbid_path, forbid_clique, 0, deadline))
+        return cached[n]
 
     def levels(
         self,
@@ -414,12 +501,14 @@ class Enumerator:
         deadline: Optional[float] = None,
     ) -> list[Level]:
         """The unfiltered levels 0, ..., n."""
-        g0 = Graph(0, ())
-        levels = self.unfiltered.setdefault(
-            (forbid_path, forbid_clique), [[(g0, (), graph6_encode(g0))]]
-        )
+        key = (forbid_path, forbid_clique)
+        if key not in self.unfiltered:
+            g0 = Graph(0, ())
+            self.unfiltered[key] = [[(g0, (), graph6_encode(g0))]]
+        levels = self.unfiltered[key]
         while len(levels) <= n:
-            levels.append(_extend(levels, forbid_path, forbid_clique, 0, deadline))
+            candidates = self.children(forbid_path, forbid_clique, len(levels), deadline)
+            levels.append(_label(levels, candidates, deadline))
         return levels[: n + 1]
 
     def chain(
@@ -447,12 +536,67 @@ class Enumerator:
             )
         return levels + tail
 
+    def extremal(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        r: int,
+        connected: bool,
+        deadline: Optional[float],
+    ) -> tuple[list[Level], list[Graph]]:
+        """The levels 0, ..., n - 1 and the graphs of the class on n
+        vertices (connected ones only, if connected) with the most K_r, in
+        canonical labels, sorted by code.  Only the candidates of order n
+        with the top score are built and labelled; the deadline is checked
+        once per parent and once per labelled child.
+
+        Soundness.  Every class on n vertices has a candidate (_candidates),
+        and every candidate's child is in the class.  A K_r of P + v(M)
+        either avoids v, and is a K_r of P, or holds v and a K_{r-1} inside
+        N(v) = M, so the score N_r(P) + N_{r-1}(P[M]) is exactly N_r of the
+        child.  v joins the components of P that M meets and no other, so
+        P + v(M) is connected iff M meets every component of P.  The
+        maximum over the candidates is therefore the maximum over the
+        classes, the winners' children are exactly the extremal classes,
+        and labelling them gives each once, in the canonical form the level
+        would hold.  The graph on 0 vertices has no parent and no K_r."""
+        if n == 0:
+            levels = self.levels(forbid_path, forbid_clique, 0, deadline)
+            return levels, [g for g, _gens, _code in levels[0]]
+        candidates = self.children(forbid_path, forbid_clique, n, deadline)
+        levels = self.levels(forbid_path, forbid_clique, n - 1, deadline)
+        best, top = -1, []
+        parent = None
+        for g, mask in candidates:
+            if g is not parent:
+                _check_deadline(deadline, levels, "extremal")
+                parent, base, components = g, count_cliques(g, r), []
+                rest = g.vertex_mask() if connected else 0
+                while rest:
+                    components.append(_reachable(g.rows, rest & -rest, 0))
+                    rest &= ~components[-1]
+            if not all(mask & c for c in components):
+                continue
+            score = base + count_cliques_in(g, mask, r - 1)
+            if score > best:
+                best, top = score, []
+            if score == best:
+                top.append((g, mask))
+        winners: dict[str, Graph] = {}
+        for g, mask in top:
+            _check_deadline(deadline, levels, "extremal")
+            cf, _cgens = canonical_with_generators(_attach(g, mask))
+            winners.setdefault(graph6_encode(cf), cf)
+        return levels, [winners[c] for c in sorted(winners)]
+
 
 _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's chains and the classifier's table of candidates."""
+    """Empty the enumerator's chains and candidates and the classifier's
+    table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 
@@ -496,35 +640,32 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
 
 def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     """All graphs of the configured class on config.n vertices, one per
-    isomorphism class, in canonical labels, sorted by canonical code.
+    isomorphism class, in canonical labels, sorted by canonical code; with
+    extremal_r, only those with the most K_r (Enumerator.extremal).
 
     The time budget starts with the call.  Its deadline is checked once
-    per parent while levels are built and once per graph in the final
-    filters, so the call overruns it by at most one parent's extensions
-    or one graph's filters; BudgetExceeded.stats names the stage."""
-    deadline = None
-    if config.time_budget_s is not None:
-        deadline = time.monotonic() + config.time_budget_s
-    levels = _ENUMERATOR.chain(
-        config.forbid_path, config.forbid_clique, config.n, config.min_degree, deadline
-    )
-    filtered = config.connected_only or config.edge_maximal
+    per parent while levels or candidates are built, once per labelled
+    child, and once per graph in the final filters, so the call overruns
+    it by at most one parent's extensions or one graph's filters;
+    BudgetExceeded.stats names the stage."""
+    deadline = _deadline(config.time_budget_s)
+    k, m, n = config.forbid_path, config.forbid_clique, config.n
+    connected = config.connected_only
+    if config.extremal_r is None:
+        levels = _ENUMERATOR.chain(k, m, n, config.min_degree, deadline)
+        graphs = [g for g, _gens, _code in levels[-1]] if levels else []
+    else:
+        levels, graphs = _ENUMERATOR.extremal(
+            k, m, n, config.extremal_r, connected, deadline
+        )
+        connected = False  # decided on the candidates
     out = []
-    for g, _gens, _code in levels[-1] if levels else []:
-        if filtered and deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"time budget exhausted in the final filters at level {config.n}",
-                {
-                    "completed_levels": config.n,
-                    "level_sizes": [len(l) for l in levels],
-                    "stage": "filters",
-                },
-            )
-        if config.connected_only and not is_connected(g):
+    for g in graphs:
+        if connected or config.edge_maximal:
+            _check_deadline(deadline, levels, "filters")
+        if connected and not is_connected(g):
             continue
-        if config.edge_maximal and not _edge_maximal(
-            g, config.forbid_path, config.forbid_clique
-        ):
+        if config.edge_maximal and not _edge_maximal(g, k, m):
             continue
         out.append(g)
     return out
@@ -532,7 +673,10 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Exact maximum K_r count with every extremal class captured."""
+    """Exact maximum K_r count with every extremal class captured.
+
+    stats holds the number of extremal classes; per-level counters of the
+    enumeration are planned (ROADMAP, in-program counters)."""
 
     n: int
     r: int
@@ -554,12 +698,13 @@ def ex_oracle(
     """Exact ex(n, K_r, {P_k, K_m}) (or the connected variant) by search.
 
     Either forbidden subgraph may be None for the single-constraint
-    problems (clique-only, path-only).  With edge_maximal_only the
-    maximum is still exact because adding an edge never decreases N_r,
-    but the extremal list then omits non-maximal extremal graphs.
+    problems (clique-only, path-only).  The children on n vertices are
+    scored without being built and only the extremal ones are labelled
+    (EnumerationConfig.extremal_r).  With edge_maximal_only the maximum
+    is still exact, because saturating an extremal graph keeps it in the
+    class and connected and never lowers N_r, but the extremal list then
+    omits non-maximal extremal graphs.
     """
-    if r < 2:
-        raise ParameterError("r must be at least 2")
     config = EnumerationConfig(
         n=n,
         forbid_path=k,
@@ -567,27 +712,19 @@ def ex_oracle(
         connected_only=connected,
         edge_maximal=edge_maximal_only,
         time_budget_s=time_budget_s,
+        extremal_r=r,
     )
     graphs = enumerate_graphs(config)
     if not graphs:
         raise ParameterError(f"no graphs in the class at n={n}")
-    best = -1
-    extremal: list[str] = []
-    for g in graphs:
-        value = count_cliques(g, r)
-        if value > best:
-            best = value
-            extremal = [graph6_encode(g)]
-        elif value == best:
-            extremal.append(graph6_encode(g))
-    extremal.sort()
+    extremal = sorted(graph6_encode(g) for g in graphs)
     return ExtremalResult(
         n=n,
         r=r,
-        value=best,
+        value=count_cliques(graphs[0], r),
         extremal=tuple(extremal),
         witness=extremal[0],
-        stats={"searched": len(graphs), "extremal": len(extremal)},
+        stats={"extremal": len(extremal)},
     )
 
 
@@ -723,10 +860,12 @@ def verify_theorem(
 
     ORACLE_GREATER rows are legal data: the formulas are asymptotic and
     small n may beat them.  MISMATCH (oracle strictly below a value that
-    should be exact) is the failure state.
+    should be exact) is the failure state.  The time budget is one for
+    the whole sweep: each n gets the time left.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
+    deadline = _deadline(time_budget_s)
     k, m, r = params.k, params.m, params.r
     case = threshold_case(k, m, r)
     rows = []
@@ -740,7 +879,7 @@ def verify_theorem(
             predicted, exact = predicted_ex(n, k, m, r)
         result = ex_oracle(
             n, k, m, r, connected=(scope == "connected"),
-            time_budget_s=time_budget_s,
+            time_budget_s=_time_left(deadline),
         )
         if result.value == predicted:
             status = "EQUAL"
@@ -781,11 +920,13 @@ def verify_classification(
 
     Valid inputs are the connected {P_k, K_m}-free graphs on n >= k
     vertices with min degree >= delta_k.  Any Unclassified graph is a
-    counterexample and is reported by code.
+    counterexample and is reported by code.  The time budget is one for
+    the whole sweep: each n gets the time left.
     """
     from .detect import classify_structure
 
     TheoremParams(k, m, 2)
+    deadline = _deadline(time_budget_s)
     dk = delta_k(k)
     histogram: dict[str, int] = {}
     unclassified: list[str] = []
@@ -799,7 +940,7 @@ def verify_classification(
             forbid_clique=m,
             connected_only=True,
             min_degree=dk,
-            time_budget_s=time_budget_s,
+            time_budget_s=_time_left(deadline),
         )
         for g in enumerate_graphs(config):
             total += 1

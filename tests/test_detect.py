@@ -14,6 +14,7 @@ from pathclique.detect import (
     class_table,
     classify_structure,
     count_cliques,
+    count_cliques_in,
     has_clique,
     has_path,
     is_2connected,
@@ -129,6 +130,16 @@ def test_count_cliques_vs_brute_force():
         g = random_graph(rng, rng.randint(0, 8))
         for r in range(0, 6):
             assert count_cliques(g, r) == brute_cliques(g, r)
+
+
+def test_count_cliques_in_vs_the_induced_subgraph():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 8))
+        mask = rng.getrandbits(g.n)
+        sub = induced(g, [u for u in range(g.n) if (mask >> u) & 1])
+        for r in range(0, 6):
+            assert count_cliques_in(g, mask, r) == brute_cliques(sub, r)
 
 
 def test_has_clique():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 from dataclasses import replace
@@ -7,7 +8,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from pathclique import oracle
+from pathclique import cli, oracle
 from pathclique.canon import canonical, canonical_with_generators
 from pathclique.constructions import double_star, h_extremal, turan, turan_union
 from pathclique.detect import (
@@ -67,6 +68,34 @@ FILTERED_DIGESTS = {
     (6, 4, 9, 2): "abd7f471afd5b5b524ac4a22a42b684988a6c8a77982d6b179efc373fcef31a2",
     (5, 3, 9, 1): "5e837961b473148b8abe4adc7bc55f99f41ad4e1e43dccc25e21b63887d98e8f",
     (None, 3, 8, 2): "6e1793e50165975e10c15f9822ad4a82c811a87c3a8c72e032c7839268798c95",
+}
+# sha256 of `oracle` stdout and of the `data` section of `verify` JSON,
+# recorded while every class of the top order was still labelled
+EXTREMAL_DIGESTS = {
+    "oracle --n 7 --k 7 --m 4 --r 2 --connected":
+        "311d1a80a6cdcf3658bac96ae9d2e1ad49ffe438006e01e0dbf54e9e0d502ccf",
+    "oracle --n 7 --k 7 --m 4 --r 3":
+        "b37bec261410f13b0f240e2dd31fda43ad327c09ce0efc7ddfcd53d607921617",
+    "oracle --n 8 --k 7 --m 4 --r 2 --connected":
+        "199924c44c09f8384f4ea6a7b9bb69c9484e65c52ac7863729570794e235b94f",
+    "oracle --n 8 --k 7 --m 4 --r 3":
+        "85daa0414b037b5dfb29684ce7034401c9d02653001bf686996400f9f4132624",
+    "oracle --n 9 --k 7 --m 4 --r 2 --connected":
+        "d932ee6ed147dae16cd5b8188dd3bf424444f8b14c7d516ef9eafd2475003348",
+    "oracle --n 9 --k 7 --m 4 --r 3":
+        "2a5b8abfae4e4ca8f18a3450bb50b8bcd895e205bde92efcf1ffcf9972b9cc42",
+    "oracle --n 10 --k 7 --m 4 --r 2 --connected":
+        "c9674e1e70c5218991c75124f2325adfa7c73b0df95beb0061c11a96b8078c17",
+    "oracle --n 10 --k 7 --m 4 --r 3":
+        "f4e4c62275ba753eb5f49fa97b54b733e24562ecd6e3126642d66dda0421b31b",
+    "verify --k 7 --m 4 --r 2 --n 7..10 --connected":
+        "f1bfabf43de514e55edd0e4abf4f64337ab3224fd9d2f548a14ed5e0766365e4",
+    "verify --k 7 --m 4 --r 3 --n 7..10 --scope all":
+        "49149690ccee9f282f70c163cecdac0d7ad6fe871227e521fe89223c788ce525",
+    "oracle --n 8 --m 3 --r 3":
+        "9af9cb7b84e9861bf2448e566e55df3b24e7d97f774e56d0e6778e121a5271e7",
+    "oracle --n 8 --k 6 --r 2":
+        "a9ab59b6f39124ce35ad6a242097d665de4eefc6d5f88d7ad512299c61c9ce14",
 }
 # (forbid_path, forbid_clique, n) cells checked mask by mask against the
 # rule on every parent below order n
@@ -131,6 +160,15 @@ def test_filtered_levels_byte_identical():
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == want, (k, m, n, delta)
+
+
+def test_extremal_outputs_byte_identical(capsys):
+    for argv, want in EXTREMAL_DIGESTS.items():
+        assert cli.main(argv.split()) == 0, argv
+        out = capsys.readouterr().out
+        if argv.startswith("verify"):
+            out = json.dumps(json.loads(out)["data"], sort_keys=True)
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 def _orbit_minima(i: int, gens: tuple) -> list[int]:
@@ -431,13 +469,13 @@ def test_required_vertices_decided_first(monkeypatch):
 
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     """A filtered chain for n = 9, δ = 2 extends the unfiltered levels only
-    to level 7, reuses the levels that ex_oracle cached, and adds levels 8
-    and 9 with bounds 1 and 2; clear_cache empties both chains and the
-    classifier's tables.  A fresh enumerator keeps the shared one warm
-    for the other tests."""
+    to level 7, reuses the levels that an unfiltered enumeration at n = 7
+    cached, and adds levels 8 and 9 with bounds 1 and 2; clear_cache
+    empties both chains, the candidates and the classifier's tables.  A
+    fresh enumerator keeps the shared one warm for the other tests."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    ex_oracle(7, 7, 4, 2)
+    enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
     chain = enumerator.unfiltered[(7, 4)]
     cached = list(chain)
     assert len(cached) == 8
@@ -459,9 +497,69 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     assert enumerate_graphs(config) == got and len(steps) == 2
     class_table(9, 7, 4, False)
     assert class_table.cache_info().currsize > 0
+    assert enumerator.candidates
     clear_cache()
     assert not enumerator.unfiltered and not enumerator.filtered
+    assert not enumerator.candidates
     assert class_table.cache_info().currsize == 0
+
+
+# (forbid_path, forbid_clique) cells of the extremal test, orders 0..8
+EXTREMAL_CELLS = [(5, 3), (6, 4), (7, 4), (None, 3), (6, None)]
+
+
+def test_extremal_matches_the_labelled_level(monkeypatch):
+    """enumerate_graphs with extremal_r = r, which scores the unlabelled
+    children of order n and labels only the winners, returns exactly the
+    graphs of the labelled level n, after the same final filters, with
+    the most K_r: for r in {2, 3}, n = 0..8, with and without
+    connected_only and edge_maximal.  Each order is asked first with
+    level n not yet labelled, and again once it is; candidates are
+    computed once per order, and labelling the level reuses them."""
+    computed = []
+    candidates = oracle._candidates
+
+    def spy(levels, k, m, bound, deadline):
+        computed.append(len(levels))
+        return candidates(levels, k, m, bound, deadline)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+    ties = 0
+    for k, m in EXTREMAL_CELLS:
+        enumerator = Enumerator()
+        monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+        computed.clear()
+        for n in range(9):
+            configs = [
+                EnumerationConfig(
+                    n=n, forbid_path=k, forbid_clique=m,
+                    connected_only=connected, edge_maximal=maximal,
+                )
+                for connected in (False, True)
+                for maximal in (False, True)
+            ]
+            cold = {
+                (config, r): enumerate_graphs(replace(config, extremal_r=r))
+                for config in configs
+                for r in (2, 3)
+            }
+            assert len(enumerator.unfiltered[(k, m)]) == max(n, 1), (k, m, n)
+            for (config, r), got in cold.items():
+                full = enumerate_graphs(config)
+                best = max(count_cliques(g, r) for g in full)
+                want = [g for g in full if count_cliques(g, r) == best]
+                assert got == want, (config, r)
+                assert enumerate_graphs(replace(config, extremal_r=r)) == want, (config, r)
+                ties += len(want) > 1
+        assert computed == list(range(1, 9)), (k, m)
+    assert ties > 60, ties
+
+
+def test_extremal_r_validation():
+    with pytest.raises(ParameterError):
+        EnumerationConfig(n=5, forbid_path=5, extremal_r=1)
+    with pytest.raises(ParameterError):
+        EnumerationConfig(n=5, forbid_path=5, extremal_r=2, min_degree=1)
 
 
 def test_levels_stop_at_the_order_asked():
@@ -802,6 +900,47 @@ def test_time_budget_overshoot_and_recovery():
     resumed = enumerate_graphs(config)
     clear_cache()
     assert enumerate_graphs(config) == resumed
+
+
+def test_one_budget_per_command(monkeypatch):
+    """verify and classify give the whole sweep one budget: each n gets the
+    time left, so no n's deadline is later than the command's.  A cold
+    (7,4) verify over n = 7..10 takes about a second on 2 cores, so a
+    0.3 s budget runs out inside it, and the sweep stops within the budget
+    plus one parent's extensions (0.5 s allowed for scheduling)."""
+    deadlines = []
+
+    def recorder(real, budget_of):
+        def call(*args, **kwargs):
+            budget = budget_of(*args, **kwargs)
+            if budget is not None:  # not the classifier's own enumerations
+                deadlines.append(time.monotonic() + budget)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    monkeypatch.setattr(
+        oracle, "ex_oracle",
+        recorder(ex_oracle, lambda *args, time_budget_s, **kwargs: time_budget_s),
+    )
+    budget = 0.3
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        verify_theorem(TheoremParams(7, 4, 2), range(7, 11), "connected", budget)
+    assert time.monotonic() - t0 < budget + 0.5
+    assert info.value.stats["completed_levels"] < 10
+    assert len(deadlines) >= 2 and max(deadlines) <= t0 + budget + 0.01, deadlines
+
+    deadlines.clear()
+    monkeypatch.setattr(
+        oracle, "enumerate_graphs",
+        recorder(enumerate_graphs, lambda config: config.time_budget_s),
+    )
+    budget = 60.0
+    t0 = time.monotonic()
+    verify_classification(7, 4, range(7, 10), budget)
+    assert len(deadlines) == 3 and max(deadlines) <= t0 + budget + 0.01, deadlines
 
 
 def test_time_budget_inside_the_filtered_chain(monkeypatch):
