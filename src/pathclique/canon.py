@@ -25,13 +25,33 @@ support within C, before the next vertex of C is looked at.  The pruned
 set equals that of closing the tried set under these generators after
 each child, so the leaves visited, the canonical form and the generators
 do not depend on how the orbits are kept.
+
+A target cell C whose vertices are pairwise twins is not searched: it is
+replaced by its singletons, in cell order, and the next cell of two or
+more vertices becomes the target, with no refinement in between.  This
+visits the same leaves in the same order, finds the same automorphisms
+and returns the same form, perm and generators as searching C:
+1. Only one child is ever searched at C.  Refinement never separates two
+   twins outside the prefix, because their swap is an automorphism that
+   fixes the prefix; so C is its twin class minus the prefix.  The
+   union-find starts it as one tree, so only its first vertex c0 is
+   searched and every other vertex of C is skipped.
+2. Refinement leaves that child unchanged.  Every vertex outside C is
+   adjacent to all of C or to none of it, so its count against {c0} is
+   the same across its cell, because the partition was already equitable
+   against C; inside C - c0 every vertex sees c0 in the same way.  So the
+   partition is already equitable, and C - c0 is the next target.
+3. So peeling is the same as searching.  By induction the search goes
+   down |C| - 1 nodes with one child each, individualising C in cell
+   order but its last vertex, and reaches the partition with C split
+   into singletons.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graph6 import graph6_encode
+from .graph6 import graph6_rows
 from .graphs import Graph, iter_bits, lower_twins
 
 
@@ -115,9 +135,11 @@ def _find(up: list[int], u: int) -> int:
     return u
 
 
-def _search(g: Graph) -> tuple[Graph, list[int], list[int], list[tuple[int, ...]]]:
-    """(canonical form, perm, lower twins, automorphisms found at equal
-    leaves), with perm[old] = new canonical label."""
+def _search(
+    g: Graph,
+) -> tuple[tuple[int, ...], list[int], list[int], list[tuple[int, ...]]]:
+    """(rows of the canonical form, perm, lower twins, automorphisms found
+    at equal leaves), with perm[old] = new canonical label."""
     n, rows = g.n, g.rows
     bydeg: dict[int, list[int]] = {}
     for v in range(n):
@@ -158,15 +180,24 @@ def _search(g: Graph) -> tuple[Graph, list[int], list[int], list[tuple[int, ...]
 
     def search(cells: list[list[int]], clean: list[bool], fixed: int) -> None:
         cells = _refine(rows, cells, clean)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
+        target = 0
+        while True:
+            while target < len(cells) and len(cells[target]) == 1:
+                target += 1
+            if target == len(cells):
+                leaf([c[0] for c in cells])
+                return
+            cell = cells[target]
+            # A cell of twins is peeled into its singletons, in cell order,
+            # with no refinement (see the module docstring).  Cells are in
+            # ascending order, so low = min(cell).
+            low = cell[0]
+            if any(not lower[u] >> low & 1 for u in cell[1:]):
                 break
-        if target < 0:
-            leaf([c[0] for c in cells])
-            return
-        cell = cells[target]
+            cells = cells[:target] + [[u] for u in cell] + cells[target + 1 :]
+            for u in cell[:-1]:
+                fixed |= 1 << u
+            target += len(cell)
         # cells is equitable, so only the two parts of the target can split
         clean = [True] * (len(cells) + 1)
         clean[target] = clean[target + 1] = False
@@ -205,20 +236,19 @@ def _search(g: Graph) -> tuple[Graph, list[int], list[int], list[tuple[int, ...]
     perm = [0] * n
     for i, v in enumerate(order):
         perm[v] = i
-    cf = Graph(n, best_code[0] or ())
-    return cf, perm, lower, [a for a, _support in autos]
+    return best_code[0] or (), perm, lower, [a for a, _support in autos]
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabelled copy of g."""
-    return _search(g)[0]
+    return Graph(g.n, _search(g)[0])
 
 
 def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     """Canonical form plus automorphism generators in canonical labels: the
     twin swaps, then the automorphisms the search found, without repeats.
     They generate a subgroup of Aut(g), not necessarily all of it."""
-    cf, perm, lower, found = _search(g)
+    rows, perm, lower, found = _search(g)
     out = _twin_transpositions(lower, perm)
     seen = set(out)
     for a in found:
@@ -229,9 +259,9 @@ def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
         if tb not in seen:
             seen.add(tb)
             out.append(tb)
-    return cf, out
+    return Graph(g.n, rows), out
 
 
 def canonical(g: Graph) -> bytes:
     """Canonical code: graph6 bytes of the canonically relabelled graph."""
-    return graph6_encode(canonical_form(g)).encode("ascii")
+    return graph6_rows(_search(g)[0]).encode("ascii")

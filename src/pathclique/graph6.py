@@ -7,11 +7,18 @@ column by column into 6-bit groups, each offset by 63.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import MAX_VERTICES, Graph, GraphError
 
 
 def graph6_encode(g: Graph) -> str:
-    n = g.n
+    return graph6_rows(g.rows)
+
+
+def graph6_rows(rows: Sequence[int]) -> str:
+    """The graph6 text of the graph whose neighbour bitmasks are rows."""
+    n = len(rows)
     if n <= 62:
         head = chr(63 + n)
     else:
@@ -20,7 +27,7 @@ def graph6_encode(g: Graph) -> str:
     nbits = 0
     payload = []
     for v in range(1, n):
-        col = g.rows[v]
+        col = rows[v]
         for u in range(v):
             acc = (acc << 1) | ((col >> u) & 1)
             nbits += 1

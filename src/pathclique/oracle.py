@@ -921,8 +921,11 @@ def verify_classification(
     Valid inputs are the connected {P_k, K_m}-free graphs on n >= k
     vertices with min degree >= delta_k.  Any Unclassified graph is a
     counterexample and is reported by code.  The time budget is one for
-    the whole sweep: each n gets the time left.
+    the whole sweep: each n gets the time left, and the deadline is also
+    checked once per classified graph (stage "classify", with the n
+    reached), so the sweep overruns it by at most one classification.
     """
+    # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure
 
     TheoremParams(k, m, 2)
@@ -943,6 +946,11 @@ def verify_classification(
             time_budget_s=_time_left(deadline),
         )
         for g in enumerate_graphs(config):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(
+                    f"time budget exhausted in the classify stage at n = {n}",
+                    {"stage": "classify", "n": n, "classified": total},
+                )
             total += 1
             outcome = classify_structure(g, k, m)
             tag = outcome.class_tag.value

@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from pathclique import canon
 from pathclique.canon import (
     _refine,
     _search,
@@ -20,6 +21,7 @@ from pathclique.graphs import (
     copies,
     disjoint_union,
     induced,
+    iter_bits,
     join,
     lower_twins,
     make_graph,
@@ -178,6 +180,25 @@ def test_canonical_separates_nonisomorphic():
         for code2, g2 in seen.items():
             if code != code2:
                 assert not nx.is_isomorphic(other, _to_nx(g2))
+
+
+def test_canonical_codes_count_the_classes():
+    """Independent cross-check: the codes of all labelled graphs on n <= 6
+    vertices number 1, 1, 2, 4, 11, 34, 156 (OEIS A000088, graphs on n
+    unlabelled vertices), and sampled pairs with equal codes are
+    isomorphic by networkx."""
+    rng = random.Random(61)
+    for n, classes in enumerate((1, 1, 2, 4, 11, 34, 156)):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        by_code: dict[bytes, list[Graph]] = {}
+        for bits in range(1 << len(pairs)):
+            g = make_graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            by_code.setdefault(canonical(g), []).append(g)
+        assert len(by_code) == classes
+        for group in by_code.values():
+            for _ in range(3):
+                a, b = rng.choice(group), rng.choice(group)
+                assert nx.is_isomorphic(_to_nx(a), _to_nx(b))
 
 
 def test_lower_twins():
@@ -364,29 +385,92 @@ def _reference_canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, 
     return perm, [a for a, _support in autos]
 
 
+def _twin_rich_graph(rng: random.Random) -> Graph:
+    """A random graph on at most 7 vertices with each vertex blown up into
+    a clique or an independent set of 1-5 vertices, with 0-3 vertex pairs
+    flipped, relabelled at random."""
+    base = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]))
+    blocks, n = [], 0
+    for _ in range(base.n):
+        size = rng.randint(1, 5)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = set()
+    for v, block in enumerate(blocks):
+        if rng.random() < 0.5:
+            edges |= {(a, b) for a in block for b in block if a < b}
+        for u in iter_bits(base.rows[v] & ((1 << v) - 1)):
+            edges |= {(a, b) for a in blocks[u] for b in block}
+    for _ in range(rng.choice([0, 0, 1, 2, 3]) if n > 1 else 0):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges ^= {(a, b)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(make_graph(n, sorted(edges)), perm)
+
+
 def test_canonical_labeling_matches_reference():
-    """The union-find search visits the same leaves as the closure it
-    replaced: equal perm and equal generators, in order, and the form read
-    from the best leaf is g relabelled by perm, on random graphs,
-    on the (P_7, K_4)-free levels to n = 8 as stored and relabelled, and
-    on relabelled Turan graphs, H_n and double stars, 10 <= n <= 30."""
+    """The union-find search, which also peels twin cells without
+    searching them, visits the same leaves as the unpruned closure search:
+    equal perm and equal generators, in order, and the form read from the
+    best leaf is g relabelled by perm, on random graphs, on random blow-ups
+    of graphs on at most 7 vertices (twin-rich), on K_n and the empty graph
+    for n <= 11, on the (P_7, K_4)-free levels to n = 8 as stored and
+    relabelled, and on relabelled Turan graphs, H_n and double stars,
+    10 <= n <= 30."""
     rng = random.Random(53)
     graphs = [
         random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         for _ in range(2000)
     ]
+    graphs += [_twin_rich_graph(rng) for _ in range(600)]
+    for n in range(12):
+        graphs += [primitive("complete", n), primitive("empty", n)]
+    relabelled = len(graphs)
     for level in _ENUMERATOR.levels(7, 4, 8):
         graphs += [cf for cf, _gens, _code in level]
     for n in range(10, 31, 2):
         graphs += [turan(n, p) for p in (2, 3, 5)]
         graphs += [h_extremal(n, 4, 7), h_extremal(n, 5, 8), h_extremal(n, 6, 9)]
         graphs += [h_extremal(n, 7, 10), double_star(n // 3, n - n // 3)]
-    for g in graphs[2000:]:
+    for g in graphs[relabelled:]:
         perm = list(range(g.n))
         rng.shuffle(perm)
         graphs.append(relabel(g, perm))
     for g in graphs:
-        _cf, perm, lower, found = _search(g)
+        _rows, perm, lower, found = _search(g)
         gens = _twin_transpositions(lower, range(g.n)) + found
         assert (perm, gens) == _reference_canonical_labeling(g)
         assert canonical_form(g) == relabel(g, perm)
+
+
+def test_twin_cells_are_peeled_without_refinement(monkeypatch):
+    """A target cell of twins is split into singletons with no search
+    node, so K_n and the empty graph are refined once, at the root; the
+    counts on T(30, 5) and H_30(4, 7) are pinned (one search node per
+    vertex of a twin cell gave 176 and 29)."""
+    calls = []
+
+    def spy(rows, cells, clean):
+        calls.append(cells)
+        return _refine(rows, cells, clean)
+
+    monkeypatch.setattr(canon, "_refine", spy)
+    rng = random.Random(59)
+
+    def refinements(g: Graph) -> int:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        calls.clear()
+        code = canonical(g)
+        count = len(calls)
+        calls.clear()
+        assert canonical(relabel(g, perm)) == code
+        assert len(calls) == count
+        return count
+
+    for n in range(1, 12):
+        assert refinements(primitive("complete", n)) == 1
+        assert refinements(primitive("empty", n)) == 1
+    assert refinements(turan(30, 5)) == 25
+    assert refinements(h_extremal(30, 4, 7)) == 1

@@ -8,11 +8,12 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from pathclique import cli, oracle
+from pathclique import cli, detect, oracle
 from pathclique.canon import canonical, canonical_with_generators
 from pathclique.constructions import double_star, h_extremal, turan, turan_union
 from pathclique.detect import (
     class_table,
+    classify_structure,
     count_cliques,
     has_clique,
     has_path,
@@ -882,12 +883,19 @@ def test_enumerated_graphs_satisfy_constraints():
 
 
 def test_time_budget_overshoot_and_recovery():
-    # from a cold cache the triangle-free levels up to 9 take well under
-    # the budget and level 10 takes seconds, so the deadline passes while
-    # the last level is built: a check made only between levels would not
-    # fire at all
+    """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
+    levels to 9 and then scores the children on 10 vertices.  The budget is
+    taken from a measured cold run: the time of the levels to 9 plus half
+    the rest, so the deadline passes inside the order-10 stage, where a
+    check made only between levels would not fire at all, on a host of
+    any speed."""
     clear_cache()
-    budget = 1.0
+    t0 = time.monotonic()
+    enumerate_graphs(EnumerationConfig(n=9, forbid_clique=3))
+    t9 = time.monotonic()
+    ex_oracle(10, None, 3, 2)
+    budget = (t9 - t0) + (time.monotonic() - t9) / 2
+    clear_cache()
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as info:
         ex_oracle(10, None, 3, 2, time_budget_s=budget)
@@ -900,6 +908,33 @@ def test_time_budget_overshoot_and_recovery():
     resumed = enumerate_graphs(config)
     clear_cache()
     assert enumerate_graphs(config) == resumed
+
+
+def test_time_budget_in_classification(monkeypatch):
+    """The deadline is checked once per classified graph.  With the (7,4)
+    inputs on 7..9 vertices warm, and each classification made to sleep
+    0.1 s, a 0.35 s budget runs out while the 10 graphs on 7 vertices are
+    classified: the sweep stops within one classification of it, the stats
+    name the stage and the n reached, and classify --exhaustive exits 3."""
+    verify_classification(7, 4, range(7, 10))
+    classified = []
+
+    def slow(g, k, m):
+        classified.append(g)
+        time.sleep(0.1)
+        return classify_structure(g, k, m)
+
+    # verify_classification reads classify_structure from detect per call
+    monkeypatch.setattr(detect, "classify_structure", slow)
+    budget = 0.35
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        verify_classification(7, 4, range(7, 10), budget)
+    assert time.monotonic() - t0 < budget + 0.1 + 0.3
+    assert info.value.stats == {"stage": "classify", "n": 7, "classified": len(classified)}
+    assert 0 < len(classified) < 10
+    argv = ["classify", "--exhaustive", "--k", "7", "--m", "4", "--n", "7..9"]
+    assert cli.main(argv + ["--budget", "0.35"]) == 3
 
 
 def test_one_budget_per_command(monkeypatch):
