@@ -11,15 +11,19 @@ candidate graph is built.  The parent is free, so a new P_k or K_m must
 use the new vertex: the mask is rejected iff it spans a K_{m-1}, or holds
 one vertex or two vertices whose attachment alone creates a P_k.  Both
 are decided in the parent itself, from the vertex sets of the paths that
-start at each vertex: a parent on i vertices costs at most i rooted
-path searches, at most one comparison of path sets per pair of good
-vertices, and one pass over the subsets of the vertices that a kept mask
-may hold.  The argument is in _attachable_masks.  Only masks that give
+start at each vertex.  Twins have equal verdicts, so a parent costs one
+rooted path search per twin class (two for a good class of two or more
+vertices), at most one comparison of path sets per pair of good
+classes, and one pass over the subsets of the vertices that a kept mask
+may hold; the argument is in _attachable_masks.  Only masks that give
 the new vertex maximum degree in the child are kept, since every graph
 in the class arises by attaching a vertex of maximum degree (see
 _extend), so a mask needs at least as many vertices as the parent's
-maximum degree; only their orbit representatives under the parent's
-automorphisms are built and labelled canonically.
+maximum degree, and a parent stops as soon as too few vertices are left
+to hold.  Only the masks' orbit representatives under the parent's
+automorphisms are built and labelled canonically; they are found among
+the masks that hold the lowest vertices of each twin class, closed
+under the generators that are not twin swaps (_orbit_representatives).
 
 A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
@@ -80,7 +84,7 @@ from .formulas import (
     threshold_case,
 )
 from .graph6 import graph6_encode
-from .graphs import Graph, induced
+from .graphs import Graph, induced, iter_bits, lower_twins
 from .reports import VerificationRow, sort_rows
 
 HARD_CAP = 10
@@ -157,32 +161,99 @@ class EnumerationConfig:
 Level = list[tuple[Graph, tuple, str]]
 
 
-def _subset_orbits(masks: list[int], gens: tuple) -> list[list[int]]:
-    """The orbits of the vertex subsets in masks under the group generated
-    by gens, each led by its minimum.  masks must be ascending and closed
-    under gens, so the first mask met of each orbit is its minimum."""
-    if not gens:
-        return [[mask] for mask in masks]
+def _twin_classes(lower: list[int]) -> dict[int, int]:
+    """The twin classes of a graph as bitmasks, each keyed by its lowest
+    vertex, in ascending order of it, from its lower twins
+    (graphs.lower_twins)."""
+    out: dict[int, int] = {}
+    for v, low in enumerate(lower):
+        c = (low & -low).bit_length() - 1 if low else v
+        out[c] = out.get(c, 0) | 1 << v
+    return out
+
+
+def _image_table(bits: list[int]) -> list[int]:
+    """table[x] is the union of bits[u] over the set bits u of x, for every
+    x below 2 ** len(bits)."""
+    table = [0] * (1 << len(bits))
+    for x in range(1, len(table)):
+        t = x & -x
+        table[x] = table[x ^ t] | bits[t.bit_length() - 1]
+    return table
+
+
+def _orbit_representatives(g: Graph, masks: list[int], gens: tuple) -> list[int]:
+    """The least mask of each orbit of masks under the group generated by
+    gens, ascending.  masks must be ascending and closed under gens, and
+    the group must hold every twin swap of g, as the generators of
+    canon.canonical_with_generators do.
+
+    Soundness.  Let T be the group of the permutations of g that map
+    every twin class onto itself.  A mask is twin-canonical when it holds
+    the lowest vertices of each class; every mask has one twin-canonical
+    image under T, canon(x).
+    - T is generated by the twin swaps, so it lies in the group.  Every
+      orbit minimum is twin-canonical: moving a vertex of x to a lower
+      vertex of its class outside x is a twin swap and gives a smaller
+      mask.  So the first twin-canonical mask met, in ascending order, of
+      each orbit is its minimum.
+    - An automorphism a maps twin classes onto twin classes, so T is
+      normal in the group, and the twin-canonical masks of one orbit are
+      the canon(x) of its T-orbits, which the group permutes as a acts by
+      canon(a(x)).  They are therefore the closure of any one of them
+      under x -> canon(a(x)), a over the generators, and the generators
+      in T act as the identity.
+    - For x twin-canonical, canon(a(x)) = b(x), where b maps the i-th
+      vertex of each class C to the i-th vertex of a(C); b = t a with t
+      in T, an automorphism too.
+    Each b other than the identity is read from two lookup tables, one
+    for the low half of the vertices and one for the high half, so no
+    image is built vertex by vertex; so is the union of the next lower
+    twins of a mask's vertices, which a twin-canonical mask holds.  A
+    parent with at most one mask, or with no generators, builds nothing."""
+    if len(masks) <= 1 or not gens:
+        return masks
+    i = g.n
+    lower = lower_twins(g)
+    classes = _twin_classes(lower)
+    lowest = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(lower)]
+    maps = set()
+    for a in gens:
+        if all(lowest[a[c]] == c for c in classes):
+            continue  # a lies in T
+        b = [0] * i
+        for c, members in classes.items():
+            image = classes[lowest[a[c]]]
+            for u in iter_bits(members):
+                t = image & -image
+                image ^= t
+                b[u] = t.bit_length() - 1
+        maps.add(tuple(b))
+    half = i >> 1
+    low_half = (1 << half) - 1
+    tables = []
+    for b in maps:
+        bits = [1 << t for t in b]
+        tables.append((_image_table(bits[:half]), _image_table(bits[half:])))
+    # a mask is twin-canonical iff it holds the next lower twin of each of
+    # its vertices that has one
+    below = [1 << (low.bit_length() - 1) if low else 0 for low in lower]
+    lo_below, hi_below = _image_table(below[:half]), _image_table(below[half:])
     seen: set[int] = set()
-    orbits = []
+    out = []
     for mask in masks:
-        if mask in seen:
+        if mask in seen or (lo_below[mask & low_half] | hi_below[mask >> half]) & ~mask:
             continue
+        out.append(mask)
         seen.add(mask)
         orbit = [mask]
         for x in orbit:
-            for a in gens:
-                img = 0
-                m = x
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    img |= 1 << a[u]
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(img)
-        orbits.append(orbit)
-    return orbits
+            for lo, hi in tables:
+                y = lo[x & low_half] | hi[x >> half]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+    return out
 
 
 def _attach(g: Graph, mask: int) -> Graph:
@@ -249,13 +320,30 @@ def _attachable_masks(
       When g has fewer than k - 1 vertices, the child has fewer than k,
       so no vertex is bad, no pair clashes and nothing is searched.
 
-    Required vertices first.  A kept mask holds need, so it holds no bad
-    vertex of need, no clashing pair inside need, and no vertex that
-    clashes with one of need.  The vertices of need are searched first
-    and their pairs compared before any other pair, and [] is returned at
-    the first bad one or clash; the other vertices that are bad or clash
-    with need leave allowed, the vertices a kept mask may hold.  With
-    fewer than size of them left, no pair outside need is compared.
+    One search per twin class.  An automorphism a of g maps g + v(S) onto
+    g + v(a(S)), so every verdict is invariant under Aut(g).  Swapping
+    two twins (graphs.lower_twins) is an automorphism, so twins are bad
+    together; for u and u' twins and x outside {u, u'}, the swap maps the
+    pair {u, x} to {u', x}, so classes C and D that differ share one pair
+    verdict; and the permutations of C map every pair inside it onto its
+    two lowest vertices.  So each class's lowest vertex is searched, the
+    second lowest too when the class has two or more vertices and is
+    good, each pair of classes is compared once, and the class verdicts
+    are expanded to allowed (the vertices a kept mask may hold) and to
+    clash (the allowed vertices each one cannot share a mask with).  need
+    and size must be invariant too (they are read from degrees in
+    _extend), so need is a union of classes.
+
+    Early exits.  A kept mask holds need and at least size vertices, so
+    it holds no bad vertex of need, no clashing pair inside need and no
+    vertex that clashes with one of need, and allowed must keep size
+    vertices.  The classes of need are searched first, and [] is returned
+    at the first bad one; then every other class is searched, and [] is
+    returned as soon as fewer than size vertices are left in allowed,
+    before any pair is compared; then the pairs inside need are compared,
+    and [] is returned at the first clash; then the other classes that
+    clash with need leave allowed, with the same test of size.  Only then
+    are the pairs of the other classes compared.
 
     Both conditions are closed under taking subsets, so one pass over
     the submasks of allowed in ascending order decides every mask from
@@ -263,47 +351,63 @@ def _attachable_masks(
     with no vertex of M - t, and the clique number max(ω(M - t),
     1 + ω(N(t) ∩ (M - t))) is below m - 1.  M - t and N(t) ∩ (M - t) are
     smaller submasks of allowed and subsets of a survivor, so they are
-    survivors whose clique numbers are known.  Each vertex's paths are
-    searched at most once per parent, and each pair compared at most once.
-    An automorphism a of g maps g + v(S) onto g + v(a(S)), so every
-    verdict is invariant under Aut(g).  need and size must be too (they
-    are read from degrees in _extend); then allowed is invariant, and the
-    kept masks are closed under Aut(g), as _subset_orbits needs.
+    survivors whose clique numbers are known.  allowed and clash are
+    invariant under Aut(g), so the kept masks are closed under it, as
+    _orbit_representatives needs.
     """
     k, m = forbid_path, forbid_clique
-    if (k is not None and k <= 1) or (m is not None and m <= 1):
+    if (k is not None and k <= 1) or (m is not None and m <= 1) or size > g.n:
         return []
     i, rows = g.n, g.rows
     allowed = (1 << i) - 1
-    free: list[int] = []  # the allowed vertices outside need, once searched
+    clash = [0] * i  # clash[u]: the allowed vertices that u cannot share a mask with
     if k is not None and i >= k - 1:
-        required = [u for u in range(i) if (need >> u) & 1]
-        paths: list = [None] * i
-        for u in required + [u for u in range(i) if not (need >> u) & 1]:
-            paths[u] = rooted_path_sets(g, u, k)
-            if paths[u] is None:
-                if (need >> u) & 1:
+        classes = _twin_classes(lower_twins(g))
+        required = [c for c in classes if (need >> c) & 1]
+        paths = {}
+        for c in required + [c for c in classes if not (need >> c) & 1]:
+            sets = rooted_path_sets(g, c, k)
+            if sets is not None:
+                paths[c] = sets
+            elif (need >> c) & 1:
+                return []
+            else:
+                allowed ^= classes[c]
+                if allowed.bit_count() < size:
                     return []
-                allowed ^= 1 << u
-        for b, w in enumerate(required):
-            for u in required[:b]:
-                if _paths_clash(paths[u], paths[w], k):
+
+        def inner(c: int) -> bool:
+            """Whether two vertices of c's class clash, from a search of its
+            second vertex; False for a class of one vertex."""
+            rest = classes[c] & (classes[c] - 1)
+            if not rest:
+                return False
+            sets = rooted_path_sets(g, (rest & -rest).bit_length() - 1, k)
+            return _paths_clash(paths[c], sets, k)
+
+        for b, d in enumerate(required):
+            if inner(d) or any(_paths_clash(paths[c], paths[d], k) for c in required[:b]):
+                return []
+        free = []  # the allowed classes outside need
+        for c in paths:
+            if (need >> c) & 1:
+                continue
+            if required and any(_paths_clash(paths[c], paths[d], k) for d in required):
+                allowed ^= classes[c]
+                if allowed.bit_count() < size:
                     return []
-        for u in range(i):
-            if (allowed >> u) & 1 and not (need >> u) & 1:
-                if required and any(_paths_clash(paths[u], paths[w], k) for w in required):
-                    allowed ^= 1 << u
-                else:
-                    free.append(u)
-    if allowed.bit_count() < size:
-        return []
-    # clash[u]: the vertices of free that u cannot share a mask with
-    clash = [0] * i
-    for b, w in enumerate(free):
-        for u in free[:b]:
-            if _paths_clash(paths[u], paths[w], k):
-                clash[u] |= 1 << w
-                clash[w] |= 1 << u
+            else:
+                free.append(c)
+        # across[c]: the vertices of the other free classes that clash with c's
+        across = {c: classes[c] if inner(c) else 0 for c in free}
+        for b, d in enumerate(free):
+            for c in free[:b]:
+                if _paths_clash(paths[c], paths[d], k):
+                    across[c] |= classes[d]
+                    across[d] |= classes[c]
+        for c in free:
+            for u in iter_bits(classes[c]):
+                clash[u] = across[c] & ~(1 << u)
     # table[M] = 1 + clique number of M if M survives, else 0; a survivor
     # has 1 + ω(M) < m, and 1 + ω(M) <= i + 1 always
     limit = i + 2 if m is None else m
@@ -368,6 +472,19 @@ def _check_deadline(deadline: Optional[float], levels: list[Level], stage: str) 
         )
 
 
+def _check_command_deadline(
+    deadline: Optional[float], stage: str, n: int, done: dict
+) -> None:
+    """Raise BudgetExceeded, with the stage, the n reached and the counts
+    in done, once a command's deadline has passed; for the stages of
+    verify and classify that come after the enumeration of an order."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(
+            f"time budget exhausted in the {stage} stage at n = {n}",
+            {"stage": stage, "n": n, **done},
+        )
+
+
 # a child of the next level, not yet built: a parent and an attachment mask
 Candidate = tuple[Graph, int]
 
@@ -411,7 +528,10 @@ def _candidates(
     least size = max(D, bound) vertices, D the maximum degree of g, the
     least |M| that passes both tests; for bound = 0, need is empty.  Both
     are read from degrees, so they are invariant under Aut(g), M' in the
-    orbit of M passes too, and _subset_orbits stays valid."""
+    orbit of M passes too, and the kept masks are closed under the
+    generators.  Those hold every twin swap of P
+    (canonical_with_generators), so _orbit_representatives can take the
+    least twin-canonical mask of each orbit and apply no twin swap."""
     out: list[Candidate] = []
     for g, gens, _code in levels[-1]:
         _check_deadline(deadline, levels, "levels")
@@ -420,7 +540,7 @@ def _candidates(
         size = max(max(degs, default=0), bound)
         masks = _attachable_masks(g, forbid_path, forbid_clique, need, size)
         masks = _degree_masks(g, masks)
-        out += [(g, orbit[0]) for orbit in _subset_orbits(masks, gens)]
+        out += [(g, mask) for mask in _orbit_representatives(g, masks, gens)]
     return out
 
 
@@ -861,7 +981,11 @@ def verify_theorem(
     ORACLE_GREATER rows are legal data: the formulas are asymptotic and
     small n may beat them.  MISMATCH (oracle strictly below a value that
     should be exact) is the failure state.  The time budget is one for
-    the whole sweep: each n gets the time left.
+    the whole sweep: each n gets the time left, and the deadline is also
+    checked before each n's check of the predicted family (stage
+    "family", with the n reached and the rows done), so the sweep
+    overruns it by at most one parent's extensions, one graph's filters
+    or one family check.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
@@ -889,6 +1013,7 @@ def verify_theorem(
             status = "BOUND_RESPECTED"
         else:
             status = "MISMATCH"
+        _check_command_deadline(deadline, "family", n, {"rows": len(rows)})
         family = _predicted_family(n, k, m, r, scope, case.tag, predicted)
         match = _match_tag(set(result.extremal), family)
         rows.append(
@@ -946,11 +1071,7 @@ def verify_classification(
             time_budget_s=_time_left(deadline),
         )
         for g in enumerate_graphs(config):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"time budget exhausted in the classify stage at n = {n}",
-                    {"stage": "classify", "n": n, "classified": total},
-                )
+            _check_command_deadline(deadline, "classify", n, {"classified": total})
             total += 1
             outcome = classify_structure(g, k, m)
             tag = outcome.class_tag.value

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import json
 import random
 import time
 from dataclasses import replace
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -16,15 +18,17 @@ from pathclique.detect import (
     classify_structure,
     count_cliques,
     has_clique,
+    has_clique_in,
     has_path,
     is_2connected,
     is_connected,
     is_free,
+    longest_path_order,
     rooted_path_sets,
 )
 from pathclique.formulas import ParameterError, TheoremParams, turan_cliques
 from pathclique.graph6 import graph6_decode, graph6_encode
-from pathclique.graphs import Graph, make_graph, primitive, relabel
+from pathclique.graphs import Graph, iter_bits, make_graph, primitive, relabel
 from pathclique.oracle import (
     CAP_ENV_VAR,
     BudgetExceeded,
@@ -250,6 +254,21 @@ def _paths_from(g: Graph, u: int) -> dict[int, int]:
     return out
 
 
+@functools.cache
+def _child_verdicts(g: Graph, k: int) -> tuple[int, dict[tuple[int, int], bool]]:
+    """The verdicts of g for P_k from whole children: the bitmask of the
+    vertices u with a P_k in g + v({u}), and for each pair u < w of the
+    other vertices whether g + v({u, w}) has one."""
+    bad = sum(1 << u for u in range(g.n) if has_path(_with_new_vertex(g, 1 << u), k))
+    good = [u for u in range(g.n) if not bad >> u & 1]
+    clash = {
+        (u, w): has_path(_with_new_vertex(g, 1 << u | 1 << w), k)
+        for b, w in enumerate(good)
+        for u in good[:b]
+    }
+    return bad, clash
+
+
 def test_rooted_path_checks_match_child_searches():
     """The rooted path checks of _attachable_masks against whole-child
     searches: u is bad (rooted_path_sets gives None) iff g + v({u}) has a
@@ -262,18 +281,13 @@ def test_rooted_path_checks_match_child_searches():
 
     def check(g: Graph, k: int) -> None:
         sets = [rooted_path_sets(g, u, k) for u in range(g.n)]
+        bad, clashes = _child_verdicts(g, k)
         for u in range(g.n):
-            bad = has_path(_with_new_vertex(g, 1 << u), k)
-            assert (sets[u] is None) == bad, (graph6_encode(g), k, u)
-            verdicts["bad"] += bad
-        good = [u for u in range(g.n) if sets[u] is not None]
-        for b, w in enumerate(good):
-            for u in good[:b]:
-                clash = has_path(_with_new_vertex(g, 1 << u | 1 << w), k)
-                assert _paths_clash(sets[u], sets[w], k) == clash, (
-                    graph6_encode(g), k, u, w,
-                )
-                verdicts["clash" if clash else "free pair"] += 1
+            assert (sets[u] is None) == bool(bad >> u & 1), (graph6_encode(g), k, u)
+            verdicts["bad"] += bad >> u & 1
+        for (u, w), clash in clashes.items():
+            assert _paths_clash(sets[u], sets[w], k) == clash, (graph6_encode(g), k, u, w)
+            verdicts["clash" if clash else "free pair"] += 1
 
     cells = [(k, m, n - 1) for k, m, n in RULE_CELLS if k is not None]
     for k, m, n in cells + [(2, None, 6), (3, None, 6)]:
@@ -319,8 +333,8 @@ def test_max_degree_masks():
     filter) are exactly the attachable masks whose new vertex has maximum
     degree in the child, and, with a bound b from 1 to the parent's min
     degree + 1, those whose child also has min degree >= b.  What it
-    keeps is closed under the parent's generators, as _subset_orbits
-    needs."""
+    keeps is closed under the parent's generators, as
+    _orbit_representatives needs."""
     bounded = 0
     for k, m, n in RULE_CELLS:
         for i, level in enumerate(_ENUMERATOR.levels(k, m, n - 1)):
@@ -400,17 +414,59 @@ def _parents(cells: list, chains: list) -> list:
     return [(k, m, g) for (k, m, _code), g in out.items()]
 
 
+def _twin_classes_by_definition(g: Graph) -> list[int]:
+    """The twin classes of g as bitmasks, ascending by their lowest vertex:
+    u and w are twins when N(u) - {w} = N(w) - {u}."""
+    out: list[int] = []
+    for v in range(g.n):
+        for i, members in enumerate(out):
+            u = (members & -members).bit_length() - 1
+            if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u):
+                out[i] |= 1 << v
+                break
+        else:
+            out.append(1 << v)
+    return out
+
+
+@functools.cache
+def _rooted_verdicts(g: Graph, k) -> tuple[int, tuple[int, ...]]:
+    """The verdicts of g for P_k from one rooted search per vertex and a
+    comparison of every pair: the bitmask of the bad vertices, and for
+    each vertex u the good vertices w != u whose paths clash with u's.
+    With no k, or fewer than k - 1 vertices, nothing is bad or clashes."""
+    paths: list = [[]] * g.n
+    if k is not None and g.n >= k - 1:
+        paths = [rooted_path_sets(g, u, k) for u in range(g.n)]
+    bad = sum(1 << u for u, sets in enumerate(paths) if sets is None)
+    clash = tuple(
+        sum(
+            1 << w
+            for w in range(g.n)
+            if w != u and paths[u] and paths[w] and _paths_clash(paths[u], paths[w], k)
+        )
+        for u in range(g.n)
+    )
+    return bad, clash
+
+
 def test_required_vertices_decided_first(monkeypatch):
     """_attachable_masks with need and size, for every parent of the rule
     cells' levels and of the look-ahead cells' filtered chains and every
     bound b from 0 to the parent's min degree + 1, returns the unpruned
     masks that hold need and have at least size vertices.
 
+    Twins share their verdicts, so each call searches only the lowest
+    vertex of a twin class and, for a class of two or more, its second
+    lowest, each at most once, and compares each pair of classes (a class
+    with itself: its two lowest vertices) at most once.
+
     Where no mask can be kept, it stops early, and each early exit is
     seen to fire, by the searches and comparisons it makes: at a bad
-    vertex of need, only vertices of need up to it are searched and no
-    pair is compared; at a clash inside need, only pairs inside need are
-    compared; with too few allowed vertices, no pair outside need is."""
+    vertex of need, only the lowest vertex of each twin class of need up
+    to it is searched and no pair is compared; at a clash inside need,
+    only pairs inside need are compared; with too few allowed vertices,
+    no pair outside need is."""
     parents = _parents(RULE_CELLS, LOOK_AHEAD_CELLS)
     searched: list[int] = []
     compared: list[tuple[int, int]] = []
@@ -431,19 +487,12 @@ def test_required_vertices_decided_first(monkeypatch):
     exits = {"bad": 0, "pair": 0, "size": 0}
     for k, m, g in parents:
         full = _attachable_masks(g, k, m)
-        paths: list = [[]] * g.n  # nothing searched: no vertex bad, no pair clashes
-        if k is not None and g.n >= k - 1:
-            paths = [rooted_path_sets(g, u, k) for u in range(g.n)]
-        bad = sum(1 << u for u, sets in enumerate(paths) if sets is None)
-        # clash[u]: the good vertices w != u whose paths clash with u's
-        clash = [
-            sum(
-                1 << w
-                for w in range(g.n)
-                if w != u and paths[u] and paths[w] and _paths_clash(paths[u], paths[w], k)
-            )
-            for u in range(g.n)
-        ]
+        bad, clash = _rooted_verdicts(g, k)
+        # rank[u]: u's place in its twin class; lowest[u]: the class's lowest vertex
+        rank, lowest = [0] * g.n, [0] * g.n
+        for members in _twin_classes_by_definition(g):
+            for place, u in enumerate(u for u in range(g.n) if (members >> u) & 1):
+                rank[u], lowest[u] = place, (members & -members).bit_length() - 1
         for b in range(g.min_degree() + 2):
             need, size = _look_ahead(g, b)
             searched.clear()
@@ -451,10 +500,16 @@ def test_required_vertices_decided_first(monkeypatch):
             got = _attachable_masks(g, k, m, need, size)
             want = [mask for mask in full if mask & need == need and mask.bit_count() >= size]
             assert got == want, (k, m, graph6_encode(g), b)
+            assert len(set(searched)) == len(searched), searched
+            assert all(rank[u] <= 1 for u in searched), searched
+            pairs = [frozenset((lowest[u], lowest[w])) for u, w in compared]
+            assert len(set(pairs)) == len(pairs), compared
             allowed = [u for u in range(g.n) if not (bad >> u) & 1 and not clash[u] & need]
             if need & bad:
                 first = (need & bad & -(need & bad)).bit_length() - 1
-                assert searched == [u for u in range(first + 1) if (need >> u) & 1]
+                assert searched == [
+                    u for u in range(first + 1) if (need >> u) & 1 and not rank[u]
+                ]
                 assert not compared
                 exits["bad"] += 1
             elif any(clash[u] & need for u in range(g.n) if (need >> u) & 1):
@@ -466,6 +521,173 @@ def test_required_vertices_decided_first(monkeypatch):
                 assert all(((need >> u) | (need >> w)) & 1 for u, w in compared)
                 exits["size"] += 1
     assert exits["bad"] > 1000 and exits["pair"] > 300 and exits["size"] > 3000, exits
+
+
+def _twin_rich_free_graph(rng: random.Random) -> tuple[Graph, int]:
+    """A random blow-up (each vertex of a graph on 1-5 vertices becomes a
+    clique or an independent set of 1-4 vertices, edges become complete
+    joins, 0-2 vertex pairs are flipped, labels are shuffled) and a k with
+    no P_k in it, 1-3 above its longest path order."""
+    order = rng.randint(1, 5)
+    base = [(u, v) for u in range(order) for v in range(u) if rng.random() < 0.5]
+    blocks, n = [], 0
+    for _ in range(order):
+        size = rng.randint(1, 4)
+        blocks.append(range(n, n + size))
+        n += size
+    edges = set()
+    for block in blocks:
+        if rng.random() < 0.5:
+            edges |= {(a, b) for a in block for b in block if a < b}
+    for u, v in base:
+        edges |= {(a, b) for a in blocks[v] for b in blocks[u]}
+    for _ in range(rng.choice([0, 0, 1, 2]) if n > 1 else 0):
+        edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = relabel(make_graph(n, sorted(edges)), perm)
+    return g, longest_path_order(g) + rng.randint(1, 3)
+
+
+def test_twins_share_their_verdicts():
+    """The twin lemma of _attachable_masks against whole-child searches:
+    twins u, u' are bad together (g + v({u}) has a P_k iff g + v({u'})
+    has), every pair of distinct vertices from the same two twin classes
+    has one verdict (whether g + v({u, w}) has a P_k), and so has every
+    pair inside one class.  On every parent of the rule cells that forbid
+    a path and on 300 random twin-rich P_k-free blow-ups, where
+    _attachable_masks is also checked mask by mask against the children."""
+    checked = {"vertex": 0, "inner": 0, "across": 0}
+
+    def check(g: Graph, k: int) -> None:
+        bad, clash = _child_verdicts(g, k)
+        classes = [list(iter_bits(c)) for c in _twin_classes_by_definition(g)]
+        for members in classes:
+            if len(members) > 1:
+                assert len({bad >> u & 1 for u in members}) == 1, graph6_encode(g)
+                checked["vertex"] += 1
+                if not bad >> members[0] & 1:
+                    pairs = {clash[pair] for pair in combinations(members, 2)}
+                    assert len(pairs) == 1, graph6_encode(g)
+                    checked["inner"] += 1
+        # a pair with a bad vertex has a P_k in its child; the others:
+        good = [members for members in classes if not bad >> members[0] & 1]
+        for one, two in combinations(good, 2):
+            if len(one) + len(two) > 2:
+                pairs = {clash[min(u, w), max(u, w)] for u in one for w in two}
+                assert len(pairs) == 1, graph6_encode(g)
+                checked["across"] += 1
+
+    for k, m, n in RULE_CELLS:
+        if k is not None:
+            for level in _ENUMERATOR.levels(k, m, n - 1):
+                for g, _gens, _code in level:
+                    check(g, k)
+    rng = random.Random(15)
+    for _ in range(300):
+        g, k = _twin_rich_free_graph(rng)
+        check(g, k)
+        if g.n <= 9:
+            want = [
+                mask for mask in range(1 << g.n) if not has_path(_with_new_vertex(g, mask), k)
+            ]
+            assert _attachable_masks(g, k, None) == want, (graph6_encode(g), k)
+    assert min(checked.values()) > 1000, checked
+
+
+def _unpruned_candidates(levels: list, k, m, bound: int) -> list:
+    """_candidates(levels, k, m, bound) as it was before twin classes were
+    used, kept as the reference: for each parent, one rooted search per
+    vertex, every pair of good vertices compared, every mask tested in
+    turn (need, size, the degree test, bad vertices, clashing pairs,
+    cliques), and the orbit of each kept mask closed under every
+    generator, vertex by vertex, its least mask taken."""
+    out = []
+    for g, gens, _code in levels[-1]:
+        n, degs = g.n, g.degrees()
+        need, size = _look_ahead(g, bound)
+        bad, clash = _rooted_verdicts(g, k)
+        # |M| >= size >= every degree, so the new vertex has maximum degree
+        # unless |M| equals the maximum degree and M holds a vertex of it
+        top = max(degs, default=0)
+        at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
+        kept = []
+        for mask in range(1 << n) if (k is None or k > 1) and (m is None or m > 1) else ():
+            count = mask.bit_count()
+            if mask & need != need or count < size or mask & bad:
+                continue
+            if count == top and mask & at_top:
+                continue
+            if any(clash[u] & mask for u in iter_bits(mask)):
+                continue
+            if m is not None and has_clique_in(g, mask, m - 1):
+                continue
+            kept.append(mask)
+        seen: set[int] = set()
+        for mask in kept:
+            if mask in seen:
+                continue
+            out.append((g, mask))
+            seen.add(mask)
+            orbit = [mask]
+            for x in orbit:
+                for a in gens:
+                    y = sum(1 << a[u] for u in iter_bits(x))
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+    return out
+
+
+def _scrambled(level: list, rng: random.Random) -> list:
+    """The level with each generator that moves a twin class onto another
+    followed by a random permutation of every twin class (the twin swaps
+    are kept), so the generators span the same group but no longer map
+    each class onto its image in order."""
+    out = []
+    for g, gens, code in level:
+        classes = [list(iter_bits(c)) for c in _twin_classes_by_definition(g)]
+        home = {u: members[0] for members in classes for u in members}
+        scrambled = []
+        for a in gens:
+            if any(home[a[u]] != home[u] for u in range(g.n)):
+                t = list(range(g.n))
+                for members in classes:
+                    for u, w in zip(members, rng.sample(members, len(members))):
+                        t[u] = w
+                a = tuple(t[x] for x in a)
+            scrambled.append(a)
+        out.append((g, tuple(scrambled), code))
+    return out
+
+
+def test_candidates_match_the_unpruned_reference():
+    """_candidates, which searches one vertex per twin class, compares
+    each pair of classes once, stops when too few vertices are left and
+    takes orbit representatives among the twin-canonical masks, returns
+    exactly the candidates of the unpruned reference, in order: on every
+    level of the rule cells below n at bounds 0 to 3, the same levels with
+    scrambled generators (_scrambled) at bound 0, and on every step of the
+    look-ahead cells' filtered chains (δ = 1, 2, 3) at its bound."""
+    rng = random.Random(15)
+    jobs = []
+    for k, m, n in RULE_CELLS:
+        levels = _ENUMERATOR.levels(k, m, n - 1)
+        jobs += [(k, m, levels[: i + 1], b) for i in range(n) for b in range(4)]
+        jobs += [(k, m, [_scrambled(level, rng)], 0) for level in levels]
+    for k, m, orders in LOOK_AHEAD_CELLS:
+        for n in orders:
+            for delta in range(1, min(n, 4)):
+                _ENUMERATOR.chain(k, m, n, delta, None)
+                chain = _ENUMERATOR.levels(k, m, n - delta)
+                chain += _ENUMERATOR.filtered[(k, m, n, delta)]
+                jobs += [(k, m, chain[: n - delta + j + 1], j + 1) for j in range(delta)]
+    total = 0
+    for k, m, levels, b in jobs:
+        got = oracle._candidates(levels, k, m, b, None)
+        assert got == _unpruned_candidates(levels, k, m, b), (k, m, len(levels) - 1, b)
+        total += len(got)
+    assert total > 10000, total
 
 
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
@@ -935,6 +1157,36 @@ def test_time_budget_in_classification(monkeypatch):
     assert 0 < len(classified) < 10
     argv = ["classify", "--exhaustive", "--k", "7", "--m", "4", "--n", "7..9"]
     assert cli.main(argv + ["--budget", "0.35"]) == 3
+
+
+def test_time_budget_in_the_family_checks(monkeypatch):
+    """verify_theorem checks the deadline before each n's check of the
+    predicted family.  With the oracle's answers for (7,4), r = 2, n =
+    7..9 computed beforehand and served at once, and each family check
+    made to sleep 0.1 s, a 0.15 s budget runs out after the family checks
+    of n = 7 and 8: the sweep stops within one family check of it, the
+    stats name the stage, the n reached and the rows done, and verify
+    exits 3."""
+    answers = {n: ex_oracle(n, 7, 4, 2, connected=True) for n in range(7, 10)}
+    checked = []
+    family = oracle._predicted_family
+
+    def slow(n, *args):
+        checked.append(n)
+        time.sleep(0.1)
+        return family(n, *args)
+
+    monkeypatch.setattr(oracle, "ex_oracle", lambda n, *args, **kwargs: answers[n])
+    monkeypatch.setattr(oracle, "_predicted_family", slow)
+    budget = 0.15
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        verify_theorem(TheoremParams(7, 4, 2), range(7, 10), "connected", budget)
+    assert time.monotonic() - t0 < budget + 0.1 + 0.3
+    assert checked == [7, 8]
+    assert info.value.stats == {"stage": "family", "n": 9, "rows": 2}
+    argv = ["verify", "--k", "7", "--m", "4", "--r", "2", "--n", "7..9", "--connected"]
+    assert cli.main(argv + ["--budget", "0.15"]) == 3
 
 
 def test_one_budget_per_command(monkeypatch):
