@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .graph6 import graph6_rows
-from .graphs import Graph, iter_bits, lower_twins
+from .graphs import Graph, _unchecked_graph, iter_bits, lower_twins
 
 
 def _twin_transpositions(
@@ -259,7 +259,7 @@ def canonical_with_generators(g: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
         if tb not in seen:
             seen.add(tb)
             out.append(tb)
-    return Graph(g.n, rows), out
+    return _unchecked_graph(g.n, rows), out
 
 
 def canonical(g: Graph) -> bytes:

@@ -23,6 +23,9 @@ class Graph:
 
     rows[u] is the neighbour bitmask of u.  Invariants (checked on
     construction): symmetric adjacency, no loops, no bits at positions >= n.
+    Graphs that the package builds from a graph it already holds, valid by
+    construction (a child in enumeration, a canonical relabelling), are
+    made by _unchecked_graph, which skips the check.
     """
 
     n: int
@@ -84,6 +87,15 @@ class Graph:
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
+
+
+def _unchecked_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph(n, rows) without the invariant check, for rows that satisfy
+    it by construction; never for rows read from outside the package."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -14,16 +14,19 @@ are decided in the parent itself, from the vertex sets of the paths that
 start at each vertex.  Twins have equal verdicts, so a parent costs one
 rooted path search per twin class (two for a good class of two or more
 vertices), at most one comparison of path sets per pair of good
-classes, and one pass over the subsets of the vertices that a kept mask
-may hold; the argument is in _attachable_masks.  Only masks that give
-the new vertex maximum degree in the child are kept, since every graph
-in the class arises by attaching a vertex of maximum degree (see
-_extend), so a mask needs at least as many vertices as the parent's
-maximum degree, and a parent stops as soon as too few vertices are left
-to hold.  Only the masks' orbit representatives under the parent's
-automorphisms are built and labelled canonically; they are found among
-the masks that hold the lowest vertices of each twin class, closed
-under the generators that are not twin swaps (_orbit_representatives).
+classes, and one pass that grows only the masks holding the lowest
+vertices of each twin class (twin-canonical), each from a smaller one;
+the argument is in _attachable_masks.  Only masks that give the new
+vertex maximum degree in the child are kept, since every graph in the
+class arises by attaching a vertex of maximum degree (see _candidates),
+so a mask needs at least as many vertices as the parent's maximum
+degree, and a parent stops as soon as too few vertices are left to
+hold.  Only the masks' orbit representatives under the parent's
+automorphisms are built and labelled canonically; every orbit minimum
+is twin-canonical, so they are found among the twin-canonical masks by
+closing them under the generators that are not twin swaps
+(_orbit_representatives).  Children and canonical forms are valid by
+construction and built without the Graph check.
 
 A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
@@ -84,7 +87,7 @@ from .formulas import (
     threshold_case,
 )
 from .graph6 import graph6_encode
-from .graphs import Graph, induced, iter_bits, lower_twins
+from .graphs import Graph, _unchecked_graph, induced, iter_bits, lower_twins
 from .reports import VerificationRow, sort_rows
 
 HARD_CAP = 10
@@ -182,21 +185,23 @@ def _image_table(bits: list[int]) -> list[int]:
     return table
 
 
-def _orbit_representatives(g: Graph, masks: list[int], gens: tuple) -> list[int]:
+def _orbit_representatives(masks: list[int], gens: tuple, lower: list[int]) -> list[int]:
     """The least mask of each orbit of masks under the group generated by
-    gens, ascending.  masks must be ascending and closed under gens, and
-    the group must hold every twin swap of g, as the generators of
+    gens, ascending, for a graph with lower twins lower
+    (graphs.lower_twins).  masks must be ascending and twin-canonical,
+    and hold the twin-canonical masks of every orbit they meet; the group
+    must hold every twin swap of the graph, as the generators of
     canon.canonical_with_generators do.
 
-    Soundness.  Let T be the group of the permutations of g that map
-    every twin class onto itself.  A mask is twin-canonical when it holds
-    the lowest vertices of each class; every mask has one twin-canonical
-    image under T, canon(x).
+    Soundness.  Let T be the group of the permutations of the graph that
+    map every twin class onto itself.  A mask is twin-canonical when it
+    holds the lowest vertices of each class; every mask has one
+    twin-canonical image under T, canon(x).
     - T is generated by the twin swaps, so it lies in the group.  Every
       orbit minimum is twin-canonical: moving a vertex of x to a lower
       vertex of its class outside x is a twin swap and gives a smaller
-      mask.  So the first twin-canonical mask met, in ascending order, of
-      each orbit is its minimum.
+      mask.  So the first mask met, in ascending order, of each orbit is
+      its minimum.
     - An automorphism a maps twin classes onto twin classes, so T is
       normal in the group, and the twin-canonical masks of one orbit are
       the canon(x) of its T-orbits, which the group permutes as a acts by
@@ -208,13 +213,11 @@ def _orbit_representatives(g: Graph, masks: list[int], gens: tuple) -> list[int]
       in T, an automorphism too.
     Each b other than the identity is read from two lookup tables, one
     for the low half of the vertices and one for the high half, so no
-    image is built vertex by vertex; so is the union of the next lower
-    twins of a mask's vertices, which a twin-canonical mask holds.  A
-    parent with at most one mask, or with no generators, builds nothing."""
+    image is built vertex by vertex.  A graph with at most one mask, or
+    with no generators, builds nothing."""
     if len(masks) <= 1 or not gens:
         return masks
-    i = g.n
-    lower = lower_twins(g)
+    i = len(lower)
     classes = _twin_classes(lower)
     lowest = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(lower)]
     maps = set()
@@ -235,14 +238,10 @@ def _orbit_representatives(g: Graph, masks: list[int], gens: tuple) -> list[int]
     for b in maps:
         bits = [1 << t for t in b]
         tables.append((_image_table(bits[:half]), _image_table(bits[half:])))
-    # a mask is twin-canonical iff it holds the next lower twin of each of
-    # its vertices that has one
-    below = [1 << (low.bit_length() - 1) if low else 0 for low in lower]
-    lo_below, hi_below = _image_table(below[:half]), _image_table(below[half:])
     seen: set[int] = set()
     out = []
     for mask in masks:
-        if mask in seen or (lo_below[mask & low_half] | hi_below[mask >> half]) & ~mask:
+        if mask in seen:
             continue
         out.append(mask)
         seen.add(mask)
@@ -261,7 +260,7 @@ def _attach(g: Graph, mask: int) -> Graph:
     bit = 1 << g.n
     rows = [r | bit if (mask >> u) & 1 else r for u, r in enumerate(g.rows)]
     rows.append(mask)
-    return Graph(g.n + 1, tuple(rows))
+    return _unchecked_graph(g.n + 1, tuple(rows))
 
 
 def _paths_clash(su: list[dict[int, int]], sw: list[dict[int, int]], k: int) -> bool:
@@ -285,10 +284,17 @@ def _attachable_masks(
     forbid_clique: Optional[int],
     need: int = 0,
     size: int = 0,
+    lower: Optional[list[int]] = None,
 ) -> list[int]:
-    """Every mask M, ascending, for which g + v(M) is {P_k, K_m}-free,
-    where g is {P_k, K_m}-free and v is a new vertex with neighbourhood M,
-    and which holds every vertex of need and has at least size vertices.
+    """Every twin-canonical mask M, ascending, for which g + v(M) is
+    {P_k, K_m}-free, where g is {P_k, K_m}-free and v is a new vertex with
+    neighbourhood M, which holds every vertex of need, has at least size
+    vertices, and holds no vertex of degree D if |M| = D, D the maximum
+    degree of g.  lower is graphs.lower_twins(g), computed if not given.
+    A mask is twin-canonical when it holds the lowest vertices of each
+    twin class, that is, the next lower twin of each of its vertices that
+    has one.  With size >= D, the last condition is the degree test of
+    _candidates: v has maximum degree in g + v(M).
 
     Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
     - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
@@ -345,24 +351,41 @@ def _attachable_masks(
     clash with need leave allowed, with the same test of size.  Only then
     are the pairs of the other classes compared.
 
-    Both conditions are closed under taking subsets, so one pass over
-    the submasks of allowed in ascending order decides every mask from
-    M - t, t the top vertex of M: M survives iff M - t does, t clashes
-    with no vertex of M - t, and the clique number max(ω(M - t),
-    1 + ω(N(t) ∩ (M - t))) is below m - 1.  M - t and N(t) ∩ (M - t) are
-    smaller submasks of allowed and subsets of a survivor, so they are
-    survivors whose clique numbers are known.  allowed and clash are
-    invariant under Aut(g), so the kept masks are closed under it, as
+    Only twin-canonical survivors are grown.  A table of them, each with
+    its clique number, starts at the empty mask and grows one top vertex
+    t at a time, t ascending over allowed: a mask M of the table gets t
+    iff M holds t's next lower twin, t clashes with no vertex of M, and
+    max(ω(M), 1 + ω(N(t) ∩ M)) is below m - 1.  Soundness: let M' be
+    twin-canonical with top vertex t, and M = M' - t.
+    - M is twin-canonical: a vertex u of M has its next lower twin u'
+      below u < t, and u' is in M'.
+    - N(t) ∩ M is twin-canonical: for u in it, u' is in M, and t is
+      neither u nor u', so t ~ u iff t ~ u' (twins), and u' is in N(t).
+    - Both conditions (no bad vertex or clashing pair, no K_{m-1}) are
+      closed under taking subsets, so M' survives iff M survives, t
+      clashes with no vertex of M and that clique number is below m - 1.
+      By induction on t, M and N(t) ∩ M are twin-canonical survivors
+      with top below t, so they are in the table when t is tried, and no
+      twin-canonical survivor is lost.  Masks are added in ascending
+      order, since those that get t exceed every mask of the table and
+      are added in its order.
+    With size >= D, as _candidates passes it, a kept mask has at least D
+    vertices, so the degree test has only the case |M| = D left to
+    decide; it is read on the output.  allowed, clash, need, size and the
+    degree test are invariant under Aut(g), so the kept masks hold the
+    twin-canonical masks of every orbit they meet, as
     _orbit_representatives needs.
     """
     k, m = forbid_path, forbid_clique
     if (k is not None and k <= 1) or (m is not None and m <= 1) or size > g.n:
         return []
     i, rows = g.n, g.rows
+    if lower is None:
+        lower = lower_twins(g)
     allowed = (1 << i) - 1
     clash = [0] * i  # clash[u]: the allowed vertices that u cannot share a mask with
     if k is not None and i >= k - 1:
-        classes = _twin_classes(lower_twins(g))
+        classes = _twin_classes(lower)
         required = [c for c in classes if (need >> c) & 1]
         paths = {}
         for c in required + [c for c in classes if not (need >> c) & 1]:
@@ -408,43 +431,29 @@ def _attachable_masks(
         for c in free:
             for u in iter_bits(classes[c]):
                 clash[u] = across[c] & ~(1 << u)
-    # table[M] = 1 + clique number of M if M survives, else 0; a survivor
-    # has 1 + ω(M) < m, and 1 + ω(M) <= i + 1 always
+    # table[M] = 1 + ω(M) for the twin-canonical survivors M, in ascending
+    # order; a survivor has 1 + ω(M) < m, and 1 + ω(M) <= i + 1 always
     limit = i + 2 if m is None else m
-    table = bytearray(1 << i)
-    table[0] = 1
-    out = [] if need or size else [0]
-    mask = 0
-    while mask != allowed:
-        mask = (mask - allowed) & allowed
-        t = mask.bit_length() - 1
-        rest = mask ^ (1 << t)
-        w = table[rest]
-        if not w or clash[t] & mask:
-            continue
-        w = max(w, table[rows[t] & rest] + 1)
-        if w < limit:
-            table[mask] = w
-            if mask & need == need and mask.bit_count() >= size:
-                out.append(mask)
-    return out
-
-
-def _degree_masks(g: Graph, masks: list[int]) -> list[int]:
-    """The masks M, in their order, for which the new vertex has maximum
-    degree in g + v(M): |M| >= deg_g(u) + [u in M] for every vertex u.
-
-    With D the maximum degree of g, that is |M| > D, or |M| = D and M
-    holds no vertex of degree D.  The test reads only degrees, so it is
-    invariant under Aut(g): masks that were ascending and closed under a
-    set of automorphisms stay so."""
-    degs = g.degrees()
+    table = {0: 1}
+    for t in iter_bits(allowed):
+        low = lower[t]
+        below = 1 << (low.bit_length() - 1) if low else 0
+        bit, row, clash_t = 1 << t, rows[t], clash[t]
+        for mask, w in list(table.items()):
+            if mask & below != below or clash_t & mask:
+                continue
+            w = max(w, table[row & mask] + 1)
+            if w < limit:
+                table[mask | bit] = w
+    degs = [r.bit_count() for r in rows]
     top = max(degs, default=0)
     at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
     return [
         mask
-        for mask in masks
-        if (size := mask.bit_count()) > top or (size == top and not mask & at_top)
+        for mask in table
+        if mask & need == need
+        and (count := mask.bit_count()) >= size
+        and not (count == top and mask & at_top)
     ]
 
 
@@ -524,23 +533,26 @@ def _candidates(
     for its own bound; M = φ(N(u)) gives a child isomorphic to G, so it
     passes the min-degree test.
 
-    _attachable_masks keeps only the masks that hold need and have at
-    least size = max(D, bound) vertices, D the maximum degree of g, the
-    least |M| that passes both tests; for bound = 0, need is empty.  Both
-    are read from degrees, so they are invariant under Aut(g), M' in the
-    orbit of M passes too, and the kept masks are closed under the
-    generators.  Those hold every twin swap of P
+    _attachable_masks keeps only the twin-canonical masks that hold need,
+    have at least size = max(D, bound) vertices, D the maximum degree of
+    g, the least |M| that passes both tests, and pass the degree test;
+    for bound = 0, need is empty.  All are read from degrees and twin
+    classes, so they are invariant under Aut(g): M' in the orbit of M
+    passes too, and the kept masks hold the twin-canonical masks of every
+    orbit they meet.  The generators hold every twin swap of P
     (canonical_with_generators), so _orbit_representatives can take the
-    least twin-canonical mask of each orbit and apply no twin swap."""
+    least twin-canonical mask of each orbit and apply no twin swap.  The
+    twin classes (graphs.lower_twins) are computed once per parent for
+    both."""
     out: list[Candidate] = []
     for g, gens, _code in levels[-1]:
         _check_deadline(deadline, levels, "levels")
         degs = g.degrees()
         need = sum(1 << u for u, d in enumerate(degs) if d < bound)
         size = max(max(degs, default=0), bound)
-        masks = _attachable_masks(g, forbid_path, forbid_clique, need, size)
-        masks = _degree_masks(g, masks)
-        out += [(g, mask) for mask in _orbit_representatives(g, masks, gens)]
+        lower = lower_twins(g)
+        masks = _attachable_masks(g, forbid_path, forbid_clique, need, size, lower)
+        out += [(g, mask) for mask in _orbit_representatives(masks, gens, lower)]
     return out
 
 

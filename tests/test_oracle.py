@@ -36,8 +36,8 @@ from pathclique.oracle import (
     EnumerationConfig,
     Enumerator,
     _ENUMERATOR,
+    _attach,
     _attachable_masks,
-    _degree_masks,
     _paths_clash,
     clear_cache,
     disintegrate,
@@ -145,6 +145,52 @@ def test_degenerate_parameters():
         assert sizes == [1] + [want] * 10, (k, m)
 
 
+def _longest_path_order(g: nx.Graph) -> int:
+    """The most vertices on a path of g, by trying every simple path until
+    one visits every vertex."""
+    best = 0
+
+    def dfs(v, visited: set) -> None:
+        nonlocal best
+        best = max(best, len(visited))
+        for w in g[v]:
+            if w not in visited and best < len(g):
+                dfs(w, visited | {w})
+
+    for v in g:
+        dfs(v, {v})
+    return best
+
+
+def test_enumeration_matches_the_graph_atlas():
+    """Every level to n = 7 against the networkx graph atlas, one graph per
+    isomorphism class on at most 7 vertices: for each k and m (None:
+    unforbidden, not both), the atlas graphs whose longest path has fewer
+    than k vertices (a brute-force search here) and whose clique number
+    (networkx.find_cliques) is below m have the same count and the same
+    canonical codes as enumerate_graphs at every n."""
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    facts = []  # (order, longest path order, clique number, canonical code)
+    for h in atlas:
+        g = make_graph(h.number_of_nodes(), h.edges())
+        omega = max((len(c) for c in nx.find_cliques(h)), default=0)
+        facts.append((g.n, _longest_path_order(h), omega, canonical(g).decode()))
+    for k in (None, *range(2, 9)):
+        for m in (None, *range(2, 8)):
+            if k is None and m is None:
+                continue
+            for n in range(8):
+                want = sorted(
+                    code
+                    for order, path, omega, code in facts
+                    if order == n and (k is None or path < k) and (m is None or omega < m)
+                )
+                config = EnumerationConfig(n=n, forbid_path=k, forbid_clique=m)
+                got = [graph6_encode(g) for g in enumerate_graphs(config)]
+                assert got == want, (k, m, n)
+
+
 def test_level_lists_byte_identical():
     for (k, m, n), want in LEVEL_DIGESTS.items():
         lines = []
@@ -203,6 +249,30 @@ def _with_new_vertex(g: Graph, mask: int) -> Graph:
     return Graph(g.n + 1, tuple(rows) + (mask,))
 
 
+def _twin_canon(classes: list[int], mask: int) -> int:
+    """The image of mask that holds, of each twin class in classes (as
+    bitmasks), as many vertices as mask does, the lowest ones."""
+    out = 0
+    for members in classes:
+        for u in list(iter_bits(members))[: (mask & members).bit_count()]:
+            out |= 1 << u
+    return out
+
+
+def _canonical_max_degree(g: Graph, masks: list[int]) -> list[int]:
+    """The masks, in their order, that are twin-canonical (equal to their
+    _twin_canon) and give the new vertex maximum degree in g + v(M):
+    deg(u) + [u in M] <= |M| for every vertex u of g."""
+    classes = _twin_classes_by_definition(g)
+    degs = g.degrees()
+    return [
+        mask
+        for mask in masks
+        if _twin_canon(classes, mask) == mask
+        and all(d + (mask >> u & 1) <= mask.bit_count() for u, d in enumerate(degs))
+    ]
+
+
 def test_mask_rule_matches_unpruned_extension():
     """The pruned enumeration against an unpruned one kept here.
 
@@ -212,9 +282,12 @@ def test_mask_rule_matches_unpruned_extension():
     are automorphisms, so all candidates of an orbit are isomorphic.  Each
     level to n must hold the same graphs and codes as the one built from
     the level below by labelling every free orbit representative
-    canonically, with no degree filter.  Which candidate reaches a code
-    first depends on the filter, so the stored generators may differ;
-    they must be automorphisms of the stored graph."""
+    canonically, with no degree filter.  _attachable_masks, which grows
+    only twin-canonical masks and applies the degree test, must return
+    the twin-canonical free masks whose new vertex has maximum degree.
+    Which candidate reaches a code first depends on the filter, so the
+    stored generators may differ; they must be automorphisms of the stored
+    graph."""
     for k, m, n in RULE_CELLS:
         levels = _ENUMERATOR.levels(k, m, n)
         for i in range(n):
@@ -231,7 +304,8 @@ def test_mask_rule_matches_unpruned_extension():
                         cf, _cgens = canonical_with_generators(cand)
                         out.setdefault(graph6_encode(cf), cf)
                 want = [mask for mask in range(1 << i) if free[minima[mask]]]
-                assert _attachable_masks(g, k, m) == want, (k, m, code)
+                got = _attachable_masks(g, k, m, *_look_ahead(g, 0))
+                assert got == _canonical_max_degree(g, want), (k, m, code)
             got = [(cf, c) for cf, _cgens, c in levels[i + 1]]
             assert got == [(out[c], c) for c in sorted(out)], (k, m, i + 1)
             for cf, cgens, c in levels[i + 1]:
@@ -327,23 +401,42 @@ def _look_ahead(g: Graph, bound: int) -> tuple[int, int]:
     return need, max(max(degs, default=0), bound)
 
 
+@functools.cache
+def _free_masks(g: Graph, k, m) -> tuple[int, ...]:
+    """Every mask M, ascending, for which g + v(M) has no P_k and no K_m:
+    no bad vertex and no clashing pair (_rooted_verdicts: one search per
+    vertex, every pair compared) and no K_{m-1} in M."""
+    if (k is not None and k <= 1) or (m is not None and m <= 1):
+        return ()
+    bad, clash = _rooted_verdicts(g, k)
+    return tuple(
+        mask
+        for mask in range(1 << g.n)
+        if not mask & bad
+        and not any(clash[u] & mask for u in iter_bits(mask))
+        and (m is None or not has_clique_in(g, mask, m - 1))
+    )
+
+
 def test_max_degree_masks():
     """For every parent of the rule cells' levels below n, the masks that
-    _extend keeps (_attachable_masks with need and size, then the degree
-    filter) are exactly the attachable masks whose new vertex has maximum
-    degree in the child, and, with a bound b from 1 to the parent's min
-    degree + 1, those whose child also has min degree >= b.  What it
-    keeps is closed under the parent's generators, as
-    _orbit_representatives needs."""
+    _extend keeps (_attachable_masks with need and size, which applies the
+    degree test) are exactly the twin-canonical attachable masks
+    (_free_masks) whose new vertex has maximum degree in the child, and,
+    with a bound b from 1 to the parent's min degree + 1, those whose
+    child also has min degree >= b.  What it keeps holds canon(a(M)) for
+    every kept M and generator a, canon the twin-canonical image
+    (_twin_canon), as _orbit_representatives needs."""
     bounded = 0
     for k, m, n in RULE_CELLS:
         for i, level in enumerate(_ENUMERATOR.levels(k, m, n - 1)):
             for g, gens, code in level:
-                masks = _attachable_masks(g, k, m)
+                classes = _twin_classes_by_definition(g)
+                masks = [x for x in _free_masks(g, k, m) if _twin_canon(classes, x) == x]
                 # deg(u) + [u in M] in the child against |M| for the new vertex
                 degs = g.degrees()
                 for b in range(g.min_degree() + 2):
-                    kept = _degree_masks(g, _attachable_masks(g, k, m, *_look_ahead(g, b)))
+                    kept = _attachable_masks(g, k, m, *_look_ahead(g, b))
                     want = [
                         mask
                         for mask in masks
@@ -358,7 +451,7 @@ def test_max_degree_masks():
                     for mask in kept:
                         for a in gens:
                             img = sum(1 << a[u] for u in range(i) if (mask >> u) & 1)
-                            assert img in members, (k, m, code, b, mask)
+                            assert _twin_canon(classes, img) in members, (k, m, code, b, mask)
                     bounded += len(kept) if b else 0
     assert bounded > 1000
 
@@ -556,7 +649,9 @@ def test_twins_share_their_verdicts():
     has one verdict (whether g + v({u, w}) has a P_k), and so has every
     pair inside one class.  On every parent of the rule cells that forbid
     a path and on 300 random twin-rich P_k-free blow-ups, where
-    _attachable_masks is also checked mask by mask against the children."""
+    _attachable_masks is also checked mask by mask against the children:
+    it must return the twin-canonical masks whose child has no P_k and
+    whose new vertex has maximum degree (_canonical_max_degree)."""
     checked = {"vertex": 0, "inner": 0, "across": 0}
 
     def check(g: Graph, k: int) -> None:
@@ -589,9 +684,12 @@ def test_twins_share_their_verdicts():
         check(g, k)
         if g.n <= 9:
             want = [
-                mask for mask in range(1 << g.n) if not has_path(_with_new_vertex(g, mask), k)
+                mask
+                for mask in _canonical_max_degree(g, range(1 << g.n))
+                if not has_path(_with_new_vertex(g, mask), k)
             ]
-            assert _attachable_masks(g, k, None) == want, (graph6_encode(g), k)
+            got = _attachable_masks(g, k, None, *_look_ahead(g, 0))
+            assert got == want, (graph6_encode(g), k)
     assert min(checked.values()) > 1000, checked
 
 
@@ -688,6 +786,39 @@ def test_candidates_match_the_unpruned_reference():
         assert got == _unpruned_candidates(levels, k, m, b), (k, m, len(levels) - 1, b)
         total += len(got)
     assert total > 10000, total
+
+
+def test_unchecked_graphs_are_valid():
+    """Enumeration builds its children (_attach) and their canonical forms
+    (canonical_with_generators) without the Graph check.  Each of them
+    passes it: every graph of the levels of the rule and look-ahead cells,
+    of their filtered chains (δ = 1, 2, 3) and of their extremal winners
+    (r = 2, 3, connected or not) at every order, and the child of every
+    candidate (every kept orbit representative) of those levels and
+    chains, rebuilt by the checking constructor from a tuple of its rows,
+    equals itself."""
+    graphs = []
+    cells = RULE_CELLS + [(k, m, orders[-1]) for k, m, orders in LOOK_AHEAD_CELLS]
+    for k, m, n in cells:
+        levels = _ENUMERATOR.levels(k, m, n)
+        graphs += [g for level in levels for g, _gens, _code in level]
+        for order in range(1, n + 1):
+            graphs += [_attach(g, mask) for g, mask in _ENUMERATOR.children(k, m, order)]
+            for r in (2, 3):
+                for connected in (False, True):
+                    graphs += _ENUMERATOR.extremal(k, m, order, r, connected, None)[1]
+    for k, m, orders in LOOK_AHEAD_CELLS:
+        for n in orders:
+            for delta in range(1, min(n, 4)):
+                chain = _ENUMERATOR.chain(k, m, n, delta, None)
+                for j in range(delta):
+                    top = n - delta + j
+                    steps = oracle._candidates(chain[: top + 1], k, m, j + 1, None)
+                    graphs += [_attach(g, mask) for g, mask in steps]
+                    graphs += [g for g, _gens, _code in chain[top + 1]]
+    for g in graphs:
+        assert Graph(g.n, tuple(g.rows)) == g, graph6_encode(g)
+    assert len(graphs) > 10000, len(graphs)
 
 
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
