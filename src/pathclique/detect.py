@@ -10,6 +10,14 @@ sets and end vertices.  Enumeration asks it of a parent graph to decide
 attachment masks (oracle._attachable_masks), and the strong dominating
 path and cycle are read from its levels, since whether a path dominates
 depends only on its vertex set.
+
+count_cliques and count_cliques_in are one clique recursion.  On large
+inputs it runs over twin classes (graphs.lower_twins) with weights: a
+vertex outside a class sees all of it or none of it, so a clique takes one
+vertex of an open (independent) class in s ways and t vertices of a
+closed (complete) class in C(s, t) ways.  Turan graphs and H_n(m, k) have
+a few twin classes, so their counts take one step per clique of classes,
+not per clique; the soundness argument is in count_cliques_in.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .canon import canonical
@@ -31,30 +40,125 @@ def count_cliques(g: Graph, r: int) -> int:
     return count_cliques_in(g, g.vertex_mask(), r)
 
 
+# count_cliques_in finds twin classes only when the clique recursion could
+# take more than this many steps per vertex of g.  Finding them costs 2-3
+# steps per vertex; the margin is for graphs sparser than complete, whose
+# recursion takes far fewer steps than its worst case, C(|mask|, r - 1).
+_TWIN_PASS_STEPS = 8
+
+
 def count_cliques_in(g: Graph, mask: int, r: int) -> int:
-    """Number of K_r subgraphs inside the vertices of mask."""
+    """Number of K_r subgraphs inside the vertices of mask.
+
+    N_0 = 1, N_1 = |mask| and N_2 = the edges inside mask are closed forms,
+    the base of the recursion (_cliques).  For r >= 3 the recursion runs
+    over the twin classes of g intersected with mask, one weighted
+    representative per class, when it could take more steps on mask,
+    C(|mask|, r - 1) at worst, than _TWIN_PASS_STEPS per vertex of g;
+    otherwise it runs over the vertices of mask, each of weight 1.
+
+    Soundness.  Twins (graphs.lower_twins) form an equivalence relation,
+    and two vertices of one class of g are still twins in g[mask], so the
+    classes of g intersected with mask partition mask into twin classes of
+    g[mask] (maybe finer than its own, which only costs speed).  A vertex
+    outside a class is adjacent to all of the class or to none of it,
+    since any two members have the same neighbours outside the pair.  A
+    class is open (pairwise non-adjacent) or closed (pairwise adjacent),
+    so a clique holds at most one vertex of an open class and any t of a
+    closed one.  A clique K of g[mask] therefore meets a set of classes
+    whose representatives form a clique Q, takes t_c >= 1 vertices of each
+    class c of Q, and every such choice is a clique.  With w_c(1) = s_c
+    and w_c(t) = 0 for t > 1 for an open class of size s_c, and w_c(t) =
+    C(s_c, t) for a closed one (a singleton has w(1) = 1 either way),
+    N_r = sum over cliques Q of the representatives, and over t_c >= 1
+    with sum t_c = r, of prod_c w_c(t_c).  The recursion meets each such
+    Q once, its representatives in ascending order."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return 1
-    if r == 1:
-        return mask.bit_count()
-    rows = g.rows
+    if r <= 2 or comb(mask.bit_count(), r - 1) <= _TWIN_PASS_STEPS * g.n:
+        return _cliques(g.rows, mask, 0, {}, r)
+    return _cliques(g.rows, *_twin_weights(g, mask), r)
+
+
+def _twin_weights(g: Graph, mask: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+    """(reps, heavy, weights) for the twin classes of g intersected with
+    mask: reps holds the lowest vertex of each class, heavy those of the
+    classes with two or more vertices, and weights[v] = (w(1), ..., w(t))
+    for v in heavy, up to the largest t with w(t) > 0."""
+    rows, lower = g.rows, lower_twins(g)
+    reps, sizes, closed = mask, {}, 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        twins = lower[low.bit_length() - 1] & mask
+        if twins:
+            rep = twins & -twins
+            reps ^= low
+            sizes[rep] = sizes.get(rep, 1) + 1
+            if rows[rep.bit_length() - 1] & low:
+                closed |= rep
+    heavy, weights = 0, {}
+    for rep, s in sizes.items():
+        heavy |= rep
+        w = tuple(comb(s, t) for t in range(1, s + 1)) if rep & closed else (s,)
+        weights[rep.bit_length() - 1] = w
+    return reps, heavy, weights
+
+
+def _weigh(cand: int, heavy: int, weights: dict[int, tuple[int, ...]]) -> int:
+    """The vertices of g that the representatives in cand stand for."""
+    total = cand.bit_count()
+    cand &= heavy
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        total += weights[low.bit_length() - 1][0] - 1
+    return total
+
+
+def _cliques(
+    rows: tuple[int, ...],
+    cand: int,
+    heavy: int,
+    weights: dict[int, tuple[int, ...]],
+    need: int,
+) -> int:
+    """The weighted number of need-cliques inside cand (count_cliques_in):
+    the representative v of each class is taken in ascending order with t
+    of its vertices, for each t with weight w_v(t), and the rest of the
+    clique is counted among its later neighbours.  need = 2 is the closed
+    form: each v pairs inside its own class and with the weight of its
+    later neighbours.  A representative outside heavy has the weights (1,),
+    which is the whole work when heavy is 0."""
     total = 0
-
-    def rec(cand: int, need: int) -> None:
-        nonlocal total
-        if need == 1:
-            total += cand.bit_count()
-            return
+    if need == 2:
         while cand:
-            if cand.bit_count() < need:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            rec(rows[v] & cand, need - 1)
-
-    rec(mask, r)
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            later = rows[v] & cand
+            if (later | low) & heavy:
+                w = weights.get(v, (1,))
+                pairs = w[1] if len(w) > 1 else 0
+                total += pairs + w[0] * _weigh(later, heavy, weights)
+            else:
+                total += later.bit_count()
+        return total
+    if need < 2:
+        return _weigh(cand, heavy, weights) if need else 1
+    while cand:
+        if cand.bit_count() < need and not cand & heavy:
+            break
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        later = rows[v] & cand
+        if low & heavy:
+            for t, w in enumerate(weights[v][:need], 1):
+                total += w * _cliques(rows, later, heavy, weights, need - t)
+        elif later & heavy or later.bit_count() >= need - 1:
+            total += _cliques(rows, later, heavy, weights, need - 1)
     return total
 
 

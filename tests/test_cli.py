@@ -1,6 +1,7 @@
 import json
 
 from pathclique import cli
+from pathclique.constructions import turan
 from pathclique.detect import ClassificationOutcome, StructureClass
 from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import primitive
@@ -19,6 +20,13 @@ def test_construct_and_count(capsys):
     assert g.n == 12 and g.edge_count() == 3 * 12 - 7
     code, out, _ = run(capsys, "count", "--r", "2", "--graph6", out.strip())
     assert code == 0 and out.strip() == "29"
+
+
+def test_count_on_64_vertices(capsys):
+    """count runs over twin classes, so T(64, 8), with 7,340,032 copies of
+    K_6, is counted at once."""
+    code, out, _ = run(capsys, "count", "--graph6", graph6_encode(turan(64, 8)), "--r", "6")
+    assert code == 0 and out == "7340032\n"
 
 
 def test_construct_families(capsys):

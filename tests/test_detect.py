@@ -10,6 +10,8 @@ from pathclique.constructions import double_star, g1, g2, g3, g4, g5, h_extremal
 from pathclique.detect import (
     StructureClass,
     _class1_witness,
+    _cliques,
+    _twin_weights,
     blocks,
     class_table,
     classify_structure,
@@ -33,6 +35,7 @@ from pathclique.graphs import (
     disjoint_union,
     induced,
     join,
+    lower_twins,
     make_graph,
     primitive,
     relabel,
@@ -132,14 +135,62 @@ def test_count_cliques_vs_brute_force():
             assert count_cliques(g, r) == brute_cliques(g, r)
 
 
+def _class_splitting_mask(rng, g: Graph) -> int:
+    """A random mask that holds some but not all vertices of a random twin
+    class of g with two or more vertices (any random mask if g has none)."""
+    lower = lower_twins(g)
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):
+        rep = (lower[v] & -lower[v]).bit_length() - 1 if lower[v] else v
+        members.setdefault(rep, []).append(v)
+    mask = rng.getrandbits(g.n)
+    classes = [c for c in members.values() if len(c) >= 2]
+    if classes:
+        inside, outside = rng.sample(rng.choice(classes), 2)
+        mask = (mask | 1 << inside) & ~(1 << outside)
+    return mask
+
+
+def _clique_counts(g: Graph) -> list[int]:
+    """N_0, ..., N_8 of g, from networkx's clique enumeration."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    counts = [1] + [0] * 8
+    for clique in nx.enumerate_all_cliques(h):
+        if len(clique) <= 8:
+            counts[len(clique)] += 1
+    return counts
+
+
 def test_count_cliques_in_vs_the_induced_subgraph():
+    """count_cliques_in, and the twin-weighted and the unit-weight
+    recursion each forced on every input, against the cliques of the
+    induced subgraph, r = 0..8: random graphs and masks (brute force), and
+    random relabelled blow-ups with open and closed twin classes, whole
+    and under masks that split a twin class (networkx)."""
     rng = random.Random(29)
+    closed_kinds = set()
+
+    def assert_counts(g: Graph, mask: int, want: list[int]) -> None:
+        weighted = _twin_weights(g, mask)
+        closed_kinds.update(len(w) > 1 for w in weighted[2].values())
+        for r, n_r in enumerate(want):
+            assert count_cliques_in(g, mask, r) == n_r
+            assert _cliques(g.rows, *weighted, r) == n_r
+            assert _cliques(g.rows, mask, 0, {}, r) == n_r
+
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 8))
         mask = rng.getrandbits(g.n)
         sub = induced(g, [u for u in range(g.n) if (mask >> u) & 1])
-        for r in range(0, 6):
-            assert count_cliques_in(g, mask, r) == brute_cliques(sub, r)
+        assert_counts(g, mask, [brute_cliques(sub, r) for r in range(0, 9)])
+    blowups = (twin_blowup(rng, 16) for _ in range(200))
+    for g in [g for g in blowups if any(lower_twins(g))][:120]:
+        for mask in (g.vertex_mask(), _class_splitting_mask(rng, g)):
+            sub = induced(g, [u for u in range(g.n) if (mask >> u) & 1])
+            assert_counts(g, mask, _clique_counts(sub))
+    assert closed_kinds == {False, True}
 
 
 def test_has_clique():

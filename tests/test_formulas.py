@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -58,6 +59,26 @@ def test_turan_cliques():
             t = turan(n, p)
             for r in range(0, 7):
                 assert turan_cliques(n, p, r) == count_cliques(t, r)
+
+
+def test_counts_at_64_vertices_match_the_closed_forms():
+    """Clique counts on graphs up to 64 vertices, where one recursive step
+    per clique would never end (C(64, 32) cliques in K_64), against closed
+    forms: turan_cliques on T(n, p), C(64, r) on K_64 and h_value on
+    H_64(m, k)."""
+    for n in (32, 48, 64):
+        for p in range(1, 9):
+            t = turan(n, p)
+            for r in range(0, p + 2):
+                assert count_cliques(t, r) == turan_cliques(n, p, r)
+    k64 = primitive("complete", 64)
+    for r in range(0, 33):
+        assert count_cliques(k64, r) == comb(64, r)
+    for k in range(4, 11):
+        for m in range(3, k):
+            g = h_extremal(64, m, k)
+            for r in range(0, m + 1):
+                assert count_cliques(g, r) == h_value(64, m, k, r)
 
 
 def test_theorem_params_validation():
