@@ -45,6 +45,25 @@ and returns the same form, perm and generators as searching C:
    down |C| - 1 nodes with one child each, individualising C in cell
    order but its last vertex, and reaches the partition with C split
    into singletons.
+
+Jump-back (McKay and Piperno, "Practical graph isomorphism II", J.
+Symbolic Comput. 60 (2014)).  When a leaf λ has the same code as the
+best leaf ρ, let ν be the deepest search node on both their paths, and
+ν·a, ν·b its children towards ρ and λ.  Every node below ν returns at
+once, and ν goes on to its next vertex.  This changes neither the form
+nor perm, and it keeps the group the found automorphisms generate:
+1. Let γ be the automorphism that maps ρ to λ.  γ fixes ν's prefix and
+   maps ν·a to ν·b.  Refinement, target choice and peeling all commute
+   with automorphisms, so T(ν·b) = γ(T(ν·a)), leaf codes included.
+2. ρ lies in T(ν·a), which has been fully searched, so ρ's code is the
+   least in T(ν·a) and no leaf of T(ν·b) can beat it.  Equal leaves
+   never replace the best, so the form and perm are unchanged.
+3. By induction over the tree, every leaf whose code equals ρ's lies in
+   G(ρ), G the group generated by the automorphisms found: the skipped
+   leaves of T(ν·b) are γ-images of leaves of T(ν·a).  So the generated
+   group is unchanged, and so are the orbit minima that
+   oracle._orbit_representatives takes.  Only the list of generators
+   gets shorter.
 """
 
 from __future__ import annotations
@@ -83,47 +102,43 @@ def _refine(
     nothing still splits nothing after other cells are split, since a part
     of a cell whose vertices all see W equally sees W equally too; so W is
     marked clean and not tried again unless it is itself split.  A
-    splitter that was not itself split is clean after its split."""
+    splitter that was not itself split is clean after its split.  A
+    singleton cell never splits."""
     n = len(rows)
-    clean = clean[:]
+    clean = clean + [False]  # a sentinel past the last cell
     si = 0
-    while si < len(cells) and len(cells) < n:
-        if clean[si]:
-            si += 1
-            continue
+    while len(cells) < n:
+        si = clean.index(False, si)
+        if si == len(cells):
+            break
+        clean[si] = True
         w = 0
         for v in cells[si]:
             w |= 1 << v
-        # None until a cell splits; from then on, the refined cells so far
-        newcells: list[list[int]] | None = None
+        newcells: list[list[int]] = []
         newclean: list[bool] = []
+        done = 0  # cells[:done] are in newcells
         for ci, cell in enumerate(cells):
-            uniform = True
-            if len(cell) > 1:
-                first = (rows[cell[0]] & w).bit_count()
-                for v in cell:
-                    if (rows[v] & w).bit_count() != first:
-                        uniform = False
-                        break
-            if uniform:
-                if newcells is not None:
-                    newcells.append(cell)
-                    newclean.append(clean[ci] or ci == si)
+            if len(cell) == 1:
                 continue
-            if newcells is None:
-                newcells = cells[:ci]
-                newclean = [c or j == si for j, c in enumerate(clean[:ci])]
+            first = (rows[cell[0]] & w).bit_count()
+            for v in cell:
+                if (rows[v] & w).bit_count() != first:
+                    break
+            else:
+                continue
             groups: dict[int, list[int]] = {}
             for v in cell:
                 groups.setdefault((rows[v] & w).bit_count(), []).append(v)
-            for key in sorted(groups):
-                newcells.append(groups[key])
-                newclean.append(False)
-        if newcells is None:
-            clean[si] = True
-            si += 1
-        else:
-            cells, clean, si = newcells, newclean, 0
+            newcells += cells[done:ci]
+            newclean += clean[done:ci]
+            newcells += [groups[key] for key in sorted(groups)]
+            newclean += [False] * len(groups)
+            done = ci + 1
+        if done:
+            cells = newcells + cells[done:]
+            clean = newclean + clean[done:]
+            si = 0
     return cells
 
 
@@ -139,7 +154,18 @@ def _search(
     g: Graph,
 ) -> tuple[tuple[int, ...], list[int], list[int], list[tuple[int, ...]]]:
     """(rows of the canonical form, perm, lower twins, automorphisms found
-    at equal leaves), with perm[old] = new canonical label."""
+    at equal leaves), with perm[old] = new canonical label.
+
+    Jump-back: path holds the vertex chosen at each search node above the
+    current one, best_path that of the best leaf ρ.  A leaf λ equal to ρ
+    sets jump to the depth of ν, the deepest node the two paths share;
+    every node below ν returns at once, and ν resets jump and goes on to
+    its next vertex.  Soundness (the module docstring has it in full): the
+    automorphism γ that maps ρ to λ fixes ν's prefix, so the subtree of
+    ν's child towards λ is the γ-image of the fully searched subtree that
+    holds ρ.  None of its leaves beats ρ, so the form and perm are
+    unchanged, and its equal leaves lie in the group already generated,
+    so that group is unchanged too."""
     n, rows = g.n, g.rows
     bydeg: dict[int, list[int]] = {}
     for v in range(n):
@@ -150,6 +176,9 @@ def _search(
     autos: list[tuple[tuple[int, ...], int]] = []
     best_code: list[tuple[int, ...] | None] = [None]
     best_order: list[list[int] | None] = [None]
+    best_path: list[int] = []
+    path: list[int] = []
+    jump = [n]  # the depth to return to; n when there is none
 
     def leaf(order: list[int]) -> None:
         pos = [0] * n
@@ -168,6 +197,7 @@ def _search(
         if best_code[0] is None or tcode < best_code[0]:
             best_code[0] = tcode
             best_order[0] = order[:]
+            best_path[:] = path
         elif tcode == best_code[0] and order != best_order[0]:
             b = best_order[0]
             a = [0] * n
@@ -177,6 +207,10 @@ def _search(
                 if b[i] != order[i]:
                     support |= 1 << b[i]
             autos.append((tuple(a), support))
+            d = 0
+            while path[d] == best_path[d]:
+                d += 1
+            jump[0] = d
 
     def search(cells: list[list[int]], clean: list[bool], fixed: int) -> None:
         cells = _refine(rows, cells, clean)
@@ -209,6 +243,7 @@ def _search(
             # the lowest twin of u outside the prefix, or u
             low = lower[u] & ~fixed | 1 << u
             up[u] = (low & -low).bit_length() - 1
+        depth = len(path)
         tried = seen = 0
         for v in cell:
             for a, support in autos[seen:]:
@@ -227,7 +262,12 @@ def _search(
                 continue
             rest = [u for u in cell if u != v]
             split = cells[:target] + [[v], rest] + cells[target + 1 :]
+            path.append(v)
             search(split, clean, fixed | (1 << v))
+            path.pop()
+            if jump[0] < depth:
+                return
+            jump[0] = n
             tried |= 1 << _find(up, v)
 
     if n:

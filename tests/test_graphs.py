@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from pathclique.canon import (
     canonical_form,
     canonical_with_generators,
 )
-from pathclique.constructions import double_star, h_extremal, turan
+from pathclique.constructions import double_star, h_extremal, turan, turan_union
 from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import (
     Graph,
@@ -29,6 +30,8 @@ from pathclique.graphs import (
     relabel,
 )
 from pathclique.oracle import _ENUMERATOR
+
+from canon_reference import group_order, reference_canonical_labeling
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -306,85 +309,6 @@ def test_refine_matches_reference():
             checked += 1
 
 
-def _reference_canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The canonical search as it was before the union-find, returning
-    (perm, generators): perm[old] = new label, and the generators are the
-    twin swaps, then the automorphisms found at equal leaves.  After each
-    child the tried set is closed by mapping it through every stored
-    automorphism that fixes the prefix, twin swaps included, until it
-    stops growing."""
-    n, rows = g.n, g.rows
-    if n == 0:
-        return [], []
-    bydeg: dict[int, list[int]] = {}
-    for v in range(n):
-        bydeg.setdefault(rows[v].bit_count(), []).append(v)
-    cells0 = [bydeg[d] for d in sorted(bydeg)]
-    autos = []
-    lower = lower_twins(g)
-    pairs = sorted((u, v) for v in range(n) for u in range(v) if lower[v] >> u & 1)
-    for u, v in pairs:
-        a = list(range(n))
-        a[u], a[v] = v, u
-        autos.append((tuple(a), (1 << u) | (1 << v)))
-    best: list = [None, None]
-
-    def leaf(order: list[int]) -> None:
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        code = tuple(
-            sum(1 << pos[u] for u in range(n) if rows[v] >> u & 1) for v in order
-        )
-        if best[0] is None or code < best[0]:
-            best[0], best[1] = code, order[:]
-        elif code == best[0] and order != best[1]:
-            a = [0] * n
-            support = 0
-            for i in range(n):
-                a[best[1][i]] = order[i]
-                if best[1][i] != order[i]:
-                    support |= 1 << best[1][i]
-            autos.append((tuple(a), support))
-
-    def search(cells: list[list[int]], clean: list[bool], fixed: int) -> None:
-        cells = _refine(rows, cells, clean)
-        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
-        if target < 0:
-            leaf([c[0] for c in cells])
-            return
-        cell = cells[target]
-        clean = [True] * (len(cells) + 1)
-        clean[target] = clean[target + 1] = False
-        done = 0
-        for v in cell:
-            if (done >> v) & 1:
-                continue
-            rest = [u for u in cell if u != v]
-            split = cells[:target] + [[v], rest] + cells[target + 1 :]
-            search(split, clean, fixed | (1 << v))
-            done |= 1 << v
-            grew = True
-            while grew:
-                grew = False
-                for a, support in autos:
-                    if support & fixed:
-                        continue
-                    img = 0
-                    for u in range(n):
-                        if done >> u & 1:
-                            img |= 1 << a[u]
-                    if img & ~done:
-                        done |= img
-                        grew = True
-
-    search(cells0, [False] * len(cells0), 0)
-    perm = [0] * n
-    for i, v in enumerate(best[1]):
-        perm[v] = i
-    return perm, [a for a, _support in autos]
-
-
 def _twin_rich_graph(rng: random.Random) -> Graph:
     """A random graph on at most 7 vertices with each vertex blown up into
     a clique or an independent set of 1-5 vertices, with 0-3 vertex pairs
@@ -409,15 +333,73 @@ def _twin_rich_graph(rng: random.Random) -> Graph:
     return relabel(make_graph(n, sorted(edges)), perm)
 
 
+# connection sets in Z_4 x Z_4 of the 4 x 4 rook's graph and of the
+# Shrikhande graph, both strongly regular with parameters (16, 6, 2, 2)
+_ROOK = {(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)}
+_SHRIKHANDE = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+
+def _cayley_z4_squared(connection: set[tuple[int, int]]) -> Graph:
+    """The Cayley graph on Z_4 x Z_4 with a connection set closed under
+    negation; vertex 4i + j is (i, j)."""
+    edges = [
+        (u, v)
+        for u in range(16)
+        for v in range(u + 1, 16)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in connection
+    ]
+    return make_graph(16, edges)
+
+
+def _is_automorphism(g: Graph, a: tuple[int, ...]) -> bool:
+    """Whether a maps the neighbours of every vertex u onto those of a[u].
+    Only the vertices a moves are checked: for w fixed and u moved, u ~ w
+    then gives a[u] ~ w, so a maps the moved neighbours of w onto
+    themselves, and the fixed ones stay."""
+    return all(
+        sum(1 << a[w] for w in iter_bits(g.rows[u])) == g.rows[a[u]]
+        for u in range(g.n)
+        if a[u] != u
+    )
+
+
+def _group_order_over_twins(g: Graph, gens) -> int:
+    """The order of the group generated by gens, automorphisms of g that
+    include every twin swap of g.  The twin swaps generate T, the
+    permutations that map each twin class onto itself; T is normal in the
+    group and is the kernel of its action on the classes.  So the order is
+    |T|, the product of |C|! over the classes C, times the order of the
+    group that gens induce on the classes."""
+    lower = lower_twins(g)
+    lowest = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(lower)]
+    reps = sorted(set(lowest))
+    index = {c: i for i, c in enumerate(reps)}
+    order = 1
+    for c in reps:
+        order *= factorial(lowest.count(c))
+    induced_gens = {tuple(index[lowest[a[c]]] for c in reps) for a in gens}
+    return order * group_order(len(reps), induced_gens)
+
+
 def test_canonical_labeling_matches_reference():
     """The union-find search, which also peels twin cells without
-    searching them, visits the same leaves as the unpruned closure search:
-    equal perm and equal generators, in order, and the form read from the
-    best leaf is g relabelled by perm, on random graphs, on random blow-ups
+    searching them and jumps back to the divergence node at equal leaves,
+    finds the same best leaf as the unpruned closure search: equal perm,
+    and the form read from the best leaf is g relabelled by perm.  Jump-back
+    skips subtrees whose equal leaves would only have added automorphisms
+    of the group already generated, so the generators need not match the
+    reference's list: each must be an automorphism of g, none may repeat,
+    and they must generate a group of the same order as the reference's.
+    Checked on random graphs, on random blow-ups
     of graphs on at most 7 vertices (twin-rich), on K_n and the empty graph
     for n <= 11, on the (P_7, K_4)-free levels to n = 8 as stored and
-    relabelled, and on relabelled Turan graphs, H_n and double stars,
-    10 <= n <= 30."""
+    relabelled, on relabelled Turan graphs, H_n and double stars,
+    10 <= n <= 30, and on the 4 x 4 rook's graph, the Shrikhande graph and
+    their disjoint union, as built and relabelled, the union five times.
+    Both are strongly regular with the same parameters, so refinement
+    splits neither, and in the union the subtrees below the two components
+    are not images of each other: a search that jumped back from a leaf
+    worse than the best would miss the best leaf there."""
     rng = random.Random(53)
     graphs = [
         random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
@@ -433,6 +415,9 @@ def test_canonical_labeling_matches_reference():
         graphs += [turan(n, p) for p in (2, 3, 5)]
         graphs += [h_extremal(n, 4, 7), h_extremal(n, 5, 8), h_extremal(n, 6, 9)]
         graphs += [h_extremal(n, 7, 10), double_star(n // 3, n - n // 3)]
+    rook, shrikhande = _cayley_z4_squared(_ROOK), _cayley_z4_squared(_SHRIKHANDE)
+    union = disjoint_union(rook, shrikhande)
+    graphs += [rook, shrikhande] + [union] * 4
     for g in graphs[relabelled:]:
         perm = list(range(g.n))
         rng.shuffle(perm)
@@ -440,15 +425,25 @@ def test_canonical_labeling_matches_reference():
     for g in graphs:
         _rows, perm, lower, found = _search(g)
         gens = _twin_transpositions(lower, range(g.n)) + found
-        assert (perm, gens) == _reference_canonical_labeling(g)
+        ref_perm, ref_gens = reference_canonical_labeling(g)
+        assert perm == ref_perm
         assert canonical_form(g) == relabel(g, perm)
+        assert all(_is_automorphism(g, a) for a in gens)
+        assert len(set(gens)) == len(gens)
+        if set(gens) != set(ref_gens):
+            order = _group_order_over_twins(g, gens)
+            assert order == _group_order_over_twins(g, ref_gens)
 
 
 def test_twin_cells_are_peeled_without_refinement(monkeypatch):
     """A target cell of twins is split into singletons with no search
     node, so K_n and the empty graph are refined once, at the root; the
-    counts on T(30, 5) and H_30(4, 7) are pinned (one search node per
-    vertex of a twin cell gave 176 and 29)."""
+    counts on T(30, 5) and H_30(4, 7) are pinned, and hold under
+    relabelling (one search node per vertex of a twin cell gave 176 and
+    29).  On turan_union(30, 7, 4), five disjoint copies of T(6, 3), the
+    count depends on the labelling, so it is pinned on the graph as
+    built.  Jump-back to the divergence node at equal leaves took T(30, 5)
+    from 25 to 15 and turan_union(30, 7, 4) from 161 to 100."""
     calls = []
 
     def spy(rows, cells, clean):
@@ -472,5 +467,8 @@ def test_twin_cells_are_peeled_without_refinement(monkeypatch):
     for n in range(1, 12):
         assert refinements(primitive("complete", n)) == 1
         assert refinements(primitive("empty", n)) == 1
-    assert refinements(turan(30, 5)) == 25
+    assert refinements(turan(30, 5)) == 15
+    calls.clear()
+    canonical(turan_union(30, 7, 4))
+    assert len(calls) == 100
     assert refinements(h_extremal(30, 4, 7)) == 1

@@ -49,6 +49,8 @@ from pathclique.oracle import (
     verify_theorem,
 )
 
+from canon_reference import group_order, reference_canonical_labeling
+
 UNCONSTRAINED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 # OEIS A006785: triangle-free graphs on n unlabelled vertices
 TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
@@ -73,6 +75,13 @@ FILTERED_DIGESTS = {
     (6, 4, 9, 2): "abd7f471afd5b5b524ac4a22a42b684988a6c8a77982d6b179efc373fcef31a2",
     (5, 3, 9, 1): "5e837961b473148b8abe4adc7bc55f99f41ad4e1e43dccc25e21b63887d98e8f",
     (None, 3, 8, 2): "6e1793e50165975e10c15f9822ad4a82c811a87c3a8c72e032c7839268798c95",
+}
+# sha256 of the candidate lists of (k, m) ("<order> <parent code> <mask>"
+# lines, orders 1..n), recorded before the canonical search jumped back
+# to the divergence node at equal leaves
+CANDIDATE_DIGESTS = {
+    (7, 4, 9): "3c45d09976473309e0116f1e14b3ad67dfcd53646120925c0ec780072c8034b4",
+    (9, 5, 8): "76bbfb612d81134b5104b0d65915d0897cb6e35e3f45e8aedfc163367fae255f",
 }
 # sha256 of `oracle` stdout and of the `data` section of `verify` JSON,
 # recorded while every class of the top order was still labelled
@@ -211,6 +220,34 @@ def test_filtered_levels_byte_identical():
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == want, (k, m, n, delta)
+
+
+def test_candidate_lists_byte_identical():
+    """The candidates (parent, mask) depend on the stored generators only
+    through the group they generate (_orbit_representatives takes orbit
+    minima), so a search that stores fewer generators of the same group
+    must give the same lists."""
+    for (k, m, n), want in CANDIDATE_DIGESTS.items():
+        lines = [
+            f"{order} {graph6_encode(g)} {mask}"
+            for order in range(1, n + 1)
+            for g, mask in _ENUMERATOR.children(k, m, order)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == want, (k, m, n)
+
+
+def test_stored_generators_give_the_reference_orbits():
+    """On the (P_7, K_4)-free levels to n = 8, the stored generators and
+    those of the reference search (tests/canon_reference.py) on the stored
+    graph give every subset of the vertices the same orbit minimum."""
+    checked = 0
+    for level in _ENUMERATOR.levels(7, 4, 8):
+        for g, gens, code in level:
+            _perm, ref = reference_canonical_labeling(g)
+            assert _orbit_minima(g.n, gens) == _orbit_minima(g.n, tuple(ref)), code
+            checked += 1
+    assert checked == 1013
 
 
 def test_extremal_outputs_byte_identical(capsys):
@@ -922,69 +959,6 @@ def test_levels_stop_at_the_order_asked():
     assert len(_ENUMERATOR.levels(7, 4, 8)) == 9
 
 
-def _group_order(n: int, gens) -> int:
-    """Order of the permutation group on range(n) generated by gens, by
-    the Schreier-Sims algorithm with the base chosen as points are met."""
-    ident = tuple(range(n))
-
-    def mul(p, q):  # q first, then p
-        return tuple(p[x] for x in q)
-
-    def inv(p):
-        out = [0] * n
-        for i, x in enumerate(p):
-            out[x] = i
-        return tuple(out)
-
-    base: list[int] = []
-    strong: list[list[tuple]] = []
-    trans: list[dict] = []
-
-    def orbit(i: int) -> None:
-        table = {base[i]: ident}
-        queue = [base[i]]
-        for x in queue:
-            for s in strong[i]:
-                if s[x] not in table:
-                    table[s[x]] = mul(s, table[x])
-                    queue.append(s[x])
-        trans[i] = table
-
-    def sift(g, i: int):
-        while i < len(base):
-            x = g[base[i]]
-            if x not in trans[i]:
-                break
-            g = mul(inv(trans[i][x]), g)
-            i += 1
-        return g, i
-
-    def add(h, i: int) -> None:
-        """Add h, which fixes base[:i], and make levels i.. complete."""
-        h, j = sift(h, i)
-        if h == ident:
-            return
-        if j == len(base):
-            base.append(next(x for x in range(n) if h[x] != x))
-            strong.append([])
-            trans.append({})
-        for level in range(i, j + 1):
-            strong[level].append(h)
-            orbit(level)
-        for level in range(j, i - 1, -1):
-            for x, t in list(trans[level].items()):
-                for s in list(strong[level]):
-                    schreier = mul(inv(trans[level][s[x]]), mul(s, t))
-                    add(schreier, level + 1)
-
-    for g in gens:
-        add(tuple(g), 0)
-    order = 1
-    for table in trans:
-        order *= len(table)
-    return order
-
-
 def _nx_graph(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
@@ -1027,14 +1001,14 @@ def test_generators_generate_the_automorphism_group():
             for g, gens, code in level:
                 matcher = GraphMatcher(_nx_graph(g), _nx_graph(g))
                 count = sum(1 for _ in matcher.isomorphisms_iter())
-                assert _group_order(g.n, gens) == count, (k, m, code)
+                assert group_order(g.n, gens) == count, (k, m, code)
                 checked += 1
     assert checked == 1341
     structured = [h_extremal(10, m, k) for k, m in ((7, 4), (8, 5), (10, 4), (9, 6))]
     structured += [turan(10, p) for p in (2, 3, 5)] + [double_star(5, 5)]
     for g in structured:
         _cf, gens = canonical_with_generators(g)
-        assert _group_order(g.n, gens) == _nx_automorphism_count(g)
+        assert group_order(g.n, gens) == _nx_automorphism_count(g)
 
 
 def test_enumeration_isomorph_free_and_exact():
