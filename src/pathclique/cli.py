@@ -336,8 +336,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParameterError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
 
 

@@ -32,7 +32,7 @@ A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
 with min degree >= δ descends from graphs on i vertices with min degree
 >= δ - (n - i).  Level n is therefore grown from the unfiltered level
-n - δ by δ filtered steps (see _extend).  In those steps a kept mask
+n - δ by δ filtered steps (see _candidates).  In those steps a kept mask
 must hold every parent vertex of degree below the step's bound; those
 vertices are decided first, and a parent where one of them is bad, two
 of them clash, or too few vertices are left to hold gets no child before
@@ -162,6 +162,47 @@ class EnumerationConfig:
 
 # a level holds (canonical graph, automorphism generators, graph6 code)
 Level = list[tuple[Graph, tuple, str]]
+
+
+class Budget:
+    """One call's time budget, started when the object is made; Budget()
+    never runs out.  Every stage of a call is handed the same object and
+    calls check once per unit of work: per parent while candidates are
+    built, per child labelled, per parent scored and per winner labelled
+    at the top order, per graph in the final filters, before each n's
+    check of the predicted family (verify) and per classified graph
+    (classify).  A call therefore overruns its budget by at most one
+    parent's extensions, one graph's filters, one family check or one
+    classification."""
+
+    def __init__(self, seconds: Optional[float] = None) -> None:
+        self.deadline = None if seconds is None else time.monotonic() + seconds
+
+    def left(self) -> Optional[float]:
+        """The time left, never negative; None when there is no budget."""
+        return None if self.deadline is None else max(self.deadline - time.monotonic(), 0.0)
+
+    def check(self, stage: str, levels: Optional[list[Level]] = None, **done) -> None:
+        """Raise BudgetExceeded once the deadline is reached.  Its stats
+        name the stage and either the whole levels built so far
+        (completed_levels, level_sizes) or, for the stages that follow an
+        order's enumeration, the n reached and the counts in done."""
+        if self.deadline is None or time.monotonic() < self.deadline:
+            return
+        if levels is None:
+            where, stats = f"at n = {done['n']}", {"stage": stage, **done}
+        else:
+            last = len(levels) - 1
+            where = f"after level {last}"
+            stats = {
+                "completed_levels": last,
+                "level_sizes": [len(l) for l in levels],
+                "stage": stage,
+            }
+        raise BudgetExceeded(f"time budget exhausted in the {stage} stage {where}", stats)
+
+
+_NO_BUDGET = Budget()
 
 
 def _twin_classes(lower: list[int]) -> dict[int, int]:
@@ -338,7 +379,7 @@ def _attachable_masks(
     are expanded to allowed (the vertices a kept mask may hold) and to
     clash (the allowed vertices each one cannot share a mask with).  need
     and size must be invariant too (they are read from degrees in
-    _extend), so need is a union of classes.
+    _candidates), so need is a union of classes.
 
     Early exits.  A kept mask holds need and at least size vertices, so
     it holds no bad vertex of need, no clashing pair inside need and no
@@ -457,43 +498,6 @@ def _attachable_masks(
     ]
 
 
-def _deadline(time_budget_s: Optional[float]) -> Optional[float]:
-    return None if time_budget_s is None else time.monotonic() + time_budget_s
-
-
-def _time_left(deadline: Optional[float]) -> Optional[float]:
-    """The budget left before deadline, never negative; None for none."""
-    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
-
-
-def _check_deadline(deadline: Optional[float], levels: list[Level], stage: str) -> None:
-    """Raise BudgetExceeded, with the whole levels built so far and the
-    stage, once the deadline has passed."""
-    if deadline is not None and time.monotonic() > deadline:
-        done = len(levels) - 1
-        raise BudgetExceeded(
-            f"time budget exhausted in the {stage} stage after level {done}",
-            {
-                "completed_levels": done,
-                "level_sizes": [len(l) for l in levels],
-                "stage": stage,
-            },
-        )
-
-
-def _check_command_deadline(
-    deadline: Optional[float], stage: str, n: int, done: dict
-) -> None:
-    """Raise BudgetExceeded, with the stage, the n reached and the counts
-    in done, once a command's deadline has passed; for the stages of
-    verify and classify that come after the enumeration of an order."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded(
-            f"time budget exhausted in the {stage} stage at n = {n}",
-            {"stage": stage, "n": n, **done},
-        )
-
-
 # a child of the next level, not yet built: a parent and an attachment mask
 Candidate = tuple[Graph, int]
 
@@ -503,11 +507,11 @@ def _candidates(
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
     bound: int,
-    deadline: Optional[float],
+    budget: Budget,
 ) -> list[Candidate]:
     """The children (parent, mask) of the next level after levels[-1],
     restricted to min degree >= bound (0: unfiltered), one per orbit of
-    kept masks, in parent order; none is built or labelled.  The deadline
+    kept masks, in parent order; none is built or labelled.  The budget
     is checked once per parent.
 
     Only children whose new vertex has maximum degree are kept (the
@@ -546,7 +550,7 @@ def _candidates(
     both."""
     out: list[Candidate] = []
     for g, gens, _code in levels[-1]:
-        _check_deadline(deadline, levels, "levels")
+        budget.check("levels", levels)
         degs = g.degrees()
         need = sum(1 << u for u, d in enumerate(degs) if d < bound)
         size = max(max(degs, default=0), bound)
@@ -556,33 +560,19 @@ def _candidates(
     return out
 
 
-def _label(levels: list[Level], candidates: list[Candidate], deadline: Optional[float]) -> Level:
+def _label(levels: list[Level], candidates: list[Candidate], budget: Budget) -> Level:
     """The level of the candidates' children: each built, labelled
     canonically and kept once per code, with the generators of the first
-    child of its class, sorted by code.  The deadline is checked once per
+    child of its class, sorted by code.  The budget is checked once per
     child; levels are the whole levels below, for BudgetExceeded."""
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, mask in candidates:
-        _check_deadline(deadline, levels, "levels")
+        budget.check("levels", levels)
         cf, cgens = canonical_with_generators(_attach(g, mask))
         code = graph6_encode(cf)
         if code not in out:
             out[code] = (cf, tuple(cgens), code)
     return [out[c] for c in sorted(out)]
-
-
-def _extend(
-    levels: list[Level],
-    forbid_path: Optional[int],
-    forbid_clique: Optional[int],
-    bound: int,
-    deadline: Optional[float],
-) -> Level:
-    """The next level after levels[-1], restricted to min degree >= bound
-    (0: unfiltered); the deadline is checked once per parent and once per
-    child, so a budget overruns by at most one parent's extensions."""
-    candidates = _candidates(levels, forbid_path, forbid_clique, bound, deadline)
-    return _label(levels, candidates, deadline)
 
 
 class Enumerator:
@@ -615,14 +605,14 @@ class Enumerator:
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
-        deadline: Optional[float] = None,
+        budget: Budget = _NO_BUDGET,
     ) -> list[Candidate]:
         """The candidates of order n of the unfiltered chain, computed once
         from the level n - 1; the graph on 0 vertices has none."""
         cached = self.candidates.setdefault((forbid_path, forbid_clique), [[]])
         while len(cached) <= n:
-            levels = self.levels(forbid_path, forbid_clique, len(cached) - 1, deadline)
-            cached.append(_candidates(levels, forbid_path, forbid_clique, 0, deadline))
+            levels = self.levels(forbid_path, forbid_clique, len(cached) - 1, budget)
+            cached.append(_candidates(levels, forbid_path, forbid_clique, 0, budget))
         return cached[n]
 
     def levels(
@@ -630,7 +620,7 @@ class Enumerator:
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
-        deadline: Optional[float] = None,
+        budget: Budget = _NO_BUDGET,
     ) -> list[Level]:
         """The unfiltered levels 0, ..., n."""
         key = (forbid_path, forbid_clique)
@@ -639,8 +629,8 @@ class Enumerator:
             self.unfiltered[key] = [[(g0, (), graph6_encode(g0))]]
         levels = self.unfiltered[key]
         while len(levels) <= n:
-            candidates = self.children(forbid_path, forbid_clique, len(levels), deadline)
-            levels.append(_label(levels, candidates, deadline))
+            candidates = self.children(forbid_path, forbid_clique, len(levels), budget)
+            levels.append(_label(levels, candidates, budget))
         return levels[: n + 1]
 
     def chain(
@@ -649,7 +639,7 @@ class Enumerator:
         forbid_clique: Optional[int],
         n: int,
         min_degree: int,
-        deadline: Optional[float],
+        budget: Budget = _NO_BUDGET,
     ) -> list[Level]:
         """The levels 0, ..., n of the chain whose level n holds the graphs
         of the class on n vertices with min degree >= min_degree; [] when
@@ -658,14 +648,14 @@ class Enumerator:
         if delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
             return []
-        levels = self.levels(forbid_path, forbid_clique, n - delta, deadline)
+        levels = self.levels(forbid_path, forbid_clique, n - delta, budget)
         if not delta:
             return levels
         tail = self.filtered.setdefault((forbid_path, forbid_clique, n, delta), [])
         while len(tail) < delta:
-            tail.append(
-                _extend(levels + tail, forbid_path, forbid_clique, len(tail) + 1, deadline)
-            )
+            below = levels + tail
+            candidates = _candidates(below, forbid_path, forbid_clique, len(tail) + 1, budget)
+            tail.append(_label(below, candidates, budget))
         return levels + tail
 
     def extremal(
@@ -675,13 +665,13 @@ class Enumerator:
         n: int,
         r: int,
         connected: bool,
-        deadline: Optional[float],
+        budget: Budget = _NO_BUDGET,
     ) -> tuple[list[Level], list[Graph]]:
         """The levels 0, ..., n - 1 and the graphs of the class on n
         vertices (connected ones only, if connected) with the most K_r, in
         canonical labels, sorted by code.  Only the candidates of order n
-        with the top score are built and labelled; the deadline is checked
-        once per parent and once per labelled child.
+        with the top score are built and labelled; the budget is checked
+        once per scored parent and once per labelled winner.
 
         Soundness.  Every class on n vertices has a candidate (_candidates),
         and every candidate's child is in the class.  A K_r of P + v(M)
@@ -694,15 +684,15 @@ class Enumerator:
         and labelling them gives each once, in the canonical form the level
         would hold.  The graph on 0 vertices has no parent and no K_r."""
         if n == 0:
-            levels = self.levels(forbid_path, forbid_clique, 0, deadline)
+            levels = self.levels(forbid_path, forbid_clique, 0, budget)
             return levels, [g for g, _gens, _code in levels[0]]
-        candidates = self.children(forbid_path, forbid_clique, n, deadline)
-        levels = self.levels(forbid_path, forbid_clique, n - 1, deadline)
+        candidates = self.children(forbid_path, forbid_clique, n, budget)
+        levels = self.levels(forbid_path, forbid_clique, n - 1, budget)
         best, top = -1, []
         parent = None
         for g, mask in candidates:
             if g is not parent:
-                _check_deadline(deadline, levels, "extremal")
+                budget.check("extremal", levels)
                 parent, base, components = g, count_cliques(g, r), []
                 rest = g.vertex_mask() if connected else 0
                 while rest:
@@ -717,7 +707,7 @@ class Enumerator:
                 top.append((g, mask))
         winners: dict[str, Graph] = {}
         for g, mask in top:
-            _check_deadline(deadline, levels, "extremal")
+            budget.check("extremal", levels)
             cf, _cgens = canonical_with_generators(_attach(g, mask))
             winners.setdefault(graph6_encode(cf), cf)
         return levels, [winners[c] for c in sorted(winners)]
@@ -775,26 +765,23 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     isomorphism class, in canonical labels, sorted by canonical code; with
     extremal_r, only those with the most K_r (Enumerator.extremal).
 
-    The time budget starts with the call.  Its deadline is checked once
-    per parent while levels or candidates are built, once per labelled
-    child, and once per graph in the final filters, so the call overruns
-    it by at most one parent's extensions or one graph's filters;
-    BudgetExceeded.stats names the stage."""
-    deadline = _deadline(config.time_budget_s)
+    The time budget (Budget) starts with the call; beside the checks of
+    the enumeration, it is checked once per graph in the final filters."""
+    budget = Budget(config.time_budget_s)
     k, m, n = config.forbid_path, config.forbid_clique, config.n
     connected = config.connected_only
     if config.extremal_r is None:
-        levels = _ENUMERATOR.chain(k, m, n, config.min_degree, deadline)
+        levels = _ENUMERATOR.chain(k, m, n, config.min_degree, budget)
         graphs = [g for g, _gens, _code in levels[-1]] if levels else []
     else:
         levels, graphs = _ENUMERATOR.extremal(
-            k, m, n, config.extremal_r, connected, deadline
+            k, m, n, config.extremal_r, connected, budget
         )
         connected = False  # decided on the candidates
     out = []
     for g in graphs:
         if connected or config.edge_maximal:
-            _check_deadline(deadline, levels, "filters")
+            budget.check("filters", levels)
         if connected and not is_connected(g):
             continue
         if config.edge_maximal and not _edge_maximal(g, k, m):
@@ -807,8 +794,7 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
 class ExtremalResult:
     """Exact maximum K_r count with every extremal class captured.
 
-    stats holds the number of extremal classes; per-level counters of the
-    enumeration are planned (ROADMAP, in-program counters)."""
+    stats holds one entry, extremal: the number of extremal classes."""
 
     n: int
     r: int
@@ -992,16 +978,13 @@ def verify_theorem(
 
     ORACLE_GREATER rows are legal data: the formulas are asymptotic and
     small n may beat them.  MISMATCH (oracle strictly below a value that
-    should be exact) is the failure state.  The time budget is one for
-    the whole sweep: each n gets the time left, and the deadline is also
-    checked before each n's check of the predicted family (stage
-    "family", with the n reached and the rows done), so the sweep
-    overruns it by at most one parent's extensions, one graph's filters
-    or one family check.
+    should be exact) is the failure state.  The time budget (Budget) is
+    one for the whole sweep: each n gets the time left, and it is also
+    checked before each n's check of the predicted family.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
-    deadline = _deadline(time_budget_s)
+    budget = Budget(time_budget_s)
     k, m, r = params.k, params.m, params.r
     case = threshold_case(k, m, r)
     rows = []
@@ -1015,7 +998,7 @@ def verify_theorem(
             predicted, exact = predicted_ex(n, k, m, r)
         result = ex_oracle(
             n, k, m, r, connected=(scope == "connected"),
-            time_budget_s=_time_left(deadline),
+            time_budget_s=budget.left(),
         )
         if result.value == predicted:
             status = "EQUAL"
@@ -1025,7 +1008,7 @@ def verify_theorem(
             status = "BOUND_RESPECTED"
         else:
             status = "MISMATCH"
-        _check_command_deadline(deadline, "family", n, {"rows": len(rows)})
+        budget.check("family", n=n, rows=len(rows))
         family = _predicted_family(n, k, m, r, scope, case.tag, predicted)
         match = _match_tag(set(result.extremal), family)
         rows.append(
@@ -1057,16 +1040,15 @@ def verify_classification(
 
     Valid inputs are the connected {P_k, K_m}-free graphs on n >= k
     vertices with min degree >= delta_k.  Any Unclassified graph is a
-    counterexample and is reported by code.  The time budget is one for
-    the whole sweep: each n gets the time left, and the deadline is also
-    checked once per classified graph (stage "classify", with the n
-    reached), so the sweep overruns it by at most one classification.
+    counterexample and is reported by code.  The time budget (Budget) is
+    one for the whole sweep: each n gets the time left, and it is also
+    checked once per classified graph.
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure
 
     TheoremParams(k, m, 2)
-    deadline = _deadline(time_budget_s)
+    budget = Budget(time_budget_s)
     dk = delta_k(k)
     histogram: dict[str, int] = {}
     unclassified: list[str] = []
@@ -1080,10 +1062,10 @@ def verify_classification(
             forbid_clique=m,
             connected_only=True,
             min_degree=dk,
-            time_budget_s=_time_left(deadline),
+            time_budget_s=budget.left(),
         )
         for g in enumerate_graphs(config):
-            _check_command_deadline(deadline, "classify", n, {"classified": total})
+            budget.check("classify", n=n, classified=total)
             total += 1
             outcome = classify_structure(g, k, m)
             tag = outcome.class_tag.value

@@ -31,6 +31,7 @@ from pathclique.graph6 import graph6_decode, graph6_encode
 from pathclique.graphs import Graph, iter_bits, make_graph, primitive, relabel
 from pathclique.oracle import (
     CAP_ENV_VAR,
+    Budget,
     BudgetExceeded,
     CapExceeded,
     EnumerationConfig,
@@ -211,7 +212,7 @@ def test_level_lists_byte_identical():
 
 def test_filtered_levels_byte_identical():
     for (k, m, n, delta), want in FILTERED_DIGESTS.items():
-        _ENUMERATOR.chain(k, m, n, delta, None)
+        _ENUMERATOR.chain(k, m, n, delta)
         tail = _ENUMERATOR.filtered[(k, m, n, delta)]
         lines = [
             f"{n - delta + 1 + j} {code}"
@@ -431,7 +432,7 @@ def test_rooted_path_checks_match_child_searches():
 
 
 def _look_ahead(g: Graph, bound: int) -> tuple[int, int]:
-    """need and size as _extend reads them: the vertices of degree <
+    """need and size as _candidates reads them: the vertices of degree <
     bound, and the least mask size that passes the degree tests."""
     degs = g.degrees()
     need = sum(1 << u for u, d in enumerate(degs) if d < bound)
@@ -457,7 +458,7 @@ def _free_masks(g: Graph, k, m) -> tuple[int, ...]:
 
 def test_max_degree_masks():
     """For every parent of the rule cells' levels below n, the masks that
-    _extend keeps (_attachable_masks with need and size, which applies the
+    _candidates keeps (_attachable_masks with need and size, which applies the
     degree test) are exactly the twin-canonical attachable masks
     (_free_masks) whose new vertex has maximum degree in the child, and,
     with a bound b from 1 to the parent's min degree + 1, those whose
@@ -536,7 +537,7 @@ def _parents(cells: list, chains: list) -> list:
     for k, m, orders in chains:
         for n in orders:
             for delta in range(1, min(n, 4)):
-                _ENUMERATOR.chain(k, m, n, delta, None)
+                _ENUMERATOR.chain(k, m, n, delta)
                 levels = _ENUMERATOR.levels(k, m, n - delta)[-1:]
                 levels += _ENUMERATOR.filtered[(k, m, n, delta)][:-1]
                 for level in levels:
@@ -813,13 +814,13 @@ def test_candidates_match_the_unpruned_reference():
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
             for delta in range(1, min(n, 4)):
-                _ENUMERATOR.chain(k, m, n, delta, None)
+                _ENUMERATOR.chain(k, m, n, delta)
                 chain = _ENUMERATOR.levels(k, m, n - delta)
                 chain += _ENUMERATOR.filtered[(k, m, n, delta)]
                 jobs += [(k, m, chain[: n - delta + j + 1], j + 1) for j in range(delta)]
     total = 0
     for k, m, levels, b in jobs:
-        got = oracle._candidates(levels, k, m, b, None)
+        got = oracle._candidates(levels, k, m, b, Budget())
         assert got == _unpruned_candidates(levels, k, m, b), (k, m, len(levels) - 1, b)
         total += len(got)
     assert total > 10000, total
@@ -843,14 +844,14 @@ def test_unchecked_graphs_are_valid():
             graphs += [_attach(g, mask) for g, mask in _ENUMERATOR.children(k, m, order)]
             for r in (2, 3):
                 for connected in (False, True):
-                    graphs += _ENUMERATOR.extremal(k, m, order, r, connected, None)[1]
+                    graphs += _ENUMERATOR.extremal(k, m, order, r, connected)[1]
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
             for delta in range(1, min(n, 4)):
-                chain = _ENUMERATOR.chain(k, m, n, delta, None)
+                chain = _ENUMERATOR.chain(k, m, n, delta)
                 for j in range(delta):
                     top = n - delta + j
-                    steps = oracle._candidates(chain[: top + 1], k, m, j + 1, None)
+                    steps = oracle._candidates(chain[: top + 1], k, m, j + 1, Budget())
                     graphs += [_attach(g, mask) for g, mask in steps]
                     graphs += [g for g, _gens, _code in chain[top + 1]]
     for g in graphs:
@@ -871,13 +872,14 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     cached = list(chain)
     assert len(cached) == 8
     steps = []
-    extend = oracle._extend
+    candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, deadline):
-        steps.append((len(levels), bound))
-        return extend(levels, k, m, bound, deadline)
+    def spy(levels, k, m, bound, budget):
+        if bound > 0:
+            steps.append((len(levels), bound))
+        return candidates(levels, k, m, bound, budget)
 
-    monkeypatch.setattr(oracle, "_extend", spy)
+    monkeypatch.setattr(oracle, "_candidates", spy)
     config = EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
     got = enumerate_graphs(config)
     assert steps == [(8, 1), (9, 2)]
@@ -910,9 +912,9 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     computed = []
     candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, deadline):
+    def spy(levels, k, m, bound, budget):
         computed.append(len(levels))
-        return candidates(levels, k, m, bound, deadline)
+        return candidates(levels, k, m, bound, budget)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     ties = 0
@@ -1209,6 +1211,45 @@ def test_enumerated_graphs_satisfy_constraints():
         assert is_free(g, 6, 4)
 
 
+def test_budget_checks_and_stats():
+    """Budget() never runs out and has no time left to report.  Budget(0)
+    has run out at once: check raises with the stage and either the whole
+    levels given (the last completed level and the level sizes) or the
+    counts given (the n reached and the rest), and left() is 0.0.  The
+    enumeration checks it once per parent (_candidates) and once per child
+    labelled (_label)."""
+    levels = _ENUMERATOR.levels(7, 4, 4)
+    unlimited = Budget()
+    unlimited.check("levels", levels)
+    unlimited.check("family", n=9, rows=2)
+    assert unlimited.left() is None
+    spent = Budget(0)
+    with pytest.raises(BudgetExceeded) as info:
+        spent.check("levels", levels)
+    assert info.value.stats == {
+        "stage": "levels",
+        "completed_levels": len(levels) - 1,
+        "level_sizes": [len(l) for l in levels],
+    }
+    assert "levels stage after level 4" in str(info.value)
+    with pytest.raises(BudgetExceeded) as info:
+        spent.check("family", n=9, rows=2)
+    assert info.value.stats == {"stage": "family", "n": 9, "rows": 2}
+    assert "family stage at n = 9" in str(info.value)
+    assert spent.left() == 0.0
+    checks = []
+
+    class Counting(Budget):
+        def check(self, stage, levels=None, **done):
+            checks.append((stage, len(levels)))
+
+    candidates = oracle._candidates(levels, 7, 4, 0, Counting())
+    assert checks == [("levels", 5)] * len(levels[-1])
+    checks.clear()
+    oracle._label(levels, candidates, Counting())
+    assert checks == [("levels", 5)] * len(candidates) and candidates
+
+
 def test_time_budget_overshoot_and_recovery():
     """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
     levels to 9 and then scores the children on 10 vertices.  The budget is
@@ -1237,12 +1278,13 @@ def test_time_budget_overshoot_and_recovery():
     assert enumerate_graphs(config) == resumed
 
 
-def test_time_budget_in_classification(monkeypatch):
-    """The deadline is checked once per classified graph.  With the (7,4)
+def test_time_budget_in_classification(monkeypatch, capsys):
+    """The budget is checked once per classified graph.  With the (7,4)
     inputs on 7..9 vertices warm, and each classification made to sleep
     0.1 s, a 0.35 s budget runs out while the 10 graphs on 7 vertices are
     classified: the sweep stops within one classification of it, the stats
-    name the stage and the n reached, and classify --exhaustive exits 3."""
+    name the stage and the n reached, and classify --exhaustive exits 3
+    and reports the budget, not the cap, with the stage."""
     verify_classification(7, 4, range(7, 10))
     classified = []
 
@@ -1261,7 +1303,10 @@ def test_time_budget_in_classification(monkeypatch):
     assert info.value.stats == {"stage": "classify", "n": 7, "classified": len(classified)}
     assert 0 < len(classified) < 10
     argv = ["classify", "--exhaustive", "--k", "7", "--m", "4", "--n", "7..9"]
+    capsys.readouterr()
     assert cli.main(argv + ["--budget", "0.35"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:") and "classify stage" in err, err
 
 
 def test_time_budget_in_the_family_checks(monkeypatch):
