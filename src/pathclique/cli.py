@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _require(args, ["k", "m"])
+    _require(args, ["k", "m", "n"] if args.exhaustive else ["k", "m"])
     if args.exhaustive:
         report = verify_classification(
             args.k, args.m, _parse_range(args.n), args.budget
@@ -302,7 +302,7 @@ def _build_parser() -> _Parser:
     add_common(p, "k", "m")
     p.add_argument("--graph6")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--n", default="0..0")
+    p.add_argument("--n")
     p.add_argument("--budget", type=float)
     p.set_defaults(func=_cmd_classify)
 

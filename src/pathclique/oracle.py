@@ -32,7 +32,8 @@ A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
 with min degree >= δ descends from graphs on i vertices with min degree
 >= δ - (n - i).  Level n is therefore grown from the unfiltered level
-n - δ by δ filtered steps (see _candidates).  In those steps a kept mask
+b = n - δ by δ steps, step j with bound j, so every order grown from b
+reads one tail of them (Enumerator.chain).  In those steps a kept mask
 must hold every parent vertex of degree below the step's bound; those
 vertices are decided first, and a parent where one of them is bad, two
 of them clash, or too few vertices are left to hold gets no child before
@@ -51,8 +52,8 @@ classify labels every graph it classifies.
 
 An Enumerator owns the levels: the unfiltered chains, one per
 (forbid_path, forbid_clique) pair and shared by every caller, with the
-unlabelled candidates of each of their orders, and the filtered chains,
-one per (forbid_path, forbid_clique, n, δ).  Only whole levels and
+unlabelled candidates of each of their orders, and the look-ahead tails,
+one per (forbid_path, forbid_clique, b).  Only whole levels and
 candidate lists are cached, so the cache doubles as a checkpoint: a
 timed-out sweep resumes from the last completed one.
 """
@@ -107,17 +108,20 @@ class BudgetExceeded(Exception):
         self.stats = stats
 
 
-def enumeration_cap() -> int:
+def enumeration_cap(forbid_path: Optional[int], forbid_clique: Optional[int]) -> int:
+    """The largest order enumerated in the class: PATHCLIQUE_ENUM_CAP, at
+    most HARD_CAP, or UNCONSTRAINED_CAP when nothing is forbidden."""
+    cap = UNCONSTRAINED_CAP if forbid_path is None and forbid_clique is None else HARD_CAP
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
-        return HARD_CAP
+        return cap
     try:
         value = int(raw)
     except ValueError:
         raise ParameterError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
     if value < 0:
         raise ParameterError(f"{CAP_ENV_VAR} must be nonnegative")
-    return min(value, HARD_CAP)
+    return min(value, cap)
 
 
 @dataclass(frozen=True)
@@ -153,9 +157,7 @@ class EnumerationConfig:
                 raise ParameterError("r must be at least 2")
             if self.min_degree > 0:
                 raise ParameterError("extremal_r cannot be combined with min_degree")
-        cap = enumeration_cap()
-        if self.forbid_path is None and self.forbid_clique is None:
-            cap = min(cap, UNCONSTRAINED_CAP)
+        cap = enumeration_cap(self.forbid_path, self.forbid_clique)
         if self.n > cap:
             raise CapExceeded(f"n={self.n} exceeds enumeration cap {cap}")
 
@@ -323,19 +325,20 @@ def _attachable_masks(
     g: Graph,
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
-    need: int = 0,
-    size: int = 0,
+    bound: int = 0,
     lower: Optional[list[int]] = None,
 ) -> list[int]:
     """Every twin-canonical mask M, ascending, for which g + v(M) is
-    {P_k, K_m}-free, where g is {P_k, K_m}-free and v is a new vertex with
-    neighbourhood M, which holds every vertex of need, has at least size
-    vertices, and holds no vertex of degree D if |M| = D, D the maximum
-    degree of g.  lower is graphs.lower_twins(g), computed if not given.
-    A mask is twin-canonical when it holds the lowest vertices of each
-    twin class, that is, the next lower twin of each of its vertices that
-    has one.  With size >= D, the last condition is the degree test of
-    _candidates: v has maximum degree in g + v(M).
+    {P_k, K_m}-free and has min degree >= bound, and v has maximum degree
+    in it (the degree test of _candidates), where g is {P_k, K_m}-free
+    and v is a new vertex with neighbourhood M.  lower is
+    graphs.lower_twins(g), computed if not given.  A mask is
+    twin-canonical when it holds the lowest vertices of each twin class,
+    that is, the next lower twin of each of its vertices that has one.
+    Both tests are read from the degrees of g: M holds need, the vertices
+    of degree < bound, and has at least size = max(D, bound) vertices, D
+    the maximum degree; v then has maximum degree unless |M| = D and M
+    holds a vertex of degree D.
 
     Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
     - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
@@ -378,8 +381,8 @@ def _attachable_masks(
     good, each pair of classes is compared once, and the class verdicts
     are expanded to allowed (the vertices a kept mask may hold) and to
     clash (the allowed vertices each one cannot share a mask with).  need
-    and size must be invariant too (they are read from degrees in
-    _candidates), so need is a union of classes.
+    and size are read from degrees, so they are invariant too, and need
+    is a union of classes.
 
     Early exits.  A kept mask holds need and at least size vertices, so
     it holds no bad vertex of need, no clashing pair inside need and no
@@ -410,17 +413,19 @@ def _attachable_masks(
       twin-canonical survivor is lost.  Masks are added in ascending
       order, since those that get t exceed every mask of the table and
       are added in its order.
-    With size >= D, as _candidates passes it, a kept mask has at least D
-    vertices, so the degree test has only the case |M| = D left to
-    decide; it is read on the output.  allowed, clash, need, size and the
-    degree test are invariant under Aut(g), so the kept masks hold the
-    twin-canonical masks of every orbit they meet, as
-    _orbit_representatives needs.
+    need, size and the case |M| = D of the degree test are read on the
+    output.  allowed, clash and all three are invariant under Aut(g), so
+    the kept masks hold the twin-canonical masks of every orbit they
+    meet, as _orbit_representatives needs.
     """
     k, m = forbid_path, forbid_clique
-    if (k is not None and k <= 1) or (m is not None and m <= 1) or size > g.n:
-        return []
     i, rows = g.n, g.rows
+    degs = g.degrees()
+    top = max(degs, default=0)
+    size = max(top, bound)
+    if (k is not None and k <= 1) or (m is not None and m <= 1) or size > i:
+        return []
+    need = sum(1 << u for u, d in enumerate(degs) if d < bound)
     if lower is None:
         lower = lower_twins(g)
     allowed = (1 << i) - 1
@@ -486,8 +491,6 @@ def _attachable_masks(
             w = max(w, table[row & mask] + 1)
             if w < limit:
                 table[mask | bit] = w
-    degs = [r.bit_count() for r in rows]
-    top = max(degs, default=0)
     at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
     return [
         mask
@@ -529,45 +532,39 @@ def _candidates(
 
     Look-ahead.  For bound > 0, levels[i] must hold exactly the graphs of
     the class on i vertices with min degree >= bound - 1, and only masks
-    whose child has min degree >= bound are kept: M holds need, the
-    vertices of degree < bound (degree bound - 1, raised only by v), and
-    |M| >= bound.  The argument above still holds: G - u, for u of
-    maximum degree in G, loses at most 1 from every other degree, so it
-    has min degree >= bound - 1 and lies in levels[i], which is complete
-    for its own bound; M = φ(N(u)) gives a child isomorphic to G, so it
-    passes the min-degree test.
+    whose child has min degree >= bound are kept.  The argument above
+    still holds: G - u, for u of maximum degree in G, loses at most 1
+    from every other degree, so it has min degree >= bound - 1 and lies
+    in levels[i], which is complete for its own bound; M = φ(N(u)) gives
+    a child isomorphic to G, so it passes the min-degree test.
 
-    _attachable_masks keeps only the twin-canonical masks that hold need,
-    have at least size = max(D, bound) vertices, D the maximum degree of
-    g, the least |M| that passes both tests, and pass the degree test;
-    for bound = 0, need is empty.  All are read from degrees and twin
-    classes, so they are invariant under Aut(g): M' in the orbit of M
-    passes too, and the kept masks hold the twin-canonical masks of every
-    orbit they meet.  The generators hold every twin swap of P
-    (canonical_with_generators), so _orbit_representatives can take the
-    least twin-canonical mask of each orbit and apply no twin swap.  The
-    twin classes (graphs.lower_twins) are computed once per parent for
-    both."""
+    _attachable_masks applies both tests to the twin-canonical masks;
+    they are read from degrees, so they are invariant under Aut(g): M'
+    in the orbit of M passes too, and the kept masks hold the
+    twin-canonical masks of every orbit they meet.  The generators hold
+    every twin swap of P (canonical_with_generators), so
+    _orbit_representatives can take the least twin-canonical mask of
+    each orbit and apply no twin swap.  The twin classes
+    (graphs.lower_twins) are computed once per parent for both."""
     out: list[Candidate] = []
     for g, gens, _code in levels[-1]:
         budget.check("levels", levels)
-        degs = g.degrees()
-        need = sum(1 << u for u, d in enumerate(degs) if d < bound)
-        size = max(max(degs, default=0), bound)
         lower = lower_twins(g)
-        masks = _attachable_masks(g, forbid_path, forbid_clique, need, size, lower)
+        masks = _attachable_masks(g, forbid_path, forbid_clique, bound, lower)
         out += [(g, mask) for mask in _orbit_representatives(masks, gens, lower)]
     return out
 
 
-def _label(levels: list[Level], candidates: list[Candidate], budget: Budget) -> Level:
+def _label(
+    levels: list[Level], candidates: list[Candidate], budget: Budget, stage: str = "levels"
+) -> Level:
     """The level of the candidates' children: each built, labelled
     canonically and kept once per code, with the generators of the first
     child of its class, sorted by code.  The budget is checked once per
-    child; levels are the whole levels below, for BudgetExceeded."""
+    child in stage; levels are the whole levels below, for BudgetExceeded."""
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, mask in candidates:
-        budget.check("levels", levels)
+        budget.check(stage, levels)
         cf, cgens = canonical_with_generators(_attach(g, mask))
         code = graph6_encode(cf)
         if code not in out:
@@ -583,11 +580,10 @@ class Enumerator:
     holds, beside it, the candidates of each order 1, 2, ... it has
     computed; a level is labelled from its candidates, and an order whose
     extremal graphs were asked for may have candidates but no level yet.
-    filtered[(k, m, n, δ)] holds the levels n - δ + 1, ..., n of the
-    look-ahead chain for order n and min degree δ: level i of it has min
-    degree >= δ - (n - i).  It grows from the unfiltered level n - δ,
-    where that bound is 0, so the unfiltered chain is built only to
-    n - δ.  Only whole levels and whole candidate lists are appended:
+    filtered[(k, m, b)] is the look-ahead tail of base b: its entry j is
+    level b + j + 1, the graphs of the class on b + j + 1 vertices with
+    min degree >= j + 1, grown from the unfiltered level b with bound
+    j + 1.  Only whole levels and whole candidate lists are appended:
     _candidates and _label raise before they return."""
 
     def __init__(self) -> None:
@@ -643,20 +639,20 @@ class Enumerator:
     ) -> list[Level]:
         """The levels 0, ..., n of the chain whose level n holds the graphs
         of the class on n vertices with min degree >= min_degree; [] when
-        there are none."""
+        there are none: the unfiltered levels to b = n - δ and the first δ
+        levels of the tail of base b.  Its step j has bound j, so chains of
+        one base share it, and it grows only as far as a caller asks."""
         delta = max(min_degree, 0)
         if delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
             return []
         levels = self.levels(forbid_path, forbid_clique, n - delta, budget)
-        if not delta:
-            return levels
-        tail = self.filtered.setdefault((forbid_path, forbid_clique, n, delta), [])
+        tail = self.filtered.setdefault((forbid_path, forbid_clique, n - delta), [])
         while len(tail) < delta:
             below = levels + tail
             candidates = _candidates(below, forbid_path, forbid_clique, len(tail) + 1, budget)
             tail.append(_label(below, candidates, budget))
-        return levels + tail
+        return levels + tail[:delta]
 
     def extremal(
         self,
@@ -705,12 +701,7 @@ class Enumerator:
                 best, top = score, []
             if score == best:
                 top.append((g, mask))
-        winners: dict[str, Graph] = {}
-        for g, mask in top:
-            budget.check("extremal", levels)
-            cf, _cgens = canonical_with_generators(_attach(g, mask))
-            winners.setdefault(graph6_encode(cf), cf)
-        return levels, [winners[c] for c in sorted(winners)]
+        return levels, [cf for cf, _gens, _code in _label(levels, top, budget, "extremal")]
 
 
 _ENUMERATOR = Enumerator()
@@ -1042,7 +1033,12 @@ def verify_classification(
     vertices with min degree >= delta_k.  Any Unclassified graph is a
     counterexample and is reported by code.  The time budget (Budget) is
     one for the whole sweep: each n gets the time left, and it is also
-    checked once per classified graph.
+    checked once per classified graph.  Every order reads the look-ahead
+    tail of base N - delta_k, N the largest n within the enumeration cap,
+    so each level is labelled once: n asks for min degree
+    >= delta_k - (N - n) and skips the graphs below delta_k, which
+    leaves, in order, those that min degree delta_k gives (canonical
+    forms are unique and levels are sorted by code).
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure
@@ -1050,6 +1046,7 @@ def verify_classification(
     TheoremParams(k, m, 2)
     budget = Budget(time_budget_s)
     dk = delta_k(k)
+    last = min(max(n_range, default=0), enumeration_cap(k, m))
     histogram: dict[str, int] = {}
     unclassified: list[str] = []
     total = 0
@@ -1061,10 +1058,12 @@ def verify_classification(
             forbid_path=k,
             forbid_clique=m,
             connected_only=True,
-            min_degree=dk,
+            min_degree=max(dk - (last - n), 0),
             time_budget_s=budget.left(),
         )
         for g in enumerate_graphs(config):
+            if g.min_degree() < dk:
+                continue
             budget.check("classify", n=n, classified=total)
             total += 1
             outcome = classify_structure(g, k, m)

@@ -130,6 +130,9 @@ def test_classify_exhaustive(capsys):
     )
     assert code == 0
     assert "Class1" in out and "total" in out
+    # exhaustive mode needs the orders; single-graph mode takes none
+    code, out, err = run(capsys, "classify", "--exhaustive", "--k", "7", "--m", "4")
+    assert code == 1 and out == "" and err == "usage error: missing --n\n"
 
 
 def test_classify_unclassified_exits_2(capsys, monkeypatch):

@@ -213,7 +213,7 @@ def test_level_lists_byte_identical():
 def test_filtered_levels_byte_identical():
     for (k, m, n, delta), want in FILTERED_DIGESTS.items():
         _ENUMERATOR.chain(k, m, n, delta)
-        tail = _ENUMERATOR.filtered[(k, m, n, delta)]
+        tail = _ENUMERATOR.filtered[(k, m, n - delta)][:delta]
         lines = [
             f"{n - delta + 1 + j} {code}"
             for j, level in enumerate(tail)
@@ -342,7 +342,7 @@ def test_mask_rule_matches_unpruned_extension():
                         cf, _cgens = canonical_with_generators(cand)
                         out.setdefault(graph6_encode(cf), cf)
                 want = [mask for mask in range(1 << i) if free[minima[mask]]]
-                got = _attachable_masks(g, k, m, *_look_ahead(g, 0))
+                got = _attachable_masks(g, k, m, 0)
                 assert got == _canonical_max_degree(g, want), (k, m, code)
             got = [(cf, c) for cf, _cgens, c in levels[i + 1]]
             assert got == [(out[c], c) for c in sorted(out)], (k, m, i + 1)
@@ -432,8 +432,9 @@ def test_rooted_path_checks_match_child_searches():
 
 
 def _look_ahead(g: Graph, bound: int) -> tuple[int, int]:
-    """need and size as _candidates reads them: the vertices of degree <
-    bound, and the least mask size that passes the degree tests."""
+    """need and size as _attachable_masks reads them for a bound: the
+    vertices of degree < bound, and the least mask size that passes the
+    degree tests."""
     degs = g.degrees()
     need = sum(1 << u for u, d in enumerate(degs) if d < bound)
     return need, max(max(degs, default=0), bound)
@@ -458,7 +459,7 @@ def _free_masks(g: Graph, k, m) -> tuple[int, ...]:
 
 def test_max_degree_masks():
     """For every parent of the rule cells' levels below n, the masks that
-    _candidates keeps (_attachable_masks with need and size, which applies the
+    _candidates keeps (_attachable_masks with a bound, which applies the
     degree test) are exactly the twin-canonical attachable masks
     (_free_masks) whose new vertex has maximum degree in the child, and,
     with a bound b from 1 to the parent's min degree + 1, those whose
@@ -474,7 +475,7 @@ def test_max_degree_masks():
                 # deg(u) + [u in M] in the child against |M| for the new vertex
                 degs = g.degrees()
                 for b in range(g.min_degree() + 2):
-                    kept = _attachable_masks(g, k, m, *_look_ahead(g, b))
+                    kept = _attachable_masks(g, k, m, b)
                     want = [
                         mask
                         for mask in masks
@@ -539,7 +540,7 @@ def _parents(cells: list, chains: list) -> list:
             for delta in range(1, min(n, 4)):
                 _ENUMERATOR.chain(k, m, n, delta)
                 levels = _ENUMERATOR.levels(k, m, n - delta)[-1:]
-                levels += _ENUMERATOR.filtered[(k, m, n, delta)][:-1]
+                levels += _ENUMERATOR.filtered[(k, m, n - delta)][:delta][:-1]
                 for level in levels:
                     out.update(((k, m, code), g) for g, _gens, code in level)
     return [(k, m, g) for (k, m, _code), g in out.items()]
@@ -582,10 +583,13 @@ def _rooted_verdicts(g: Graph, k) -> tuple[int, tuple[int, ...]]:
 
 
 def test_required_vertices_decided_first(monkeypatch):
-    """_attachable_masks with need and size, for every parent of the rule
+    """_attachable_masks with a bound b, for every parent of the rule
     cells' levels and of the look-ahead cells' filtered chains and every
-    bound b from 0 to the parent's min degree + 1, returns the unpruned
-    masks that hold need and have at least size vertices.
+    b from 0 to the parent's min degree + 1, returns the unpruned masks
+    that hold need and have at least size vertices (_look_ahead).  The
+    unpruned masks are built without _attachable_masks: the
+    twin-canonical masks of _free_masks, less those of D vertices that
+    hold a vertex of degree D, D the maximum degree.
 
     Twins share their verdicts, so each call searches only the lowest
     vertex of a twin class and, for a class of two or more, its second
@@ -617,18 +621,26 @@ def test_required_vertices_decided_first(monkeypatch):
     monkeypatch.setattr(oracle, "_paths_clash", compare)
     exits = {"bad": 0, "pair": 0, "size": 0}
     for k, m, g in parents:
-        full = _attachable_masks(g, k, m)
+        classes = _twin_classes_by_definition(g)
+        top = max(g.degrees(), default=0)
+        at_top = sum(1 << u for u, d in enumerate(g.degrees()) if d == top)
+        full = [
+            mask
+            for mask in _free_masks(g, k, m)
+            if _twin_canon(classes, mask) == mask
+            and not (mask.bit_count() == top and mask & at_top)
+        ]
         bad, clash = _rooted_verdicts(g, k)
         # rank[u]: u's place in its twin class; lowest[u]: the class's lowest vertex
         rank, lowest = [0] * g.n, [0] * g.n
-        for members in _twin_classes_by_definition(g):
+        for members in classes:
             for place, u in enumerate(u for u in range(g.n) if (members >> u) & 1):
                 rank[u], lowest[u] = place, (members & -members).bit_length() - 1
         for b in range(g.min_degree() + 2):
             need, size = _look_ahead(g, b)
             searched.clear()
             compared.clear()
-            got = _attachable_masks(g, k, m, need, size)
+            got = _attachable_masks(g, k, m, b)
             want = [mask for mask in full if mask & need == need and mask.bit_count() >= size]
             assert got == want, (k, m, graph6_encode(g), b)
             assert len(set(searched)) == len(searched), searched
@@ -726,7 +738,7 @@ def test_twins_share_their_verdicts():
                 for mask in _canonical_max_degree(g, range(1 << g.n))
                 if not has_path(_with_new_vertex(g, mask), k)
             ]
-            got = _attachable_masks(g, k, None, *_look_ahead(g, 0))
+            got = _attachable_masks(g, k, None, 0)
             assert got == want, (graph6_encode(g), k)
     assert min(checked.values()) > 1000, checked
 
@@ -816,7 +828,7 @@ def test_candidates_match_the_unpruned_reference():
             for delta in range(1, min(n, 4)):
                 _ENUMERATOR.chain(k, m, n, delta)
                 chain = _ENUMERATOR.levels(k, m, n - delta)
-                chain += _ENUMERATOR.filtered[(k, m, n, delta)]
+                chain += _ENUMERATOR.filtered[(k, m, n - delta)][:delta]
                 jobs += [(k, m, chain[: n - delta + j + 1], j + 1) for j in range(delta)]
     total = 0
     for k, m, levels, b in jobs:
@@ -884,7 +896,7 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     got = enumerate_graphs(config)
     assert steps == [(8, 1), (9, 2)]
     assert len(chain) == 8 and all(a is b for a, b in zip(chain, cached))
-    tail = enumerator.filtered[(7, 4, 9, 2)]
+    tail = enumerator.filtered[(7, 4, 7)]
     assert len(tail) == 2 and [g for g, _gens, _code in tail[1]] == got
     # a second call is served from the cache
     assert enumerate_graphs(config) == got and len(steps) == 2
@@ -895,6 +907,54 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     assert not enumerator.unfiltered and not enumerator.filtered
     assert not enumerator.candidates
     assert class_table.cache_info().currsize == 0
+
+
+def test_classification_sweep_reads_one_tail(monkeypatch):
+    """verify_classification(7, 4, range(7, 11)) (δ_7 = 2) reads every
+    order from the look-ahead tail of base 10 - 2 = 8: from a fresh
+    enumerator it takes only the filtered steps to 9 (bound 1) and 10
+    (bound 2), the chains of base 8 share their levels, and its report is
+    the merge of the four single-n reports, each from a fresh enumerator.
+    A sweep to 11, above the cap, grows the same tail before it raises."""
+    steps = []
+    candidates = oracle._candidates
+
+    def spy(levels, k, m, bound, budget):
+        if bound > 0:
+            steps.append((len(levels), bound))
+        return candidates(levels, k, m, bound, budget)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    report = verify_classification(7, 4, range(7, 11))
+    assert steps == [(9, 1), (10, 2)]
+    assert enumerator.chain(7, 4, 9, 1)[-1] is enumerator.chain(7, 4, 10, 2)[-2]
+    singles = []
+    for n in range(7, 11):
+        monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+        singles.append(verify_classification(7, 4, range(n, n + 1)))
+    histogram: dict[str, int] = {}
+    for single in singles:
+        for tag, count in single["histogram"].items():
+            histogram[tag] = histogram.get(tag, 0) + count
+    assert report == {
+        "k": 7,
+        "m": 4,
+        "n_range": [7, 10],
+        "total": sum(single["total"] for single in singles),
+        "histogram": dict(sorted(histogram.items())),
+        "unclassified": sorted(c for single in singles for c in single["unclassified"]),
+        "ok": all(single["ok"] for single in singles),
+    }
+    assert all(single["total"] for single in singles)
+    # an order above the cap raises when it is reached, and the orders
+    # below it read the tail of the largest order the cap allows
+    steps.clear()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    with pytest.raises(CapExceeded):
+        verify_classification(7, 4, range(9, 12))
+    assert steps == [(9, 1), (10, 2)]
 
 
 # (forbid_path, forbid_clique) cells of the extremal test, orders 0..8
@@ -1250,26 +1310,49 @@ def test_budget_checks_and_stats():
     assert checks == [("levels", 5)] * len(candidates) and candidates
 
 
-def test_time_budget_overshoot_and_recovery():
+class _JumpingClock:
+    """A stand-in for the time module that oracle reads, and Budget with
+    it: monotonic() is the real clock until jump(), and from then on it
+    reads 10**6 s later, past every deadline of these tests.  jumped is
+    the real time of the first jump."""
+
+    def __init__(self) -> None:
+        self.offset, self.jumped = 0.0, None
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.offset
+
+    def jump(self) -> None:
+        if self.jumped is None:
+            self.jumped, self.offset = time.monotonic(), 1e6
+
+
+def test_time_budget_overshoot_and_recovery(monkeypatch):
     """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
-    levels to 9 and then scores the children on 10 vertices.  The budget is
-    taken from a measured cold run: the time of the levels to 9 plus half
-    the rest, so the deadline passes inside the order-10 stage, where a
-    check made only between levels would not fire at all, on a host of
-    any speed."""
+    levels to 9 and then scores the children on 10 vertices.  The clock
+    jumps past the deadline at the first score, so the deadline passes
+    inside the order-10 stage, where a check made only between levels
+    would not fire at all.  The jump is an event of the run, not a
+    measured time, so this holds on a host of any speed.  The call stops
+    within 2 s of the jump, and the interrupted level was not cached
+    half-built."""
     clear_cache()
-    t0 = time.monotonic()
-    enumerate_graphs(EnumerationConfig(n=9, forbid_clique=3))
-    t9 = time.monotonic()
-    ex_oracle(10, None, 3, 2)
-    budget = (t9 - t0) + (time.monotonic() - t9) / 2
-    clear_cache()
-    t0 = time.monotonic()
+    clock = _JumpingClock()
+    score = oracle.count_cliques_in
+
+    def first_score(*args):
+        clock.jump()
+        return score(*args)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "count_cliques_in", first_score)
     with pytest.raises(BudgetExceeded) as info:
-        ex_oracle(10, None, 3, 2, time_budget_s=budget)
-    assert time.monotonic() - t0 < budget + 2.0
+        ex_oracle(10, None, 3, 2, time_budget_s=60.0)
+    assert time.monotonic() - clock.jumped < 2.0
+    monkeypatch.undo()
     stats = info.value.stats
     done = stats["completed_levels"]
+    assert stats["stage"] == "extremal" and done == 9
     assert len(stats["level_sizes"]) == done + 1
     # the interrupted level was not cached half-built
     config = EnumerationConfig(n=done + 1, forbid_clique=3)
@@ -1342,9 +1425,10 @@ def test_time_budget_in_the_family_checks(monkeypatch):
 def test_one_budget_per_command(monkeypatch):
     """verify and classify give the whole sweep one budget: each n gets the
     time left, so no n's deadline is later than the command's.  A cold
-    (7,4) verify over n = 7..10 takes about a second on 2 cores, so a
-    0.3 s budget runs out inside it, and the sweep stops within the budget
-    plus one parent's extensions (0.5 s allowed for scheduling)."""
+    (7,4) verify over n = 7..10 is given 60 s, and the clock jumps past
+    the deadline at the first score of a child on 10 vertices, inside the
+    last n: the sweep stops within one parent's extensions of the jump
+    (0.5 s allowed for scheduling), before level 10 is complete."""
     deadlines = []
 
     def recorder(real, budget_of):
@@ -1356,20 +1440,32 @@ def test_one_budget_per_command(monkeypatch):
 
         return call
 
+    clock = _JumpingClock()
+    score = oracle.count_cliques_in
+
+    def score_order_10(g, mask, r):
+        if g.n == 9:
+            clock.jump()
+        return score(g, mask, r)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "count_cliques_in", score_order_10)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     monkeypatch.setattr(
         oracle, "ex_oracle",
         recorder(ex_oracle, lambda *args, time_budget_s, **kwargs: time_budget_s),
     )
-    budget = 0.3
+    budget = 60.0
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as info:
         verify_theorem(TheoremParams(7, 4, 2), range(7, 11), "connected", budget)
-    assert time.monotonic() - t0 < budget + 0.5
+    assert time.monotonic() - clock.jumped < 0.5
     assert info.value.stats["completed_levels"] < 10
     assert len(deadlines) >= 2 and max(deadlines) <= t0 + budget + 0.01, deadlines
 
+    monkeypatch.undo()
     deadlines.clear()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     monkeypatch.setattr(
         oracle, "enumerate_graphs",
         recorder(enumerate_graphs, lambda config: config.time_budget_s),
@@ -1401,7 +1497,7 @@ def test_time_budget_inside_the_filtered_chain(monkeypatch):
     assert len(stats["level_sizes"]) == done + 1
     assert stats["level_sizes"][:9] == [len(l) for l in enumerator.levels(None, 3, 8)]
     # the interrupted filtered level was not cached half-built
-    assert len(enumerator.filtered[(None, 3, 10, 2)]) == done - 8
+    assert len(enumerator.filtered[(None, 3, 8)]) == done - 8
     unbudgeted = replace(config, time_budget_s=None)
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
