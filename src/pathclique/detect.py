@@ -1,15 +1,15 @@
 """Exact subgraph and structure detection over bitmask adjacency rows.
 
-Two path searches serve different questions.  has_path answers "is there
-a path on k vertices" on a whole graph by depth-first search, with twin
-pruning, a reachability bound and a memo of failed states, so it stays
-fast on large graphs; is_free asks it, and longest_path_order asks the
-same search for k = 1, 2, ... with one memo.
-rooted_path_sets lists the paths from one start vertex by their vertex
-sets and end vertices.  Enumeration asks it of a parent graph to decide
-attachment masks (oracle._attachable_masks), and the strong dominating
-path and cycle are read from its levels, since whether a path dominates
-depends only on its vertex set.
+One depth-first search over the states (vertex set, end vertex),
+_path_dfs, answers every path question.  has_path runs it with twin
+pruning and one memo of searched states for all roots, so it stays fast
+on large graphs; is_free asks has_path, and longest_path_order keeps the
+memo while the target grows.  rooted_path_sets runs it from one vertex
+with no pruning and returns the memo: the paths from that vertex by
+their vertex sets and end vertices.  Enumeration asks it of a parent
+graph to decide attachment masks (oracle._attachable_masks), and the
+strong dominating path and cycle are read from its levels, since whether
+a path dominates depends only on its vertex set.
 
 count_cliques and count_cliques_in are one clique recursion.  On large
 inputs it runs over twin classes (graphs.lower_twins) with weights: a
@@ -205,109 +205,99 @@ def _reachable(rows: tuple[int, ...], seed: int, banned: int) -> int:
     return seen
 
 
+def _path_dfs(
+    rows: tuple[int, ...],
+    lower: list[int],
+    done: list[dict[int, int]],
+    k: int,
+    v: int,
+    visited: int,
+    size: int,
+) -> int:
+    """The order of a path on k or more vertices that extends the path on
+    size vertices with vertex set visited and end vertex v, found depth
+    first and extended greedily (0: none).  done, len(rows) + 1 dicts,
+    maps each vertex set on j + 1 vertices, in done[j], to the ends of its
+    states searched in full without success; none of them is entered
+    again.
+    A state is marked only after its full search, so it cannot reach a
+    path on k vertices, nor on more: done can serve several roots and a
+    growing k.  A next vertex u is skipped when lower[u] holds an
+    unvisited vertex (has_path's twin pruning; all zero: none is)."""
+    if size >= k:
+        while ext := rows[v] & ~visited:
+            v = (ext & -ext).bit_length() - 1
+            visited |= 1 << v
+            size += 1
+        return size
+    ext = rows[v] & ~visited
+    later = done[size]
+    while ext:
+        x = ext & -ext
+        ext ^= x
+        u = x.bit_length() - 1
+        if lower[u] & ~visited or later.get(visited | x, 0) & x:
+            continue
+        if found := _path_dfs(rows, lower, done, k, u, visited | x, size + 1):
+            return found
+    ends = done[size - 1]
+    ends[visited] = ends.get(visited, 0) | 1 << v
+    return 0
+
+
 def rooted_path_sets(g: Graph, u: int, k: int) -> Optional[list[dict[int, int]]]:
-    """The paths in g that start at u, by the levels of a breadth-first
-    search over the states (vertex set, end vertex): out[j] maps the
-    vertex set (bitmask) of each path on j + 1 vertices to the bitmask of
-    its end vertices, so every state is extended once, however many paths
-    reach it.  None as soon as one path has k - 1 vertices (so None for
-    k <= 2); k = g.n + 2 never stops early."""
-    rows = g.rows
-    level = {1 << u: 1 << u}
-    out: list[dict[int, int]] = []
-    while level:
-        if len(out) + 1 >= k - 1:
-            return None
-        out.append(level)
-        nxt: dict[int, int] = {}
-        for mask, ends in level.items():
-            reach = 0
-            while ends:
-                e = ends & -ends
-                ends ^= e
-                reach |= rows[e.bit_length() - 1]
-            reach &= ~mask
-            while reach:
-                x = reach & -reach
-                reach ^= x
-                nxt[mask | x] = nxt.get(mask | x, 0) | x
-        level = nxt
-    return out
+    """The paths in g that start at u: out[j] maps the vertex set (bitmask)
+    of each path on j + 1 vertices to the bitmask of its end vertices, the
+    states that _path_dfs with no pruning marks, each searched once however
+    many paths reach it.  None as soon as one path has k - 1 vertices (so
+    None for k <= 2); k = g.n + 2 never stops early."""
+    done: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    if _path_dfs(g.rows, [0] * g.n, done, k - 1, u, 1 << u, 1):
+        return None
+    while not done[-1]:
+        done.pop()
+    return done
 
 
 def has_path(g: Graph, k: int) -> bool:
     """True iff g contains a path on k vertices.
 
-    Depth-first search from every start vertex.  A next vertex u is
-    skipped when the path so far plus the region reachable from u off the
-    path has fewer than k vertices, and a state (visited set, end vertex)
-    that failed once is not searched again, since the target is fixed.
+    _path_dfs from the lowest vertex of each twin class, with one memo
+    for all roots, since a state's verdict does not depend on the root.
 
     Twin pruning (twins as in graphs.lower_twins): of each twin class only
     the lowest unvisited member is tried, as a start vertex and as the
     next vertex at every node.  Soundness: swapping two unvisited twins
     u < w is an automorphism that fixes every visited vertex, so it fixes
-    the path so far, its end vertex and the reach bound, and it maps the
-    paths below "extend by w" onto the paths below "extend by u".  u is
-    adjacent to the end vertex whenever w is, so skipping w loses no path
-    on k vertices and marks no state as failed that could still reach one.
+    the path so far and its end vertex, and it maps the paths below
+    "extend by w" onto the paths below "extend by u".  u is adjacent to
+    the end vertex whenever w is, so skipping w loses no path on k
+    vertices and marks no state as failed that could still reach one.
     """
     if k <= 0:
         return True
     if k > g.n:
         return False
-    return bool(_path_search(g)(k))
-
-
-def _path_search(g: Graph):
-    """has_path(g, k) for 1 <= k <= g.n, as a function of k that keeps its
-    twins and its failed states between calls: a state that cannot reach
-    a path on k vertices cannot reach one on more.  A path found is
-    extended greedily, and the function returns its order (0: none)."""
-    n, rows = g.n, g.rows
-    lower = lower_twins(g)
-    failed: set[tuple[int, int]] = set()
-
-    def search(k: int) -> int:
-        def dfs(v: int, visited: int, length: int) -> int:
-            if length >= k:
-                while ext := rows[v] & ~visited:
-                    v = (ext & -ext).bit_length() - 1
-                    visited |= 1 << v
-                    length += 1
-                return length
-            if (visited, v) in failed:
-                return 0
-            ext = rows[v] & ~visited
-            while ext:
-                u = (ext & -ext).bit_length() - 1
-                ext &= ext - 1
-                if lower[u] & ~visited:
-                    continue
-                if length + _reachable(rows, 1 << u, visited).bit_count() < k:
-                    continue
-                if found := dfs(u, visited | (1 << u), length + 1):
-                    return found
-            failed.add((visited, v))
-            return 0
-
-        for s in range(n):
-            if not lower[s] and (found := dfs(s, 1 << s, 1)):
-                return found
-        return 0
-
-    return search
+    rows, lower = g.rows, lower_twins(g)
+    done: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    return any(
+        not lower[s] and _path_dfs(rows, lower, done, k, s, 1 << s, 1) for s in range(g.n)
+    )
 
 
 def longest_path_order(g: Graph) -> int:
-    """Order of a longest path (0 for the graph on 0 vertices): the
-    largest k with has_path(g, k), asked for k = 1, 2, ... until the
-    answer is no, by one search that keeps its failed states; a path
-    found on more vertices skips the orders up to its own."""
-    search = _path_search(g)
+    """Order of a longest path (0 for the graph on 0 vertices): has_path's
+    search from each root in turn asks for one vertex more than the
+    longest path found so far until the answer is no, with one memo for
+    every root and target, since the target only grows."""
+    rows, lower = g.rows, lower_twins(g)
+    done: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
     k = 0
-    while k < g.n and (found := search(k + 1)):
-        k = found
+    for s in range(g.n):
+        if lower[s]:
+            continue
+        while k < g.n and (found := _path_dfs(rows, lower, done, k + 1, s, 1 << s, 1)):
+            k = found
     return k
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 from pathclique import cli
 from pathclique.constructions import turan
@@ -181,3 +183,20 @@ def test_exit_codes(capsys):
     assert code == 1  # missing --r
     code, _, err = run(capsys, "frobnicate")
     assert code == 1  # unknown subcommand
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run(capsys):
+    """Every one-line `pathclique ...` example in README runs through
+    cli.main and exits 0; lines that need the shell ($(...)) are skipped."""
+    examples = [
+        line
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("pathclique ") and "$(" not in line
+    ]
+    assert len(examples) >= 10
+    for line in examples:
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
+from pathclique import detect
 from pathclique.canon import canonical
 from pathclique.constructions import double_star, g1, g2, g3, g4, g5, h_extremal, turan
 from pathclique.detect import (
@@ -23,6 +24,7 @@ from pathclique.detect import (
     is_connected,
     is_free,
     longest_path_order,
+    rooted_path_sets,
     sigma3,
     strong_dominating_cycle,
     strong_dominating_path,
@@ -278,6 +280,33 @@ def test_has_path():
     assert has_path(primitive("empty", 5), 1)
     assert has_path(primitive("empty", 0), 0)
     assert not has_path(primitive("empty", 0), 1)
+
+
+def test_path_search_enters_each_state_once(monkeypatch):
+    """The path search enters each state (vertex set, end vertex) at most
+    once per memo: the full rooted search enters exactly the states it
+    returns, and has_path on a P_k-free graph enters no state twice over
+    all its roots.  Without the memo lookup, the search from a vertex of
+    K_7 would enter a state once per path that reaches it (1,957 paths
+    against 193 states)."""
+    entered = []
+    search = detect._path_dfs
+
+    def counting(rows, lower, done, k, v, visited, size):
+        entered.append((visited, v))
+        return search(rows, lower, done, k, v, visited, size)
+
+    monkeypatch.setattr(detect, "_path_dfs", counting)
+    for g in (primitive("complete", 7), turan(8, 3), h_extremal(12, 4, 8)):
+        for u in range(g.n):
+            entered.clear()
+            levels = rooted_path_sets(g, u, g.n + 2)
+            states = sum(ends.bit_count() for level in levels for ends in level.values())
+            assert len(entered) == len(set(entered)) == states, (g, u)
+    for k, m in ((8, 4), (9, 5), (10, 4)):
+        entered.clear()
+        assert not has_path(h_extremal(16, m, k), k)
+        assert entered and len(entered) == len(set(entered)), (k, m)
 
 
 def test_is_free():

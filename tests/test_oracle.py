@@ -1478,19 +1478,32 @@ def test_one_budget_per_command(monkeypatch):
 
 def test_time_budget_inside_the_filtered_chain(monkeypatch):
     """The deadline is checked per parent in look-ahead steps too.  With
-    the unfiltered triangle-free levels to 8 cached, a 0.1 s budget runs
-    out in the filtered steps to n = 10, δ = 2 (about half a second each
-    on 2 cores); the stats name the levels completed, the filtered chain
-    holds only whole levels, and a resumed run gives what a cold one does."""
+    the unfiltered triangle-free levels to 8 cached, the filtered steps to
+    n = 10, δ = 2 grow levels 9 and 10.  The budget is 60 s, and the clock
+    jumps past the deadline at the first parent of the second step (a
+    parent on 9 vertices), so the deadline passes inside that step, at an
+    event of the run and not at a measured time.  The call stops within
+    2 s of the jump, the stats name the levels completed, the filtered
+    chain holds only whole levels, and a resumed run gives what a cold one
+    does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.levels(None, 3, 8)
-    budget = 0.1
+    clock = _JumpingClock()
+    attachable = oracle._attachable_masks
+
+    def jump_at_step_2(g, *args):
+        if g.n == 9:
+            clock.jump()
+        return attachable(g, *args)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_step_2)
+    budget = 60.0
     config = EnumerationConfig(n=10, forbid_clique=3, min_degree=2, time_budget_s=budget)
-    t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as info:
         enumerate_graphs(config)
-    assert time.monotonic() - t0 < budget + 2.0
+    assert time.monotonic() - clock.jumped < 2.0
     stats = info.value.stats
     done = stats["completed_levels"]
     assert 8 <= done < 10
