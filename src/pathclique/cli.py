@@ -27,7 +27,7 @@ from .formulas import (
     turan_cliques,
 )
 from .graph6 import graph6_decode, graph6_encode
-from .graphs import Graph, GraphError, primitive
+from .graphs import Graph, primitive
 from .oracle import (
     BudgetExceeded,
     CapExceeded,
@@ -333,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, GraphError, ValueError) as exc:
+    except ValueError as exc:  # ParameterError and GraphError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

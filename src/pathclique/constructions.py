@@ -162,7 +162,6 @@ def g3(n: int, k: int, block: Graph, attach: int) -> Graph:
 
 
 def _center_star_composite(n1: int, n2: int, join_star_center: bool) -> Graph:
-    dk = 2  # fixed k = 7
     if n2 < 4:
         raise ParameterError("need n2 >= 4")
     fan = g1(n1, 7)

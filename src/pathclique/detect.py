@@ -12,7 +12,7 @@ strong dominating path and cycle are read from its levels, since whether
 a path dominates depends only on its vertex set.
 
 count_cliques and count_cliques_in are one clique recursion.  On large
-inputs it runs over twin classes (graphs.lower_twins) with weights: a
+inputs it runs over twin classes (graphs.twin_classes) with weights: a
 vertex outside a class sees all of it or none of it, so a clique takes one
 vertex of an open (independent) class in s ways and t vertices of a
 closed (complete) class in C(s, t) ways.  Turan graphs and H_n(m, k) have
@@ -32,7 +32,7 @@ from typing import Optional
 from .canon import canonical
 from .constructions import g1, g2, g3, g4, g5
 from .formulas import delta_k
-from .graphs import Graph, copies, join, lower_twins, primitive
+from .graphs import Graph, copies, join, lower_twins, primitive, twin_classes
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -58,9 +58,10 @@ def count_cliques_in(g: Graph, mask: int, r: int) -> int:
     otherwise it runs over the vertices of mask, each of weight 1.
 
     Soundness.  Twins (graphs.lower_twins) form an equivalence relation,
-    and two vertices of one class of g are still twins in g[mask], so the
-    classes of g intersected with mask partition mask into twin classes of
-    g[mask] (maybe finer than its own, which only costs speed).  A vertex
+    whose classes graphs.twin_classes lists, and two vertices of one
+    class of g are still twins in g[mask], so the classes of g
+    intersected with mask partition mask into twin classes of g[mask]
+    (maybe finer than its own, which only costs speed).  A vertex
     outside a class is adjacent to all of the class or to none of it,
     since any two members have the same neighbours outside the pair.  A
     class is open (pairwise non-adjacent) or closed (pairwise adjacent),
@@ -81,28 +82,23 @@ def count_cliques_in(g: Graph, mask: int, r: int) -> int:
 
 
 def _twin_weights(g: Graph, mask: int) -> tuple[int, int, dict[int, tuple[int, ...]]]:
-    """(reps, heavy, weights) for the twin classes of g intersected with
-    mask: reps holds the lowest vertex of each class, heavy those of the
-    classes with two or more vertices, and weights[v] = (w(1), ..., w(t))
-    for v in heavy, up to the largest t with w(t) > 0."""
-    rows, lower = g.rows, lower_twins(g)
-    reps, sizes, closed = mask, {}, 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        twins = lower[low.bit_length() - 1] & mask
-        if twins:
-            rep = twins & -twins
-            reps ^= low
-            sizes[rep] = sizes.get(rep, 1) + 1
-            if rows[rep.bit_length() - 1] & low:
-                closed |= rep
-    heavy, weights = 0, {}
-    for rep, s in sizes.items():
+    """(reps, heavy, weights) for the twin classes of g
+    (graphs.twin_classes) intersected with mask: reps holds the lowest
+    vertex of each class, heavy those of the classes with two or more
+    vertices, and weights[v] = (w(1), ..., w(t)) for v in heavy, up to
+    the largest t with w(t) > 0.  A heavy class is closed iff its
+    representative is adjacent to the rest of it."""
+    rows = g.rows
+    reps, heavy, weights = mask, 0, {}
+    for members in twin_classes(lower_twins(g)).values():
+        sub = members & mask
+        rep = sub & -sub
+        if sub == rep:
+            continue  # empty, or a single vertex of weight 1
+        reps ^= sub ^ rep
         heavy |= rep
-        w = tuple(comb(s, t) for t in range(1, s + 1)) if rep & closed else (s,)
-        weights[rep.bit_length() - 1] = w
+        v, s = rep.bit_length() - 1, sub.bit_count()
+        weights[v] = tuple(comb(s, t) for t in range(1, s + 1)) if rows[v] & sub else (s,)
     return reps, heavy, weights
 
 
@@ -189,9 +185,8 @@ def has_clique(g: Graph, m: int) -> bool:
     return has_clique_in(g, (1 << g.n) - 1, m)
 
 
-def _reachable(rows: tuple[int, ...], seed: int, banned: int) -> int:
-    seen = seed & ~banned
-    frontier = seen
+def _reachable(rows: tuple[int, ...], seed: int) -> int:
+    seen = frontier = seed
     while frontier:
         nxt = 0
         m = frontier
@@ -199,7 +194,7 @@ def _reachable(rows: tuple[int, ...], seed: int, banned: int) -> int:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             nxt |= rows[v]
-        nxt &= ~seen & ~banned
+        nxt &= ~seen
         seen |= nxt
         frontier = nxt
     return seen
@@ -309,7 +304,7 @@ def is_free(g: Graph, k: int, m: int) -> bool:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    return _reachable(g.rows, 1, 0) == g.vertex_mask()
+    return _reachable(g.rows, 1) == g.vertex_mask()
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ has genuine equality boundaries (e.g. k=9, m=5, r=2 gives 3 vs 24/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 

@@ -129,6 +129,16 @@ def lower_twins(g: Graph) -> list[int]:
     return out
 
 
+def twin_classes(lower: list[int]) -> dict[int, int]:
+    """The twin classes of a graph as bitmasks, each keyed by its lowest
+    vertex, in ascending order of it, from its lower twins (lower_twins)."""
+    out: dict[int, int] = {}
+    for v, low in enumerate(lower):
+        c = (low & -low).bit_length() - 1 if low else v
+        out[c] = out.get(c, 0) | 1 << v
+    return out
+
+
 # -- constructors --------------------------------------------------------
 
 

@@ -88,7 +88,7 @@ from .formulas import (
     threshold_case,
 )
 from .graph6 import graph6_encode
-from .graphs import Graph, _unchecked_graph, induced, iter_bits, lower_twins
+from .graphs import Graph, _unchecked_graph, induced, iter_bits, lower_twins, twin_classes
 from .reports import VerificationRow, sort_rows
 
 HARD_CAP = 10
@@ -207,27 +207,6 @@ class Budget:
 _NO_BUDGET = Budget()
 
 
-def _twin_classes(lower: list[int]) -> dict[int, int]:
-    """The twin classes of a graph as bitmasks, each keyed by its lowest
-    vertex, in ascending order of it, from its lower twins
-    (graphs.lower_twins)."""
-    out: dict[int, int] = {}
-    for v, low in enumerate(lower):
-        c = (low & -low).bit_length() - 1 if low else v
-        out[c] = out.get(c, 0) | 1 << v
-    return out
-
-
-def _image_table(bits: list[int]) -> list[int]:
-    """table[x] is the union of bits[u] over the set bits u of x, for every
-    x below 2 ** len(bits)."""
-    table = [0] * (1 << len(bits))
-    for x in range(1, len(table)):
-        t = x & -x
-        table[x] = table[x ^ t] | bits[t.bit_length() - 1]
-    return table
-
-
 def _orbit_representatives(masks: list[int], gens: tuple, lower: list[int]) -> list[int]:
     """The least mask of each orbit of masks under the group generated by
     gens, ascending, for a graph with lower twins lower
@@ -252,35 +231,27 @@ def _orbit_representatives(masks: list[int], gens: tuple, lower: list[int]) -> l
       under x -> canon(a(x)), a over the generators, and the generators
       in T act as the identity.
     - For x twin-canonical, canon(a(x)) = b(x), where b maps the i-th
-      vertex of each class C to the i-th vertex of a(C); b = t a with t
-      in T, an automorphism too.
-    Each b other than the identity is read from two lookup tables, one
-    for the low half of the vertices and one for the high half, so no
-    image is built vertex by vertex.  A graph with at most one mask, or
-    with no generators, builds nothing."""
+      vertex of each class C to the i-th vertex of a(C), the image of C's
+      members; b = t a with t in T, an automorphism too.
+    With the classes of graphs.twin_classes, a generator a lies in T iff
+    classes[c] >> a[c] & 1 for every class c, since a maps the class of
+    c onto the class of a(c).  The image b(x) of a mask is the union of
+    b(u) over its vertices u.  A graph with at most one mask, or with no
+    generators, builds nothing."""
     if len(masks) <= 1 or not gens:
         return masks
-    i = len(lower)
-    classes = _twin_classes(lower)
-    lowest = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(lower)]
+    classes = twin_classes(lower)
     maps = set()
     for a in gens:
-        if all(lowest[a[c]] == c for c in classes):
+        if all(classes[c] >> a[c] & 1 for c in classes):
             continue  # a lies in T
-        b = [0] * i
-        for c, members in classes.items():
-            image = classes[lowest[a[c]]]
+        b = [0] * len(lower)
+        for members in classes.values():
+            image = sum(1 << a[u] for u in iter_bits(members))
             for u in iter_bits(members):
-                t = image & -image
-                image ^= t
-                b[u] = t.bit_length() - 1
+                b[u] = image & -image
+                image ^= b[u]
         maps.add(tuple(b))
-    half = i >> 1
-    low_half = (1 << half) - 1
-    tables = []
-    for b in maps:
-        bits = [1 << t for t in b]
-        tables.append((_image_table(bits[:half]), _image_table(bits[half:])))
     seen: set[int] = set()
     out = []
     for mask in masks:
@@ -290,8 +261,10 @@ def _orbit_representatives(masks: list[int], gens: tuple, lower: list[int]) -> l
         seen.add(mask)
         orbit = [mask]
         for x in orbit:
-            for lo, hi in tables:
-                y = lo[x & low_half] | hi[x >> half]
+            for b in maps:
+                y = 0
+                for u in iter_bits(x):
+                    y |= b[u]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
@@ -431,7 +404,7 @@ def _attachable_masks(
     allowed = (1 << i) - 1
     clash = [0] * i  # clash[u]: the allowed vertices that u cannot share a mask with
     if k is not None and i >= k - 1:
-        classes = _twin_classes(lower)
+        classes = twin_classes(lower)
         required = [c for c in classes if (need >> c) & 1]
         paths = {}
         for c in required + [c for c in classes if not (need >> c) & 1]:
@@ -544,8 +517,9 @@ def _candidates(
     twin-canonical masks of every orbit they meet.  The generators hold
     every twin swap of P (canonical_with_generators), so
     _orbit_representatives can take the least twin-canonical mask of
-    each orbit and apply no twin swap.  The twin classes
-    (graphs.lower_twins) are computed once per parent for both."""
+    each orbit and apply no twin swap.  The lower twins
+    (graphs.lower_twins) are computed once per parent for both, and each
+    reads the classes from them with graphs.twin_classes."""
     out: list[Candidate] = []
     for g, gens, _code in levels[-1]:
         budget.check("levels", levels)
@@ -692,7 +666,7 @@ class Enumerator:
                 parent, base, components = g, count_cliques(g, r), []
                 rest = g.vertex_mask() if connected else 0
                 while rest:
-                    components.append(_reachable(g.rows, rest & -rest, 0))
+                    components.append(_reachable(g.rows, rest & -rest))
                     rest &= ~components[-1]
             if not all(mask & c for c in components):
                 continue
@@ -862,7 +836,7 @@ def disintegrate(
     stuck = False
     while alive:
         sub = induced(g, alive)
-        low = [i for i, v in enumerate(alive) if sub.degree(i) < delta]
+        low = [i for i in range(sub.n) if sub.degree(i) < delta]
         if not low:
             break
         if preserve_connectivity:

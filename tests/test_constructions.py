@@ -16,14 +16,7 @@ from pathclique.constructions import (
 from pathclique.detect import blocks, count_cliques, is_free, longest_path_order
 from pathclique.formulas import ParameterError, delta_k, part_sizes
 from pathclique.graph6 import graph6_encode
-from pathclique.graphs import (
-    Graph,
-    disjoint_union,
-    join,
-    make_graph,
-    primitive,
-    relabel,
-)
+from pathclique.graphs import Graph, disjoint_union, join, primitive
 
 
 def test_turan_shapes():

@@ -28,6 +28,7 @@ from pathclique.graphs import (
     make_graph,
     primitive,
     relabel,
+    twin_classes,
 )
 from pathclique.oracle import _ENUMERATOR
 
@@ -208,17 +209,26 @@ def test_lower_twins():
     assert lower_twins(primitive("path", 4)) == [0, 0, 0, 0]
     assert lower_twins(primitive("star", 4)) == [0, 0, 0b10, 0b110]
     assert lower_twins(primitive("complete", 3)) == [0, 0b1, 0b11]
+    assert twin_classes(lower_twins(primitive("star", 4))) == {0: 0b1, 1: 0b1110}
     rng = random.Random(43)
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.1, 0.5, 0.9]))
         lower = lower_twins(g)
+        # twin_classes partitions the vertices, each class keyed by its
+        # minimum, in ascending order
+        classes = twin_classes(lower)
+        assert list(classes) == sorted(classes)
+        assert sorted(u for c in classes.values() for u in iter_bits(c)) == list(range(g.n))
+        assert all(c & -c == 1 << low for low, c in classes.items())
         for v in range(g.n):
             for u in range(v):
                 swap = list(range(g.n))
                 swap[u], swap[v] = v, u
+                automorphic = relabel(g, swap) == g
                 # twins are exactly the pairs whose swap is an automorphism
                 is_twin = bool((lower[v] >> u) & 1)
-                assert is_twin == (relabel(g, swap) == g)
+                assert is_twin == automorphic
+                assert any(c >> u & c >> v & 1 for c in classes.values()) == automorphic
                 # the relation is transitive
                 if is_twin:
                     assert lower[u] == lower[v] & ((1 << u) - 1)

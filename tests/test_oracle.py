@@ -28,7 +28,7 @@ from pathclique.detect import (
 )
 from pathclique.formulas import ParameterError, TheoremParams, turan_cliques
 from pathclique.graph6 import graph6_decode, graph6_encode
-from pathclique.graphs import Graph, iter_bits, make_graph, primitive, relabel
+from pathclique.graphs import Graph, iter_bits, lower_twins, make_graph, primitive, relabel
 from pathclique.oracle import (
     CAP_ENV_VAR,
     Budget,
@@ -39,6 +39,7 @@ from pathclique.oracle import (
     _ENUMERATOR,
     _attach,
     _attachable_masks,
+    _orbit_representatives,
     _paths_clash,
     clear_cache,
     disintegrate,
@@ -322,7 +323,8 @@ def test_mask_rule_matches_unpruned_extension():
     the level below by labelling every free orbit representative
     canonically, with no degree filter.  _attachable_masks, which grows
     only twin-canonical masks and applies the degree test, must return
-    the twin-canonical free masks whose new vertex has maximum degree.
+    the twin-canonical free masks whose new vertex has maximum degree, and
+    _orbit_representatives the least mask of each orbit they meet.
     Which candidate reaches a code first depends on the filter, so the
     stored generators may differ; they must be automorphisms of the stored
     graph."""
@@ -344,6 +346,8 @@ def test_mask_rule_matches_unpruned_extension():
                 want = [mask for mask in range(1 << i) if free[minima[mask]]]
                 got = _attachable_masks(g, k, m, 0)
                 assert got == _canonical_max_degree(g, want), (k, m, code)
+                reps = _orbit_representatives(got, gens, lower_twins(g))
+                assert reps == sorted({minima[x] for x in got}), (k, m, code)
             got = [(cf, c) for cf, _cgens, c in levels[i + 1]]
             assert got == [(out[c], c) for c in sorted(out)], (k, m, i + 1)
             for cf, cgens, c in levels[i + 1]:
@@ -1363,63 +1367,73 @@ def test_time_budget_overshoot_and_recovery(monkeypatch):
 
 def test_time_budget_in_classification(monkeypatch, capsys):
     """The budget is checked once per classified graph.  With the (7,4)
-    inputs on 7..9 vertices warm, and each classification made to sleep
-    0.1 s, a 0.35 s budget runs out while the 10 graphs on 7 vertices are
-    classified: the sweep stops within one classification of it, the stats
-    name the stage and the n reached, and classify --exhaustive exits 3
-    and reports the budget, not the cap, with the stage."""
+    inputs on 7..9 vertices warm and a 60 s budget, the clock jumps past
+    the deadline at the 4th classification, while the 10 graphs on 7
+    vertices are classified: the sweep stops within one classification
+    of the jump, the stats name the stage and the n reached, and
+    classify --exhaustive, with a fresh clock that jumps the same way,
+    exits 3 and reports the budget, not the cap, with the stage."""
     verify_classification(7, 4, range(7, 10))
     classified = []
+    clock = _JumpingClock()
 
-    def slow(g, k, m):
+    def jump_at_4(g, k, m):
         classified.append(g)
-        time.sleep(0.1)
+        if len(classified) == 4:
+            clock.jump()
         return classify_structure(g, k, m)
 
     # verify_classification reads classify_structure from detect per call
-    monkeypatch.setattr(detect, "classify_structure", slow)
-    budget = 0.35
-    t0 = time.monotonic()
+    monkeypatch.setattr(detect, "classify_structure", jump_at_4)
+    monkeypatch.setattr(oracle, "time", clock)
     with pytest.raises(BudgetExceeded) as info:
-        verify_classification(7, 4, range(7, 10), budget)
-    assert time.monotonic() - t0 < budget + 0.1 + 0.3
+        verify_classification(7, 4, range(7, 10), 60.0)
+    assert time.monotonic() - clock.jumped < 0.5
     assert info.value.stats == {"stage": "classify", "n": 7, "classified": len(classified)}
     assert 0 < len(classified) < 10
+    classified.clear()
+    clock = _JumpingClock()
+    monkeypatch.setattr(oracle, "time", clock)
     argv = ["classify", "--exhaustive", "--k", "7", "--m", "4", "--n", "7..9"]
     capsys.readouterr()
-    assert cli.main(argv + ["--budget", "0.35"]) == 3
+    assert cli.main(argv + ["--budget", "60"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded:") and "classify stage" in err, err
+    assert time.monotonic() - clock.jumped < 0.5
 
 
 def test_time_budget_in_the_family_checks(monkeypatch):
     """verify_theorem checks the deadline before each n's check of the
     predicted family.  With the oracle's answers for (7,4), r = 2, n =
-    7..9 computed beforehand and served at once, and each family check
-    made to sleep 0.1 s, a 0.15 s budget runs out after the family checks
-    of n = 7 and 8: the sweep stops within one family check of it, the
-    stats name the stage, the n reached and the rows done, and verify
-    exits 3."""
+    7..9 computed beforehand and served at once, and a 60 s budget, the
+    clock jumps past the deadline in the family check of n = 8, after
+    that of n = 7: the sweep stops within one family check of the jump,
+    the stats name the stage, the n reached and the rows done, and
+    verify, with a fresh clock that jumps the same way, exits 3."""
     answers = {n: ex_oracle(n, 7, 4, 2, connected=True) for n in range(7, 10)}
     checked = []
     family = oracle._predicted_family
+    clock = _JumpingClock()
 
-    def slow(n, *args):
+    def jump_at_8(n, *args):
         checked.append(n)
-        time.sleep(0.1)
+        if n == 8:
+            clock.jump()
         return family(n, *args)
 
     monkeypatch.setattr(oracle, "ex_oracle", lambda n, *args, **kwargs: answers[n])
-    monkeypatch.setattr(oracle, "_predicted_family", slow)
-    budget = 0.15
-    t0 = time.monotonic()
+    monkeypatch.setattr(oracle, "_predicted_family", jump_at_8)
+    monkeypatch.setattr(oracle, "time", clock)
     with pytest.raises(BudgetExceeded) as info:
-        verify_theorem(TheoremParams(7, 4, 2), range(7, 10), "connected", budget)
-    assert time.monotonic() - t0 < budget + 0.1 + 0.3
+        verify_theorem(TheoremParams(7, 4, 2), range(7, 10), "connected", 60.0)
+    assert time.monotonic() - clock.jumped < 0.5
     assert checked == [7, 8]
     assert info.value.stats == {"stage": "family", "n": 9, "rows": 2}
+    clock = _JumpingClock()
+    monkeypatch.setattr(oracle, "time", clock)
     argv = ["verify", "--k", "7", "--m", "4", "--r", "2", "--n", "7..9", "--connected"]
-    assert cli.main(argv + ["--budget", "0.15"]) == 3
+    assert cli.main(argv + ["--budget", "60"]) == 3
+    assert time.monotonic() - clock.jumped < 0.5
 
 
 def test_one_budget_per_command(monkeypatch):
