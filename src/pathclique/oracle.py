@@ -47,15 +47,21 @@ order n only the maximum K_r count and the classes that reach it.  It
 labels no other class of that order: each child is scored as
 N_r(P) + N_{r-1}(P[M]) from its parent P and mask M without being built,
 and only the top-scoring children are labelled (Enumerator.extremal).
-Every level below n is labelled in full, as it holds the parents;
-classify labels every graph it classifies.
+Canonical augmentation needs its parents only up to isomorphism, so
+level n - 1 is not labelled for this unless it already is: the
+unlabelled candidates of order n - 1 are built and extended instead, and
+every level below n - 1 is labelled in full.  verify grows the
+candidates of order N - 1 first, N its largest n, so every smaller n
+reads labelled parents.  classify labels every graph it classifies.
 
 An Enumerator owns the levels: the unfiltered chains, one per
 (forbid_path, forbid_clique) pair and shared by every caller, with the
-unlabelled candidates of each of their orders, and the look-ahead tails,
-one per (forbid_path, forbid_clique, b).  Only whole levels and
-candidate lists are cached, so the cache doubles as a checkpoint: a
-timed-out sweep resumes from the last completed one.
+unlabelled candidates of each of their orders, the candidates grown from
+the unlabelled ones of the order below, one list per (forbid_path,
+forbid_clique, n), and the look-ahead tails, one per (forbid_path,
+forbid_clique, b).  Only whole levels and candidate lists are cached, so
+the cache doubles as a checkpoint: a timed-out sweep resumes from the
+last completed one.
 """
 
 from __future__ import annotations
@@ -170,11 +176,12 @@ class Budget:
     """One call's time budget, started when the object is made; Budget()
     never runs out.  Every stage of a call is handed the same object and
     calls check once per unit of work: per parent while candidates are
-    built, per child labelled, per parent scored and per winner labelled
-    at the top order, per graph in the final filters, before each n's
-    check of the predicted family (verify) and per classified graph
-    (classify).  A call therefore overruns its budget by at most one
-    parent's extensions, one graph's filters, one family check or one
+    built, per child labelled, per unlabelled parent extended, per parent
+    scored and per winner labelled at the top order (Enumerator.extremal),
+    per graph in the final filters, before each n's check of the
+    predicted family (verify) and per classified graph (classify).  A
+    call therefore overruns its budget by at most one parent's
+    extensions, one graph's filters, one family check or one
     classification."""
 
     def __init__(self, seconds: Optional[float] = None) -> None:
@@ -554,20 +561,26 @@ class Enumerator:
     holds, beside it, the candidates of each order 1, 2, ... it has
     computed; a level is labelled from its candidates, and an order whose
     extremal graphs were asked for may have candidates but no level yet.
-    filtered[(k, m, b)] is the look-ahead tail of base b: its entry j is
-    level b + j + 1, the graphs of the class on b + j + 1 vertices with
-    min degree >= j + 1, grown from the unfiltered level b with bound
-    j + 1.  Only whole levels and whole candidate lists are appended:
-    _candidates and _label raise before they return."""
+    grown[(k, m, n)] holds the candidates of order n whose parents are
+    the unlabelled children of candidates[(k, m)][n - 1], built when the
+    extremal graphs of order n were asked for before level n - 1 was
+    labelled (extremal).  filtered[(k, m, b)] is the look-ahead tail of
+    base b: its entry j is level b + j + 1, the graphs of the class on
+    b + j + 1 vertices with min degree >= j + 1, grown from the
+    unfiltered level b with bound j + 1.  Only whole levels and whole
+    candidate lists are stored: _candidates, _label and extremal raise
+    before they store."""
 
     def __init__(self) -> None:
         self.unfiltered: dict[tuple, list[Level]] = {}
         self.candidates: dict[tuple, list[list[Candidate]]] = {}
+        self.grown: dict[tuple, list[Candidate]] = {}
         self.filtered: dict[tuple, list[Level]] = {}
 
     def clear(self) -> None:
         self.unfiltered.clear()
         self.candidates.clear()
+        self.grown.clear()
         self.filtered.clear()
 
     def children(
@@ -637,15 +650,32 @@ class Enumerator:
         connected: bool,
         budget: Budget = _NO_BUDGET,
     ) -> tuple[list[Level], list[Graph]]:
-        """The levels 0, ..., n - 1 and the graphs of the class on n
-        vertices (connected ones only, if connected) with the most K_r, in
-        canonical labels, sorted by code.  Only the candidates of order n
-        with the top score are built and labelled; the budget is checked
-        once per scored parent and once per labelled winner.
+        """The labelled levels used, 0, ..., n - 1 or 0, ..., n - 2, and
+        the graphs of the class on n vertices (connected ones only, if
+        connected) with the most K_r, in canonical labels, sorted by code.
+        Only the candidates of order n with the top score are built and
+        labelled; the budget is checked once per scored parent and once
+        per labelled winner.
 
-        Soundness.  Every class on n vertices has a candidate (_candidates),
-        and every candidate's child is in the class.  A K_r of P + v(M)
-        either avoids v, and is a K_r of P, or holds v and a K_{r-1} inside
+        The candidates of order n are children(n) when level n - 1 is
+        labelled (always for n = 1).  Otherwise level n - 1 is not
+        labelled for them: each candidate (P, M) of order n - 1 gives an
+        unlabelled parent C = P + v(M), extended by every mask of
+        _attachable_masks(C) with no orbit step (C has no generators);
+        the budget is checked once per C, and the list is kept in grown.
+
+        Soundness.  Every class on n vertices has a candidate.  For
+        children(n) see _candidates.  For the grown list, let G be in the
+        class and u a vertex of maximum degree: G - u is in the class on
+        n - 1 vertices, which has a candidate, so G - u ≅ C for some
+        unlabelled parent C, by some φ.  φ(N(u)) is attachable in C and
+        passes the degree test, as C + v(φ(N(u))) ≅ G with v ↦ u; its
+        twin-canonical image, by twin swaps of C, gives an isomorphic
+        child, and _attachable_masks returns it.  Several parents may be
+        isomorphic, so a class may have several candidates.
+
+        Every candidate's child is in the class.  A K_r of P + v(M) either
+        avoids v, and is a K_r of P, or holds v and a K_{r-1} inside
         N(v) = M, so the score N_r(P) + N_{r-1}(P[M]) is exactly N_r of the
         child.  v joins the components of P that M meets and no other, so
         P + v(M) is connected iff M meets every component of P.  The
@@ -656,8 +686,21 @@ class Enumerator:
         if n == 0:
             levels = self.levels(forbid_path, forbid_clique, 0, budget)
             return levels, [g for g, _gens, _code in levels[0]]
-        candidates = self.children(forbid_path, forbid_clique, n, budget)
-        levels = self.levels(forbid_path, forbid_clique, n - 1, budget)
+        key = (forbid_path, forbid_clique)
+        if n == 1 or len(self.unfiltered.get(key, ())) >= n:
+            candidates = self.children(forbid_path, forbid_clique, n, budget)
+            levels = self.levels(forbid_path, forbid_clique, n - 1, budget)
+        else:
+            levels = self.levels(forbid_path, forbid_clique, n - 2, budget)
+            candidates = self.grown.get(key + (n,))
+            if candidates is None:
+                candidates = []
+                for g, mask in self.children(forbid_path, forbid_clique, n - 1, budget):
+                    budget.check("extremal", levels)
+                    child = _attach(g, mask)
+                    masks = _attachable_masks(child, forbid_path, forbid_clique)
+                    candidates += [(child, x) for x in masks]
+                self.grown[key + (n,)] = candidates
         best, top = -1, []
         parent = None
         for g, mask in candidates:
@@ -945,17 +988,25 @@ def verify_theorem(
     small n may beat them.  MISMATCH (oracle strictly below a value that
     should be exact) is the failure state.  The time budget (Budget) is
     one for the whole sweep: each n gets the time left, and it is also
-    checked before each n's check of the predicted family.
+    checked before each n's check of the predicted family.  The range is
+    checked before anything is enumerated.  Then the candidates of order
+    N - 1 are grown, N the largest n, so every smaller n scores the
+    children of a labelled level and only N reads unlabelled parents
+    (Enumerator.extremal); no row's runtime_ms includes that step.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
-    budget = Budget(time_budget_s)
     k, m, r = params.k, params.m, params.r
-    case = threshold_case(k, m, r)
-    rows = []
     for n in n_range:
         if n < params.delta + 2:
             raise ParameterError(f"need n >= delta_k + 2 = {params.delta + 2}")
+        EnumerationConfig(n=n, forbid_path=k, forbid_clique=m)  # CapExceeded above the cap
+    budget = Budget(time_budget_s)
+    if n_range:
+        _ENUMERATOR.children(k, m, max(n_range) - 1, budget)
+    case = threshold_case(k, m, r)
+    rows = []
+    for n in n_range:
         t0 = time.monotonic()
         if scope == "connected":
             predicted, exact = h_value(n, m, k, r), True

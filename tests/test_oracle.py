@@ -879,8 +879,10 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     """A filtered chain for n = 9, δ = 2 extends the unfiltered levels only
     to level 7, reuses the levels that an unfiltered enumeration at n = 7
     cached, and adds levels 8 and 9 with bounds 1 and 2; clear_cache
-    empties both chains, the candidates and the classifier's tables.  A
-    fresh enumerator keeps the shared one warm for the other tests."""
+    empties, through Enumerator.clear, both chains, the candidates and
+    the candidates grown from unlabelled parents, and the classifier's
+    tables.  A fresh enumerator keeps the shared one warm for the other
+    tests."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
@@ -907,9 +909,13 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     class_table(9, 7, 4, False)
     assert class_table.cache_info().currsize > 0
     assert enumerator.candidates
+    # the extremal graphs on 9 vertices are scored from the unlabelled
+    # candidates of order 8, so level 8 is still not labelled
+    enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
+    assert list(enumerator.grown) == [(7, 4, 9)] and len(chain) == 8
     clear_cache()
     assert not enumerator.unfiltered and not enumerator.filtered
-    assert not enumerator.candidates
+    assert not enumerator.candidates and not enumerator.grown
     assert class_table.cache_info().currsize == 0
 
 
@@ -961,8 +967,35 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     assert steps == [(9, 1), (10, 2)]
 
 
-# (forbid_path, forbid_clique) cells of the extremal test, orders 0..8
+# (forbid_path, forbid_clique) cells of the extremal tests, orders 0..8
 EXTREMAL_CELLS = [(5, 3), (6, 4), (7, 4), (None, 3), (6, None)]
+
+
+def _extremal_asks(k, m, n: int) -> dict:
+    """enumerate_graphs with extremal_r = r for r in {2, 3}, with and
+    without connected_only and edge_maximal, keyed by (config, r), the
+    config without extremal_r."""
+    configs = [
+        EnumerationConfig(
+            n=n, forbid_path=k, forbid_clique=m,
+            connected_only=connected, edge_maximal=maximal,
+        )
+        for connected in (False, True)
+        for maximal in (False, True)
+    ]
+    return {
+        (config, r): enumerate_graphs(replace(config, extremal_r=r))
+        for config in configs
+        for r in (2, 3)
+    }
+
+
+def _most_cliques(config: EnumerationConfig, r: int) -> list:
+    """The graphs of the labelled level config.n, after config's final
+    filters, with the most K_r."""
+    full = enumerate_graphs(config)
+    best = max(count_cliques(g, r) for g in full)
+    return [g for g in full if count_cliques(g, r) == best]
 
 
 def test_extremal_matches_the_labelled_level(monkeypatch):
@@ -987,29 +1020,94 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
         monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
         computed.clear()
         for n in range(9):
-            configs = [
-                EnumerationConfig(
-                    n=n, forbid_path=k, forbid_clique=m,
-                    connected_only=connected, edge_maximal=maximal,
-                )
-                for connected in (False, True)
-                for maximal in (False, True)
-            ]
-            cold = {
-                (config, r): enumerate_graphs(replace(config, extremal_r=r))
-                for config in configs
-                for r in (2, 3)
-            }
+            cold = _extremal_asks(k, m, n)
             assert len(enumerator.unfiltered[(k, m)]) == max(n, 1), (k, m, n)
             for (config, r), got in cold.items():
-                full = enumerate_graphs(config)
-                best = max(count_cliques(g, r) for g in full)
-                want = [g for g in full if count_cliques(g, r) == best]
+                want = _most_cliques(config, r)
                 assert got == want, (config, r)
                 assert enumerate_graphs(replace(config, extremal_r=r)) == want, (config, r)
                 ties += len(want) > 1
         assert computed == list(range(1, 9)), (k, m)
     assert ties > 60, ties
+
+
+def test_extremal_from_unlabelled_parents(monkeypatch):
+    """Asked cold, with a fresh enumerator per n, enumerate_graphs with
+    extremal_r = r does not label level n - 1 (n >= 2): it scores the
+    children grown from the unlabelled candidates of order n - 1, and
+    still returns exactly the graphs of the labelled level n, after the
+    same final filters, with the most K_r, over the cells, r,
+    connected_only and edge_maximal of
+    test_extremal_matches_the_labelled_level.  A cold
+    ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
+    gives with level 8 labelled."""
+    for k, m in EXTREMAL_CELLS:
+        for n in range(9):
+            enumerator = Enumerator()
+            monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+            cold = _extremal_asks(k, m, n)
+            assert len(enumerator.unfiltered[(k, m)]) == max(n - 1, 1), (k, m, n)
+            assert list(enumerator.grown) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
+            for (config, r), got in cold.items():
+                assert got == _most_cliques(config, r), (config, r)
+    labelled = []
+
+    def spy(g):
+        labelled.append(g.n)
+        return canonical_with_generators(g)
+
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    monkeypatch.setattr(oracle, "canonical_with_generators", spy)
+    cold = ex_oracle(9, 7, 4, 2)
+    assert 8 not in labelled and 9 in labelled
+    enumerator = Enumerator()
+    enumerator.levels(7, 4, 8)
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    assert ex_oracle(9, 7, 4, 2) == cold
+
+
+def test_verify_grows_the_largest_order_first(monkeypatch):
+    """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then grows
+    the candidates of order 9, so the orders 7..9 score the children of
+    labelled levels and only order 10 reads unlabelled parents: each
+    order 1..9 of _candidates is computed once and level 9 is never
+    labelled.  Its data equals four single-n sweeps, each on a fresh
+    enumerator, where every n reads unlabelled parents.  A range that
+    holds an order above the cap, or below δ_k + 2, raises before
+    anything is enumerated."""
+    computed = []
+    candidates = oracle._candidates
+
+    def spy(levels, k, m, bound, budget):
+        computed.append(len(levels))
+        return candidates(levels, k, m, bound, budget)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    params = TheoremParams(7, 4, 2)
+    rows = verify_theorem(params, range(7, 11))
+    assert computed == list(range(1, 10))
+    assert len(enumerator.unfiltered[(7, 4)]) == 9 and list(enumerator.grown) == [(7, 4, 10)]
+    singles = []
+    for n in range(7, 11):
+        monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+        singles += verify_theorem(params, range(n, n + 1))
+
+    def data(rows):
+        return [replace(row, runtime_ms=0.0) for row in rows]
+
+    assert data(rows) == data(singles)
+    computed.clear()
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    for n_range in (range(11, 12), range(7, 12)):
+        with pytest.raises(CapExceeded):
+            verify_theorem(params, n_range)
+    for n_range in (range(params.delta + 1, 11), range(10, params.delta, -1)):
+        with pytest.raises(ParameterError):
+            verify_theorem(params, n_range)
+    assert computed == [] and not enumerator.unfiltered and not enumerator.candidates
 
 
 def test_extremal_r_validation():
@@ -1333,9 +1431,10 @@ class _JumpingClock:
 
 def test_time_budget_overshoot_and_recovery(monkeypatch):
     """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
-    levels to 9 and then scores the children on 10 vertices.  The clock
-    jumps past the deadline at the first score, so the deadline passes
-    inside the order-10 stage, where a check made only between levels
+    levels to 8, extends the unlabelled candidates of order 9 and then
+    scores the children on 10 vertices, so the last complete level is 8.
+    The clock jumps past the deadline at the first score, so the deadline
+    passes inside the order-10 stage, where a check made only between levels
     would not fire at all.  The jump is an event of the run, not a
     measured time, so this holds on a host of any speed.  The call stops
     within 2 s of the jump, and the interrupted level was not cached
@@ -1356,7 +1455,7 @@ def test_time_budget_overshoot_and_recovery(monkeypatch):
     monkeypatch.undo()
     stats = info.value.stats
     done = stats["completed_levels"]
-    assert stats["stage"] == "extremal" and done == 9
+    assert stats["stage"] == "extremal" and done == 8
     assert len(stats["level_sizes"]) == done + 1
     # the interrupted level was not cached half-built
     config = EnumerationConfig(n=done + 1, forbid_clique=3)
