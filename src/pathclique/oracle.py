@@ -30,17 +30,19 @@ construction and built without the Graph check.
 
 A min_degree bound δ is pushed into generation (look-ahead): deleting a
 vertex lowers every other degree by at most 1, so a graph on n vertices
-with min degree >= δ descends from graphs on i vertices with min degree
->= δ - (n - i).  Level n is therefore grown from the unfiltered level
-b = n - δ by δ steps, step j with bound j, so every order grown from b
-reads one tail of them (Enumerator.chain).  In those steps a kept mask
-must hold every parent vertex of degree below the step's bound; those
-vertices are decided first, and a parent where one of them is bad, two
-of them clash, or too few vertices are left to hold gets no child before
-the other pairs are compared or any mask is built.  The connected_only
-and edge_maximal filters are not inherited by subgraphs and stay final;
-the edge_maximal one is decided in each finished graph by rooted path
-and clique searches in it (see _edge_maximal).
+with min degree >= δ descends from a graph on n - 1 vertices with min
+degree >= δ - 1.  Level (n, δ), the graphs of the class on n vertices
+with min degree >= δ, is therefore grown from level (n - 1, max(δ - 1,
+0)) with bound δ (Enumerator.children), and level (n, 0) is the
+unfiltered one; so level (n, δ) rests on the unfiltered level n - δ, and
+the chain of (N, δ) holds level (n, δ - (N - n)) for every n between.
+With a bound, a kept mask must hold every parent vertex of degree below
+it; those vertices are decided first, and a parent where one of them is
+bad, two of them clash, or too few vertices are left to hold gets no
+child before the other pairs are compared or any mask is built.  The
+connected_only and edge_maximal filters are not inherited by subgraphs
+and stay final; the edge_maximal one is decided in each finished graph
+by rooted path and clique searches in it (see _edge_maximal).
 
 The oracle (ex_oracle, and so verify and the oracle command) needs at
 order n only the maximum K_r count and the classes that reach it.  It
@@ -54,14 +56,12 @@ every level below n - 1 is labelled in full.  verify grows the
 candidates of order N - 1 first, N its largest n, so every smaller n
 reads labelled parents.  classify labels every graph it classifies.
 
-An Enumerator owns the levels: the unfiltered chains, one per
-(forbid_path, forbid_clique) pair and shared by every caller, with the
-unlabelled candidates of each of their orders, the candidates grown from
-the unlabelled ones of the order below, one list per (forbid_path,
-forbid_clique, n), and the look-ahead tails, one per (forbid_path,
-forbid_clique, b).  Only whole levels and candidate lists are cached, so
-the cache doubles as a checkpoint: a timed-out sweep resumes from the
-last completed one.
+An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
+and shared by every caller, with the unlabelled candidates of each level
+under the same key, and the candidates grown from the unlabelled ones of
+the order below, one list per (forbid_path, forbid_clique, n).  Only
+whole levels and candidate lists are cached, so the cache doubles as a
+checkpoint: a timed-out sweep resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -556,90 +556,79 @@ def _label(
 class Enumerator:
     """Owns the enumeration levels, each sorted by graph6 code.
 
-    unfiltered[(k, m)] is the chain of levels 0, 1, ... of the class of
-    {P_k, K_m}-free graphs, shared by every caller, and candidates[(k, m)]
-    holds, beside it, the candidates of each order 1, 2, ... it has
-    computed; a level is labelled from its candidates, and an order whose
-    extremal graphs were asked for may have candidates but no level yet.
-    grown[(k, m, n)] holds the candidates of order n whose parents are
-    the unlabelled children of candidates[(k, m)][n - 1], built when the
-    extremal graphs of order n were asked for before level n - 1 was
-    labelled (extremal).  filtered[(k, m, b)] is the look-ahead tail of
-    base b: its entry j is level b + j + 1, the graphs of the class on
-    b + j + 1 vertices with min degree >= j + 1, grown from the
-    unfiltered level b with bound j + 1.  Only whole levels and whole
+    levels[(k, m, n, δ)] is level (n, δ): the graphs of the class of
+    {P_k, K_m}-free graphs on n vertices with min degree >= δ, shared by
+    every caller; δ = 0 is the unfiltered level.  It is labelled from
+    candidates[(k, m, n, δ)], the children of level (n - 1, max(δ - 1, 0))
+    with min degree >= δ (children), so every level with a bound is one
+    of the keys that this recursion visits, and each is labelled once.
+    An order whose extremal graphs were asked for may have candidates but
+    no level yet.  grown[(k, m, n)] holds the candidates of order n whose
+    parents are the unlabelled children of candidates[(k, m, n - 1, 0)],
+    built when the extremal graphs of order n were asked for before level
+    (n - 1, 0) was labelled (extremal).  Only whole levels and whole
     candidate lists are stored: _candidates, _label and extremal raise
     before they store."""
 
     def __init__(self) -> None:
-        self.unfiltered: dict[tuple, list[Level]] = {}
-        self.candidates: dict[tuple, list[list[Candidate]]] = {}
+        self.levels: dict[tuple, Level] = {}
+        self.candidates: dict[tuple, list[Candidate]] = {}
         self.grown: dict[tuple, list[Candidate]] = {}
-        self.filtered: dict[tuple, list[Level]] = {}
 
     def clear(self) -> None:
-        self.unfiltered.clear()
+        self.levels.clear()
         self.candidates.clear()
         self.grown.clear()
-        self.filtered.clear()
 
     def children(
         self,
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
+        min_degree: int = 0,
         budget: Budget = _NO_BUDGET,
     ) -> list[Candidate]:
-        """The candidates of order n of the unfiltered chain, computed once
-        from the level n - 1; the graph on 0 vertices has none."""
-        cached = self.candidates.setdefault((forbid_path, forbid_clique), [[]])
-        while len(cached) <= n:
-            levels = self.levels(forbid_path, forbid_clique, len(cached) - 1, budget)
-            cached.append(_candidates(levels, forbid_path, forbid_clique, 0, budget))
-        return cached[n]
-
-    def levels(
-        self,
-        forbid_path: Optional[int],
-        forbid_clique: Optional[int],
-        n: int,
-        budget: Budget = _NO_BUDGET,
-    ) -> list[Level]:
-        """The unfiltered levels 0, ..., n."""
-        key = (forbid_path, forbid_clique)
-        if key not in self.unfiltered:
-            g0 = Graph(0, ())
-            self.unfiltered[key] = [[(g0, (), graph6_encode(g0))]]
-        levels = self.unfiltered[key]
-        while len(levels) <= n:
-            candidates = self.children(forbid_path, forbid_clique, len(levels), budget)
-            levels.append(_label(levels, candidates, budget))
-        return levels[: n + 1]
+        """The candidates of level (n, δ), δ = min_degree >= 0: the children
+        of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once;
+        the graph on 0 vertices has none."""
+        key = (forbid_path, forbid_clique, n, min_degree)
+        if key not in self.candidates:
+            below = self.chain(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
+            self.candidates[key] = (
+                _candidates(below, forbid_path, forbid_clique, min_degree, budget) if below else []
+            )
+        return self.candidates[key]
 
     def chain(
         self,
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
-        min_degree: int,
+        min_degree: int = 0,
         budget: Budget = _NO_BUDGET,
     ) -> list[Level]:
-        """The levels 0, ..., n of the chain whose level n holds the graphs
-        of the class on n vertices with min degree >= min_degree; [] when
-        there are none: the unfiltered levels to b = n - δ and the first δ
-        levels of the tail of base b.  Its step j has bound j, so chains of
-        one base share it, and it grows only as far as a caller asks."""
+        """The levels (i, max(δ - n + i, 0)), i = 0, ..., n, δ =
+        max(min_degree, 0): the chain whose level n holds the graphs of the
+        class on n vertices with min degree >= δ; [] when there are none.
+        Level (n, δ) is labelled from children(n, δ) unless it is stored,
+        and every level below it is then stored."""
         delta = max(min_degree, 0)
-        if delta > max(n - 1, 0):
+        if n < 0 or delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
             return []
-        levels = self.levels(forbid_path, forbid_clique, n - delta, budget)
-        tail = self.filtered.setdefault((forbid_path, forbid_clique, n - delta), [])
-        while len(tail) < delta:
-            below = levels + tail
-            candidates = _candidates(below, forbid_path, forbid_clique, len(tail) + 1, budget)
-            tail.append(_label(below, candidates, budget))
-        return levels + tail[:delta]
+        key = (forbid_path, forbid_clique, n, delta)
+        if key not in self.levels:
+            if n == 0:
+                g0 = Graph(0, ())
+                self.levels[key] = [(g0, (), graph6_encode(g0))]
+            else:
+                candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
+                below = self.chain(forbid_path, forbid_clique, n - 1, delta - 1, budget)
+                self.levels[key] = _label(below, candidates, budget)
+        return [
+            self.levels[forbid_path, forbid_clique, i, max(delta - n + i, 0)]
+            for i in range(n + 1)
+        ]
 
     def extremal(
         self,
@@ -657,8 +646,8 @@ class Enumerator:
         labelled; the budget is checked once per scored parent and once
         per labelled winner.
 
-        The candidates of order n are children(n) when level n - 1 is
-        labelled (always for n = 1).  Otherwise level n - 1 is not
+        The candidates of order n are children(n) when level (n - 1, 0) is
+        stored (always for n = 1).  Otherwise level n - 1 is not
         labelled for them: each candidate (P, M) of order n - 1 gives an
         unlabelled parent C = P + v(M), extended by every mask of
         _attachable_masks(C) with no orbit step (C has no generators);
@@ -684,23 +673,23 @@ class Enumerator:
         and labelling them gives each once, in the canonical form the level
         would hold.  The graph on 0 vertices has no parent and no K_r."""
         if n == 0:
-            levels = self.levels(forbid_path, forbid_clique, 0, budget)
+            levels = self.chain(forbid_path, forbid_clique, 0, budget=budget)
             return levels, [g for g, _gens, _code in levels[0]]
-        key = (forbid_path, forbid_clique)
-        if n == 1 or len(self.unfiltered.get(key, ())) >= n:
-            candidates = self.children(forbid_path, forbid_clique, n, budget)
-            levels = self.levels(forbid_path, forbid_clique, n - 1, budget)
+        if n == 1 or (forbid_path, forbid_clique, n - 1, 0) in self.levels:
+            candidates = self.children(forbid_path, forbid_clique, n, budget=budget)
+            levels = self.chain(forbid_path, forbid_clique, n - 1, budget=budget)
         else:
-            levels = self.levels(forbid_path, forbid_clique, n - 2, budget)
-            candidates = self.grown.get(key + (n,))
+            levels = self.chain(forbid_path, forbid_clique, n - 2, budget=budget)
+            key = (forbid_path, forbid_clique, n)
+            candidates = self.grown.get(key)
             if candidates is None:
                 candidates = []
-                for g, mask in self.children(forbid_path, forbid_clique, n - 1, budget):
+                for g, mask in self.children(forbid_path, forbid_clique, n - 1, budget=budget):
                     budget.check("extremal", levels)
                     child = _attach(g, mask)
                     masks = _attachable_masks(child, forbid_path, forbid_clique)
                     candidates += [(child, x) for x in masks]
-                self.grown[key + (n,)] = candidates
+                self.grown[key] = candidates
         best, top = -1, []
         parent = None
         for g, mask in candidates:
@@ -992,7 +981,8 @@ def verify_theorem(
     checked before anything is enumerated.  Then the candidates of order
     N - 1 are grown, N the largest n, so every smaller n scores the
     children of a labelled level and only N reads unlabelled parents
-    (Enumerator.extremal); no row's runtime_ms includes that step.
+    (Enumerator.extremal); the runtime_ms of the first n's row includes
+    that step, so the rows add up to the sweep.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
@@ -1002,12 +992,12 @@ def verify_theorem(
             raise ParameterError(f"need n >= delta_k + 2 = {params.delta + 2}")
         EnumerationConfig(n=n, forbid_path=k, forbid_clique=m)  # CapExceeded above the cap
     budget = Budget(time_budget_s)
+    t0 = time.monotonic()
     if n_range:
-        _ENUMERATOR.children(k, m, max(n_range) - 1, budget)
+        _ENUMERATOR.children(k, m, max(n_range) - 1, budget=budget)
     case = threshold_case(k, m, r)
     rows = []
     for n in n_range:
-        t0 = time.monotonic()
         if scope == "connected":
             predicted, exact = h_value(n, m, k, r), True
         else:
@@ -1043,6 +1033,7 @@ def verify_theorem(
                 witnesses=result.extremal,
             )
         )
+        t0 = time.monotonic()
     return sort_rows(rows)
 
 
@@ -1058,12 +1049,13 @@ def verify_classification(
     vertices with min degree >= delta_k.  Any Unclassified graph is a
     counterexample and is reported by code.  The time budget (Budget) is
     one for the whole sweep: each n gets the time left, and it is also
-    checked once per classified graph.  Every order reads the look-ahead
-    tail of base N - delta_k, N the largest n within the enumeration cap,
-    so each level is labelled once: n asks for min degree
-    >= delta_k - (N - n) and skips the graphs below delta_k, which
-    leaves, in order, those that min degree delta_k gives (canonical
-    forms are unique and levels are sorted by code).
+    checked once per classified graph.  n asks for min degree
+    >= max(delta_k - (N - n), 0), N the largest n within the enumeration
+    cap: every such level is in the chain of (N, delta_k), so each level
+    is labelled once.  n skips the graphs below delta_k, which leaves, in
+    order, those that min degree delta_k gives (canonical forms are
+    unique and levels are sorted by code).  n_range is reported as its
+    least and largest n.
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure
@@ -1099,7 +1091,7 @@ def verify_classification(
     return {
         "k": k,
         "m": m,
-        "n_range": [n_range.start, n_range.stop - 1],
+        "n_range": [min(n_range), max(n_range)] if n_range else [n_range.start, n_range.stop - 1],
         "total": total,
         "histogram": dict(sorted(histogram.items())),
         "unclassified": sorted(unclassified),

@@ -419,7 +419,7 @@ def test_canonical_labeling_matches_reference():
     for n in range(12):
         graphs += [primitive("complete", n), primitive("empty", n)]
     relabelled = len(graphs)
-    for level in _ENUMERATOR.levels(7, 4, 8):
+    for level in _ENUMERATOR.chain(7, 4, 8):
         graphs += [cf for cf, _gens, _code in level]
     for n in range(10, 31, 2):
         graphs += [turan(n, p) for p in (2, 3, 5)]

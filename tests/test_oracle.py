@@ -213,12 +213,11 @@ def test_level_lists_byte_identical():
 
 def test_filtered_levels_byte_identical():
     for (k, m, n, delta), want in FILTERED_DIGESTS.items():
-        _ENUMERATOR.chain(k, m, n, delta)
-        tail = _ENUMERATOR.filtered[(k, m, n - delta)][:delta]
+        chain = _ENUMERATOR.chain(k, m, n, delta)
         lines = [
-            f"{n - delta + 1 + j} {code}"
-            for j, level in enumerate(tail)
-            for _g, _gens, code in level
+            f"{order} {code}"
+            for order in range(n - delta + 1, n + 1)
+            for _g, _gens, code in chain[order]
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == want, (k, m, n, delta)
@@ -244,7 +243,7 @@ def test_stored_generators_give_the_reference_orbits():
     those of the reference search (tests/canon_reference.py) on the stored
     graph give every subset of the vertices the same orbit minimum."""
     checked = 0
-    for level in _ENUMERATOR.levels(7, 4, 8):
+    for level in _ENUMERATOR.chain(7, 4, 8):
         for g, gens, code in level:
             _perm, ref = reference_canonical_labeling(g)
             assert _orbit_minima(g.n, gens) == _orbit_minima(g.n, tuple(ref)), code
@@ -329,7 +328,7 @@ def test_mask_rule_matches_unpruned_extension():
     stored generators may differ; they must be automorphisms of the stored
     graph."""
     for k, m, n in RULE_CELLS:
-        levels = _ENUMERATOR.levels(k, m, n)
+        levels = _ENUMERATOR.chain(k, m, n)
         for i in range(n):
             out = {}
             for g, gens, code in levels[i]:
@@ -407,7 +406,7 @@ def test_rooted_path_checks_match_child_searches():
 
     cells = [(k, m, n - 1) for k, m, n in RULE_CELLS if k is not None]
     for k, m, n in cells + [(2, None, 6), (3, None, 6)]:
-        for level in _ENUMERATOR.levels(k, m, n):
+        for level in _ENUMERATOR.chain(k, m, n):
             for g, _gens, _code in level:
                 check(g, k)
     rng = random.Random(3)
@@ -472,7 +471,7 @@ def test_max_degree_masks():
     (_twin_canon), as _orbit_representatives needs."""
     bounded = 0
     for k, m, n in RULE_CELLS:
-        for i, level in enumerate(_ENUMERATOR.levels(k, m, n - 1)):
+        for i, level in enumerate(_ENUMERATOR.chain(k, m, n - 1)):
             for g, gens, code in level:
                 classes = _twin_classes_by_definition(g)
                 masks = [x for x in _free_masks(g, k, m) if _twin_canon(classes, x) == x]
@@ -514,7 +513,7 @@ def test_look_ahead_matches_filtering_afterwards():
     kept = 0
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
-            full = [g for g, _gens, _code in _ENUMERATOR.levels(k, m, n)[n]]
+            full = [g for g, _gens, _code in _ENUMERATOR.chain(k, m, n)[n]]
             for delta in (1, 2, 3):
                 for connected in (False, True):
                     want = [
@@ -537,15 +536,12 @@ def _parents(cells: list, chains: list) -> list:
     last), each graph once per (k, m)."""
     out = {}
     for k, m, n in cells:
-        for level in _ENUMERATOR.levels(k, m, n - 1):
+        for level in _ENUMERATOR.chain(k, m, n - 1):
             out.update(((k, m, code), g) for g, _gens, code in level)
     for k, m, orders in chains:
         for n in orders:
             for delta in range(1, min(n, 4)):
-                _ENUMERATOR.chain(k, m, n, delta)
-                levels = _ENUMERATOR.levels(k, m, n - delta)[-1:]
-                levels += _ENUMERATOR.filtered[(k, m, n - delta)][:delta][:-1]
-                for level in levels:
+                for level in _ENUMERATOR.chain(k, m, n, delta)[n - delta : n]:
                     out.update(((k, m, code), g) for g, _gens, code in level)
     return [(k, m, g) for (k, m, _code), g in out.items()]
 
@@ -729,7 +725,7 @@ def test_twins_share_their_verdicts():
 
     for k, m, n in RULE_CELLS:
         if k is not None:
-            for level in _ENUMERATOR.levels(k, m, n - 1):
+            for level in _ENUMERATOR.chain(k, m, n - 1):
                 for g, _gens, _code in level:
                     check(g, k)
     rng = random.Random(15)
@@ -824,15 +820,13 @@ def test_candidates_match_the_unpruned_reference():
     rng = random.Random(15)
     jobs = []
     for k, m, n in RULE_CELLS:
-        levels = _ENUMERATOR.levels(k, m, n - 1)
+        levels = _ENUMERATOR.chain(k, m, n - 1)
         jobs += [(k, m, levels[: i + 1], b) for i in range(n) for b in range(4)]
         jobs += [(k, m, [_scrambled(level, rng)], 0) for level in levels]
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
             for delta in range(1, min(n, 4)):
-                _ENUMERATOR.chain(k, m, n, delta)
-                chain = _ENUMERATOR.levels(k, m, n - delta)
-                chain += _ENUMERATOR.filtered[(k, m, n - delta)][:delta]
+                chain = _ENUMERATOR.chain(k, m, n, delta)
                 jobs += [(k, m, chain[: n - delta + j + 1], j + 1) for j in range(delta)]
     total = 0
     for k, m, levels, b in jobs:
@@ -854,7 +848,7 @@ def test_unchecked_graphs_are_valid():
     graphs = []
     cells = RULE_CELLS + [(k, m, orders[-1]) for k, m, orders in LOOK_AHEAD_CELLS]
     for k, m, n in cells:
-        levels = _ENUMERATOR.levels(k, m, n)
+        levels = _ENUMERATOR.chain(k, m, n)
         graphs += [g for level in levels for g, _gens, _code in level]
         for order in range(1, n + 1):
             graphs += [_attach(g, mask) for g, mask in _ENUMERATOR.children(k, m, order)]
@@ -875,20 +869,25 @@ def test_unchecked_graphs_are_valid():
     assert len(graphs) > 10000, len(graphs)
 
 
+def _unfiltered_keys(k, m, count: int) -> set:
+    """The keys of the unfiltered levels 0, ..., count - 1 of (k, m)."""
+    return {(k, m, n, 0) for n in range(count)}
+
+
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     """A filtered chain for n = 9, δ = 2 extends the unfiltered levels only
     to level 7, reuses the levels that an unfiltered enumeration at n = 7
-    cached, and adds levels 8 and 9 with bounds 1 and 2; clear_cache
-    empties, through Enumerator.clear, both chains, the candidates and
-    the candidates grown from unlabelled parents, and the classifier's
-    tables.  A fresh enumerator keeps the shared one warm for the other
-    tests."""
+    stored, and adds levels (8, 1) and (9, 2) with bounds 1 and 2;
+    clear_cache empties, through Enumerator.clear, the levels, the
+    candidates and the candidates grown from unlabelled parents, and the
+    classifier's tables.  A fresh enumerator keeps the shared one warm for
+    the other tests.  A chain for n = 10, δ = 2 stores the unfiltered
+    levels to 8 and the levels (9, 1) and (10, 2), each once."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
-    chain = enumerator.unfiltered[(7, 4)]
-    cached = list(chain)
-    assert len(cached) == 8
+    cached = dict(enumerator.levels)
+    assert set(cached) == _unfiltered_keys(7, 4, 8)
     steps = []
     candidates = oracle._candidates
 
@@ -901,9 +900,9 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     config = EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
     got = enumerate_graphs(config)
     assert steps == [(8, 1), (9, 2)]
-    assert len(chain) == 8 and all(a is b for a, b in zip(chain, cached))
-    tail = enumerator.filtered[(7, 4, 7)]
-    assert len(tail) == 2 and [g for g, _gens, _code in tail[1]] == got
+    assert set(enumerator.levels) == set(cached) | {(7, 4, 8, 1), (7, 4, 9, 2)}
+    assert all(enumerator.levels[key] is level for key, level in cached.items())
+    assert [g for g, _gens, _code in enumerator.levels[7, 4, 9, 2]] == got
     # a second call is served from the cache
     assert enumerate_graphs(config) == got and len(steps) == 2
     class_table(9, 7, 4, False)
@@ -912,20 +911,23 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     # the extremal graphs on 9 vertices are scored from the unlabelled
     # candidates of order 8, so level 8 is still not labelled
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert list(enumerator.grown) == [(7, 4, 9)] and len(chain) == 8
+    assert list(enumerator.grown) == [(7, 4, 9)] and (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
-    assert not enumerator.unfiltered and not enumerator.filtered
-    assert not enumerator.candidates and not enumerator.grown
+    assert not enumerator.levels and not enumerator.candidates and not enumerator.grown
     assert class_table.cache_info().currsize == 0
+    fresh = Enumerator()
+    fresh.chain(7, 4, 10, 2)
+    assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
 
 
 def test_classification_sweep_reads_one_tail(monkeypatch):
     """verify_classification(7, 4, range(7, 11)) (δ_7 = 2) reads every
-    order from the look-ahead tail of base 10 - 2 = 8: from a fresh
-    enumerator it takes only the filtered steps to 9 (bound 1) and 10
-    (bound 2), the chains of base 8 share their levels, and its report is
-    the merge of the four single-n reports, each from a fresh enumerator.
-    A sweep to 11, above the cap, grows the same tail before it raises."""
+    order from the chain of (10, 2): from a fresh enumerator it takes only
+    the filtered steps to 9 (bound 1) and 10 (bound 2), stores the levels
+    of that chain and no other of (7, 4), the chains of its orders share
+    their levels, and its report is the merge of the four single-n
+    reports, each from a fresh enumerator.  A sweep to 11, above the cap,
+    grows the same chain before it raises."""
     steps = []
     candidates = oracle._candidates
 
@@ -939,6 +941,9 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     report = verify_classification(7, 4, range(7, 11))
     assert steps == [(9, 1), (10, 2)]
+    # the classifier's own enumerations are of other classes
+    stored = {key for key in enumerator.levels if key[:2] == (7, 4)}
+    assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
     assert enumerator.chain(7, 4, 9, 1)[-1] is enumerator.chain(7, 4, 10, 2)[-2]
     singles = []
     for n in range(7, 11):
@@ -959,7 +964,7 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     }
     assert all(single["total"] for single in singles)
     # an order above the cap raises when it is reached, and the orders
-    # below it read the tail of the largest order the cap allows
+    # below it read the chain of the largest order the cap allows
     steps.clear()
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     with pytest.raises(CapExceeded):
@@ -1021,7 +1026,7 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
         computed.clear()
         for n in range(9):
             cold = _extremal_asks(k, m, n)
-            assert len(enumerator.unfiltered[(k, m)]) == max(n, 1), (k, m, n)
+            assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n, 1)), (k, m, n)
             for (config, r), got in cold.items():
                 want = _most_cliques(config, r)
                 assert got == want, (config, r)
@@ -1046,7 +1051,7 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             enumerator = Enumerator()
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             cold = _extremal_asks(k, m, n)
-            assert len(enumerator.unfiltered[(k, m)]) == max(n - 1, 1), (k, m, n)
+            assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
             assert list(enumerator.grown) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
@@ -1061,7 +1066,7 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
     cold = ex_oracle(9, 7, 4, 2)
     assert 8 not in labelled and 9 in labelled
     enumerator = Enumerator()
-    enumerator.levels(7, 4, 8)
+    enumerator.chain(7, 4, 8)
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     assert ex_oracle(9, 7, 4, 2) == cold
 
@@ -1088,7 +1093,8 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     params = TheoremParams(7, 4, 2)
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 10))
-    assert len(enumerator.unfiltered[(7, 4)]) == 9 and list(enumerator.grown) == [(7, 4, 10)]
+    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
+    assert list(enumerator.grown) == [(7, 4, 10)]
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1107,7 +1113,7 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     for n_range in (range(params.delta + 1, 11), range(10, params.delta, -1)):
         with pytest.raises(ParameterError):
             verify_theorem(params, n_range)
-    assert computed == [] and not enumerator.unfiltered and not enumerator.candidates
+    assert computed == [] and not enumerator.levels and not enumerator.candidates
 
 
 def test_extremal_r_validation():
@@ -1118,9 +1124,9 @@ def test_extremal_r_validation():
 
 
 def test_levels_stop_at_the_order_asked():
-    _ENUMERATOR.levels(7, 4, 8)
-    assert len(_ENUMERATOR.levels(7, 4, 6)) == 7
-    assert len(_ENUMERATOR.levels(7, 4, 8)) == 9
+    _ENUMERATOR.chain(7, 4, 8)
+    assert len(_ENUMERATOR.chain(7, 4, 6)) == 7
+    assert len(_ENUMERATOR.chain(7, 4, 8)) == 9
 
 
 def _nx_graph(g: Graph) -> nx.Graph:
@@ -1161,7 +1167,7 @@ def test_generators_generate_the_automorphism_group():
     automorphisms of K_{2,8}, so those are counted by stabilisers)."""
     checked = 0
     for k, m in ((7, 4), (5, 3), (None, 4)):
-        for level in _ENUMERATOR.levels(k, m, 7):
+        for level in _ENUMERATOR.chain(k, m, 7):
             for g, gens, code in level:
                 matcher = GraphMatcher(_nx_graph(g), _nx_graph(g))
                 count = sum(1 for _ in matcher.isomorphisms_iter())
@@ -1190,6 +1196,9 @@ def test_final_filters():
     assert [g for g in base if is_connected(g)] == conn
     md = enumerate_graphs(EnumerationConfig(n=6, forbid_path=5, min_degree=1))
     assert [g for g in base if g.min_degree() >= 1] == md
+    # a negative bound is no bound, and is stored under δ = 0
+    assert enumerate_graphs(EnumerationConfig(n=6, forbid_path=5, min_degree=-1)) == base
+    assert all(key[3] >= 0 for key in [*_ENUMERATOR.levels, *_ENUMERATOR.candidates])
     em = enumerate_graphs(EnumerationConfig(n=6, forbid_path=5, edge_maximal=True))
     assert set(em) <= set(base)
     # max edge count is attained inside the edge-maximal subset
@@ -1205,7 +1214,7 @@ def test_edge_maximal_against_the_level():
     # n = k, where g + uv may hold a P_k, and n < k, where it cannot
     cells += [(6, 4, 6), (8, 4, 6)]
     for k, m, n in cells:
-        level = _ENUMERATOR.levels(k, m, n)[n]
+        level = _ENUMERATOR.chain(k, m, n)[n]
         codes = {code for _g, _gens, code in level}
         want = []
         for g, _gens, _code in level:
@@ -1358,6 +1367,10 @@ def test_verify_classification_small():
     report = verify_classification(5, 3, range(5, 8))
     assert report["ok"] and report["unclassified"] == []
     assert sum(report["histogram"].values()) == report["total"] > 0
+    # a descending range reports its least and largest n
+    report = verify_classification(7, 4, range(9, 6, -1))
+    assert report["n_range"] == [7, 9]
+    assert report == verify_classification(7, 4, range(7, 10))
 
 
 def test_verify_classification_has_class3():
@@ -1380,7 +1393,7 @@ def test_budget_checks_and_stats():
     counts given (the n reached and the rest), and left() is 0.0.  The
     enumeration checks it once per parent (_candidates) and once per child
     labelled (_label)."""
-    levels = _ENUMERATOR.levels(7, 4, 4)
+    levels = _ENUMERATOR.chain(7, 4, 4)
     unlimited = Budget()
     unlimited.check("levels", levels)
     unlimited.check("family", n=9, rows=2)
@@ -1589,6 +1602,27 @@ def test_one_budget_per_command(monkeypatch):
     assert len(deadlines) == 3 and max(deadlines) <= t0 + budget + 0.01, deadlines
 
 
+def test_verify_reports_the_shared_first_step(monkeypatch):
+    """verify_theorem starts the clock of the first n's row before it grows
+    the candidates of order N - 1 for the whole range, so that row carries
+    the step.  The clock jumps 10**6 s in that step (the first children
+    call): the row of n = 7 reads at least 10**9 ms, and the other rows,
+    timed after the jump, read less."""
+    clock = _JumpingClock()
+    children = Enumerator.children
+
+    def jump_first(self, *args, **kwargs):
+        clock.jump()
+        return children(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(Enumerator, "children", jump_first)
+    rows = verify_theorem(TheoremParams(7, 4, 2), range(7, 10))
+    runtime = {row.n: row.runtime_ms for row in rows}
+    assert runtime[7] >= 1e9 and runtime[8] < 1e9 and runtime[9] < 1e9, runtime
+
+
 def test_time_budget_inside_the_filtered_chain(monkeypatch):
     """The deadline is checked per parent in look-ahead steps too.  With
     the unfiltered triangle-free levels to 8 cached, the filtered steps to
@@ -1601,7 +1635,7 @@ def test_time_budget_inside_the_filtered_chain(monkeypatch):
     does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    enumerator.levels(None, 3, 8)
+    enumerator.chain(None, 3, 8)
     clock = _JumpingClock()
     attachable = oracle._attachable_masks
 
@@ -1621,9 +1655,10 @@ def test_time_budget_inside_the_filtered_chain(monkeypatch):
     done = stats["completed_levels"]
     assert 8 <= done < 10
     assert len(stats["level_sizes"]) == done + 1
-    assert stats["level_sizes"][:9] == [len(l) for l in enumerator.levels(None, 3, 8)]
+    assert stats["level_sizes"][:9] == [len(l) for l in enumerator.chain(None, 3, 8)]
     # the interrupted filtered level was not cached half-built
-    assert len(enumerator.filtered[(None, 3, 8)]) == done - 8
+    filtered = {key for key in enumerator.levels if key[3]}
+    assert filtered == {(None, 3, n, n - 8) for n in range(9, done + 1)}
     unbudgeted = replace(config, time_budget_s=None)
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
@@ -1636,7 +1671,8 @@ def test_time_budget_in_the_final_filters(monkeypatch):
     out in the edge_maximal filter, and the stats name that stage."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    enumerator.unfiltered[(7, 4)] = list(_ENUMERATOR.levels(7, 4, 10))
+    for n, level in enumerate(_ENUMERATOR.chain(7, 4, 10)):
+        enumerator.levels[7, 4, n, 0] = level
     config = EnumerationConfig(
         n=10, forbid_path=7, forbid_clique=4, edge_maximal=True, time_budget_s=0
     )
@@ -1644,4 +1680,4 @@ def test_time_budget_in_the_final_filters(monkeypatch):
         enumerate_graphs(config)
     stats = info.value.stats
     assert stats["stage"] == "filters" and stats["completed_levels"] == 10
-    assert stats["level_sizes"] == [len(l) for l in enumerator.levels(7, 4, 10)]
+    assert stats["level_sizes"] == [len(l) for l in enumerator.chain(7, 4, 10)]
