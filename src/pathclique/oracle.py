@@ -69,7 +69,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .canon import canonical, canonical_with_generators
 from .constructions import double_star, h_extremal, h_minus, turan_union
@@ -182,32 +182,31 @@ class Budget:
     predicted family (verify) and per classified graph (classify).  A
     call therefore overruns its budget by at most one parent's
     extensions, one graph's filters, one family check or one
-    classification."""
+    classification.  level_sizes are the sizes of the last chain read
+    (Enumerator.chain writes them): every enumeration stage reads the
+    chain of its parent level first.  A budget holds no graph."""
 
     def __init__(self, seconds: Optional[float] = None) -> None:
         self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.level_sizes: list[int] = []
 
     def left(self) -> Optional[float]:
         """The time left, never negative; None when there is no budget."""
         return None if self.deadline is None else max(self.deadline - time.monotonic(), 0.0)
 
-    def check(self, stage: str, levels: Optional[list[Level]] = None, **done) -> None:
+    def check(self, stage: str, **done) -> None:
         """Raise BudgetExceeded once the deadline is reached.  Its stats
-        name the stage and either the whole levels built so far
-        (completed_levels, level_sizes) or, for the stages that follow an
-        order's enumeration, the n reached and the counts in done."""
+        name the stage and either the counts in done (the n reached and
+        the rest), for the stages that follow an order's enumeration, or
+        the last complete chain read (completed_levels, level_sizes)."""
         if self.deadline is None or time.monotonic() < self.deadline:
             return
-        if levels is None:
+        if done:
             where, stats = f"at n = {done['n']}", {"stage": stage, **done}
         else:
-            last = len(levels) - 1
+            last = len(self.level_sizes) - 1
             where = f"after level {last}"
-            stats = {
-                "completed_levels": last,
-                "level_sizes": [len(l) for l in levels],
-                "stage": stage,
-            }
+            stats = {"completed_levels": last, "level_sizes": self.level_sizes, "stage": stage}
         raise BudgetExceeded(f"time budget exhausted in the {stage} stage {where}", stats)
 
 
@@ -486,23 +485,24 @@ Candidate = tuple[Graph, int]
 
 
 def _candidates(
-    levels: list[Level],
+    parents: Iterable[tuple],
     forbid_path: Optional[int],
     forbid_clique: Optional[int],
     bound: int,
     budget: Budget,
+    stage: str = "levels",
 ) -> list[Candidate]:
-    """The children (parent, mask) of the next level after levels[-1],
-    restricted to min degree >= bound (0: unfiltered), one per orbit of
-    kept masks, in parent order; none is built or labelled.  The budget
-    is checked once per parent.
+    """The children (parent, mask) of the parent level, restricted to min
+    degree >= bound (0: unfiltered), one per orbit of kept masks, in
+    parent order; none is built or labelled.  A parent given no
+    generators keeps every mask.  The budget is checked once per parent.
 
     Only children whose new vertex has maximum degree are kept (the
     degree test of canonical augmentation, McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26 (1998)).  Soundness: let G
     be in the class on i + 1 vertices and u a vertex of maximum degree.
-    The class is closed under vertex deletion and levels[i] is complete,
-    so G - u is isomorphic, by some φ, to a parent P of levels[i];
+    The class is closed under vertex deletion and the parent level is
+    complete, so G - u is isomorphic, by some φ, to a parent P;
     M = φ(N(u)) is an attachable mask and P + v(M) ≅ G with v ↦ u, so M
     passes the degree test.  The orbit representative M' = a(M), a in
     the group of P's generators, gives P + v(M') ≅ P + v(M) with v fixed,
@@ -510,13 +510,13 @@ def _candidates(
     a subgroup of Aut(P), and one class can arise from several parents,
     so one class can have several candidates.
 
-    Look-ahead.  For bound > 0, levels[i] must hold exactly the graphs of
-    the class on i vertices with min degree >= bound - 1, and only masks
-    whose child has min degree >= bound are kept.  The argument above
-    still holds: G - u, for u of maximum degree in G, loses at most 1
-    from every other degree, so it has min degree >= bound - 1 and lies
-    in levels[i], which is complete for its own bound; M = φ(N(u)) gives
-    a child isomorphic to G, so it passes the min-degree test.
+    Look-ahead.  For bound > 0, the parent level must hold exactly the
+    graphs of the class on i vertices with min degree >= bound - 1, and
+    only masks whose child has min degree >= bound are kept.  The
+    argument above still holds: G - u, for u of maximum degree in G,
+    loses at most 1 from every other degree, so it has min degree
+    >= bound - 1 and is isomorphic to a parent, as the level is complete
+    for its own bound; M = φ(N(u)) passes the min-degree test.
 
     _attachable_masks applies both tests to the twin-canonical masks;
     they are read from degrees, so they are invariant under Aut(g): M'
@@ -528,24 +528,22 @@ def _candidates(
     (graphs.lower_twins) are computed once per parent for both, and each
     reads the classes from them with graphs.twin_classes."""
     out: list[Candidate] = []
-    for g, gens, _code in levels[-1]:
-        budget.check("levels", levels)
+    for g, gens, *_code in parents:
+        budget.check(stage)
         lower = lower_twins(g)
         masks = _attachable_masks(g, forbid_path, forbid_clique, bound, lower)
         out += [(g, mask) for mask in _orbit_representatives(masks, gens, lower)]
     return out
 
 
-def _label(
-    levels: list[Level], candidates: list[Candidate], budget: Budget, stage: str = "levels"
-) -> Level:
+def _label(candidates: list[Candidate], budget: Budget, stage: str = "levels") -> Level:
     """The level of the candidates' children: each built, labelled
     canonically and kept once per code, with the generators of the first
     child of its class, sorted by code.  The budget is checked once per
-    child in stage; levels are the whole levels below, for BudgetExceeded."""
+    child in stage."""
     out: dict[str, tuple[Graph, tuple, str]] = {}
     for g, mask in candidates:
-        budget.check(stage, levels)
+        budget.check(stage)
         cf, cgens = canonical_with_generators(_attach(g, mask))
         code = graph6_encode(cf)
         if code not in out:
@@ -590,12 +588,14 @@ class Enumerator:
     ) -> list[Candidate]:
         """The candidates of level (n, δ), δ = min_degree >= 0: the children
         of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once;
-        the graph on 0 vertices has none."""
+        the graph on 0 vertices has none.  The chain below is read even when
+        they are stored, so the budget reports the levels they stand on."""
         key = (forbid_path, forbid_clique, n, min_degree)
+        below = self.chain(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
         if key not in self.candidates:
-            below = self.chain(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
-            self.candidates[key] = (
-                _candidates(below, forbid_path, forbid_clique, min_degree, budget) if below else []
+            parents = below[-1] if below else []
+            self.candidates[key] = _candidates(
+                parents, forbid_path, forbid_clique, min_degree, budget
             )
         return self.candidates[key]
 
@@ -611,7 +611,8 @@ class Enumerator:
         max(min_degree, 0): the chain whose level n holds the graphs of the
         class on n vertices with min degree >= δ; [] when there are none.
         Level (n, δ) is labelled from children(n, δ) unless it is stored,
-        and every level below it is then stored."""
+        and every level below it is then stored.  Its sizes are written to
+        budget.level_sizes."""
         delta = max(min_degree, 0)
         if n < 0 or delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
@@ -623,12 +624,13 @@ class Enumerator:
                 self.levels[key] = [(g0, (), graph6_encode(g0))]
             else:
                 candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
-                below = self.chain(forbid_path, forbid_clique, n - 1, delta - 1, budget)
-                self.levels[key] = _label(below, candidates, budget)
-        return [
+                self.levels[key] = _label(candidates, budget)
+        levels = [
             self.levels[forbid_path, forbid_clique, i, max(delta - n + i, 0)]
             for i in range(n + 1)
         ]
+        budget.level_sizes = [len(level) for level in levels]
+        return levels
 
     def extremal(
         self,
@@ -638,9 +640,8 @@ class Enumerator:
         r: int,
         connected: bool,
         budget: Budget = _NO_BUDGET,
-    ) -> tuple[list[Level], list[Graph]]:
-        """The labelled levels used, 0, ..., n - 1 or 0, ..., n - 2, and
-        the graphs of the class on n vertices (connected ones only, if
+    ) -> list[Graph]:
+        """The graphs of the class on n vertices (connected ones only, if
         connected) with the most K_r, in canonical labels, sorted by code.
         Only the candidates of order n with the top score are built and
         labelled; the budget is checked once per scored parent and once
@@ -649,9 +650,9 @@ class Enumerator:
         The candidates of order n are children(n) when level (n - 1, 0) is
         stored (always for n = 1).  Otherwise level n - 1 is not
         labelled for them: each candidate (P, M) of order n - 1 gives an
-        unlabelled parent C = P + v(M), extended by every mask of
-        _attachable_masks(C) with no orbit step (C has no generators);
-        the budget is checked once per C, and the list is kept in grown.
+        unlabelled parent C = P + v(M), which _candidates extends by every
+        mask of _attachable_masks(C), as C is given no generators; the
+        budget is checked once per C, and the list is kept in grown.
 
         Soundness.  Every class on n vertices has a candidate.  For
         children(n) see _candidates.  For the grown list, let G be in the
@@ -673,28 +674,24 @@ class Enumerator:
         and labelling them gives each once, in the canonical form the level
         would hold.  The graph on 0 vertices has no parent and no K_r."""
         if n == 0:
-            levels = self.chain(forbid_path, forbid_clique, 0, budget=budget)
-            return levels, [g for g, _gens, _code in levels[0]]
+            level = self.chain(forbid_path, forbid_clique, 0, budget=budget)[0]
+            return [g for g, _gens, _code in level]
         if n == 1 or (forbid_path, forbid_clique, n - 1, 0) in self.levels:
             candidates = self.children(forbid_path, forbid_clique, n, budget=budget)
-            levels = self.chain(forbid_path, forbid_clique, n - 1, budget=budget)
         else:
-            levels = self.chain(forbid_path, forbid_clique, n - 2, budget=budget)
+            parents = self.children(forbid_path, forbid_clique, n - 1, budget=budget)
             key = (forbid_path, forbid_clique, n)
-            candidates = self.grown.get(key)
-            if candidates is None:
-                candidates = []
-                for g, mask in self.children(forbid_path, forbid_clique, n - 1, budget=budget):
-                    budget.check("extremal", levels)
-                    child = _attach(g, mask)
-                    masks = _attachable_masks(child, forbid_path, forbid_clique)
-                    candidates += [(child, x) for x in masks]
-                self.grown[key] = candidates
+            if key not in self.grown:
+                self.grown[key] = _candidates(
+                    ((_attach(g, mask), ()) for g, mask in parents),
+                    forbid_path, forbid_clique, 0, budget, "extremal",
+                )
+            candidates = self.grown[key]
         best, top = -1, []
         parent = None
         for g, mask in candidates:
             if g is not parent:
-                budget.check("extremal", levels)
+                budget.check("extremal")
                 parent, base, components = g, count_cliques(g, r), []
                 rest = g.vertex_mask() if connected else 0
                 while rest:
@@ -707,7 +704,7 @@ class Enumerator:
                 best, top = score, []
             if score == best:
                 top.append((g, mask))
-        return levels, [cf for cf, _gens, _code in _label(levels, top, budget, "extremal")]
+        return [cf for cf, _gens, _code in _label(top, budget, "extremal")]
 
 
 _ENUMERATOR = Enumerator()
@@ -771,14 +768,12 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
         levels = _ENUMERATOR.chain(k, m, n, config.min_degree, budget)
         graphs = [g for g, _gens, _code in levels[-1]] if levels else []
     else:
-        levels, graphs = _ENUMERATOR.extremal(
-            k, m, n, config.extremal_r, connected, budget
-        )
+        graphs = _ENUMERATOR.extremal(k, m, n, config.extremal_r, connected, budget)
         connected = False  # decided on the candidates
     out = []
     for g in graphs:
         if connected or config.edge_maximal:
-            budget.check("filters", levels)
+            budget.check("filters")
         if connected and not is_connected(g):
             continue
         if config.edge_maximal and not _edge_maximal(g, k, m):

@@ -743,15 +743,15 @@ def test_twins_share_their_verdicts():
     assert min(checked.values()) > 1000, checked
 
 
-def _unpruned_candidates(levels: list, k, m, bound: int) -> list:
-    """_candidates(levels, k, m, bound) as it was before twin classes were
+def _unpruned_candidates(level: list, k, m, bound: int) -> list:
+    """_candidates(level, k, m, bound) as it was before twin classes were
     used, kept as the reference: for each parent, one rooted search per
     vertex, every pair of good vertices compared, every mask tested in
     turn (need, size, the degree test, bad vertices, clashing pairs,
     cliques), and the orbit of each kept mask closed under every
     generator, vertex by vertex, its least mask taken."""
     out = []
-    for g, gens, _code in levels[-1]:
+    for g, gens, _code in level:
         n, degs = g.n, g.degrees()
         need, size = _look_ahead(g, bound)
         bad, clash = _rooted_verdicts(g, k)
@@ -821,17 +821,17 @@ def test_candidates_match_the_unpruned_reference():
     jobs = []
     for k, m, n in RULE_CELLS:
         levels = _ENUMERATOR.chain(k, m, n - 1)
-        jobs += [(k, m, levels[: i + 1], b) for i in range(n) for b in range(4)]
-        jobs += [(k, m, [_scrambled(level, rng)], 0) for level in levels]
+        jobs += [(k, m, level, b) for level in levels for b in range(4)]
+        jobs += [(k, m, _scrambled(level, rng), 0) for level in levels]
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
             for delta in range(1, min(n, 4)):
                 chain = _ENUMERATOR.chain(k, m, n, delta)
-                jobs += [(k, m, chain[: n - delta + j + 1], j + 1) for j in range(delta)]
+                jobs += [(k, m, chain[n - delta + j], j + 1) for j in range(delta)]
     total = 0
-    for k, m, levels, b in jobs:
-        got = oracle._candidates(levels, k, m, b, Budget())
-        assert got == _unpruned_candidates(levels, k, m, b), (k, m, len(levels) - 1, b)
+    for k, m, level, b in jobs:
+        got = oracle._candidates(level, k, m, b, Budget())
+        assert got == _unpruned_candidates(level, k, m, b), (k, m, level[0][0].n, b)
         total += len(got)
     assert total > 10000, total
 
@@ -854,14 +854,14 @@ def test_unchecked_graphs_are_valid():
             graphs += [_attach(g, mask) for g, mask in _ENUMERATOR.children(k, m, order)]
             for r in (2, 3):
                 for connected in (False, True):
-                    graphs += _ENUMERATOR.extremal(k, m, order, r, connected)[1]
+                    graphs += _ENUMERATOR.extremal(k, m, order, r, connected)
     for k, m, orders in LOOK_AHEAD_CELLS:
         for n in orders:
             for delta in range(1, min(n, 4)):
                 chain = _ENUMERATOR.chain(k, m, n, delta)
                 for j in range(delta):
                     top = n - delta + j
-                    steps = oracle._candidates(chain[: top + 1], k, m, j + 1, Budget())
+                    steps = oracle._candidates(chain[top], k, m, j + 1, Budget())
                     graphs += [_attach(g, mask) for g, mask in steps]
                     graphs += [g for g, _gens, _code in chain[top + 1]]
     for g in graphs:
@@ -891,10 +891,10 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     steps = []
     candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, budget):
-        if bound > 0:
-            steps.append((len(levels), bound))
-        return candidates(levels, k, m, bound, budget)
+    def spy(parents, k, m, bound, budget, stage="levels"):
+        if stage == "levels" and bound > 0:
+            steps.append((parents[0][0].n + 1, bound))
+        return candidates(parents, k, m, bound, budget, stage)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     config = EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
@@ -931,10 +931,10 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     steps = []
     candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, budget):
-        if bound > 0:
-            steps.append((len(levels), bound))
-        return candidates(levels, k, m, bound, budget)
+    def spy(parents, k, m, bound, budget, stage="levels"):
+        if stage == "levels" and bound > 0:
+            steps.append((parents[0][0].n + 1, bound))
+        return candidates(parents, k, m, bound, budget, stage)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     enumerator = Enumerator()
@@ -1014,9 +1014,10 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     computed = []
     candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, budget):
-        computed.append(len(levels))
-        return candidates(levels, k, m, bound, budget)
+    def spy(parents, k, m, bound, budget, stage="levels"):
+        if stage == "levels":
+            computed.append(parents[0][0].n + 1)
+        return candidates(parents, k, m, bound, budget, stage)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     ties = 0
@@ -1036,12 +1037,25 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     assert ties > 60, ties
 
 
+def _grown_reference(enumerator: Enumerator, k, m, n: int) -> list:
+    """The candidates of order n grown from the unlabelled candidates of
+    order n - 1, by the loop Enumerator.extremal ran before it grew them
+    with _candidates, kept as the reference: each child C of order n - 1
+    is built and extended by every mask of _attachable_masks(C)."""
+    out = []
+    for g, mask in enumerator.children(k, m, n - 1):
+        child = _attach(g, mask)
+        out += [(child, x) for x in _attachable_masks(child, k, m)]
+    return out
+
+
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
     extremal_r = r does not label level n - 1 (n >= 2): it scores the
-    children grown from the unlabelled candidates of order n - 1, and
-    still returns exactly the graphs of the labelled level n, after the
-    same final filters, with the most K_r, over the cells, r,
+    children grown from the unlabelled candidates of order n - 1, which
+    are exactly those of the reference loop, in order (_grown_reference),
+    and still returns exactly the graphs of the labelled level n, after
+    the same final filters, with the most K_r, over the cells, r,
     connected_only and edge_maximal of
     test_extremal_matches_the_labelled_level.  A cold
     ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
@@ -1053,6 +1067,9 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
             assert list(enumerator.grown) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
+            if n >= 2:
+                want = _grown_reference(enumerator, k, m, n)
+                assert enumerator.grown[k, m, n] == want, (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1083,9 +1100,10 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     computed = []
     candidates = oracle._candidates
 
-    def spy(levels, k, m, bound, budget):
-        computed.append(len(levels))
-        return candidates(levels, k, m, bound, budget)
+    def spy(parents, k, m, bound, budget, stage="levels"):
+        if stage == "levels":
+            computed.append(parents[0][0].n + 1)
+        return candidates(parents, k, m, bound, budget, stage)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     enumerator = Enumerator()
@@ -1388,19 +1406,22 @@ def test_enumerated_graphs_satisfy_constraints():
 
 def test_budget_checks_and_stats():
     """Budget() never runs out and has no time left to report.  Budget(0)
-    has run out at once: check raises with the stage and either the whole
-    levels given (the last completed level and the level sizes) or the
-    counts given (the n reached and the rest), and left() is 0.0.  The
-    enumeration checks it once per parent (_candidates) and once per child
-    labelled (_label)."""
+    has run out at once: check raises with the stage and either the
+    counts given (the n reached and the rest) or else the last chain the
+    budget was handed to (the last completed level and the level sizes),
+    and left() is 0.0.  The enumeration checks it once per parent
+    (_candidates) and once per child labelled (_label)."""
     levels = _ENUMERATOR.chain(7, 4, 4)
     unlimited = Budget()
-    unlimited.check("levels", levels)
+    _ENUMERATOR.chain(7, 4, 4, budget=unlimited)
+    unlimited.check("levels")
     unlimited.check("family", n=9, rows=2)
     assert unlimited.left() is None
     spent = Budget(0)
+    # the chain is stored, so reading it checks nothing
+    _ENUMERATOR.chain(7, 4, 4, budget=spent)
     with pytest.raises(BudgetExceeded) as info:
-        spent.check("levels", levels)
+        spent.check("levels")
     assert info.value.stats == {
         "stage": "levels",
         "completed_levels": len(levels) - 1,
@@ -1415,14 +1436,52 @@ def test_budget_checks_and_stats():
     checks = []
 
     class Counting(Budget):
-        def check(self, stage, levels=None, **done):
-            checks.append((stage, len(levels)))
+        def check(self, stage, **done):
+            checks.append((stage, len(self.level_sizes)))
 
-    candidates = oracle._candidates(levels, 7, 4, 0, Counting())
+    counting = Counting()
+    _ENUMERATOR.chain(7, 4, 4, budget=counting)
+    candidates = oracle._candidates(levels[-1], 7, 4, 0, counting)
     assert checks == [("levels", 5)] * len(levels[-1])
     checks.clear()
-    oracle._label(levels, candidates, Counting())
+    oracle._label(candidates, counting)
     assert checks == [("levels", 5)] * len(candidates) and candidates
+
+
+def test_budget_stats_over_a_warm_store(monkeypatch):
+    """The stats name the chain a stage stands on also when the store is
+    warm, so that the stage reads no level before its first check.
+    Level 9 of (7,4), labelled from candidates stored by an earlier
+    oracle call, raises in the levels stage after level 8, with the sizes
+    of the chain to 8.  The extremal graphs on 9 vertices, scored from
+    the stored candidates grown from unlabelled parents, raise in the
+    extremal stage after level 7, with the sizes of the chain to 7."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    enumerator.chain(7, 4, 8)
+    ex_oracle(9, 7, 4, 2)
+    assert (7, 4, 9, 0) in enumerator.candidates and (7, 4, 9, 0) not in enumerator.levels
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, time_budget_s=0))
+    assert info.value.stats == {
+        "stage": "levels",
+        "completed_levels": 8,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 8)],
+    }
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    ex_oracle(9, 7, 4, 2)
+    assert list(enumerator.grown) == [(7, 4, 9)]
+    config = EnumerationConfig(
+        n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_graphs(config)
+    assert info.value.stats == {
+        "stage": "extremal",
+        "completed_levels": 7,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
+    }
 
 
 class _JumpingClock:
