@@ -44,24 +44,33 @@ connected_only and edge_maximal filters are not inherited by subgraphs
 and stay final; the edge_maximal one is decided in each finished graph
 by rooted path and clique searches in it (see _edge_maximal).
 
+Canonical augmentation needs its parents only up to isomorphism, so a
+level is labelled only when something reads it.  A step to level
+(n, δ) with δ >= 2 whose parent level (n - 1, δ - 1) is not stored is
+grown from the unlabelled candidates of that level instead, and the
+parent level is not labelled (Enumerator.grow); so classify over one n,
+which reads only level (n, δ_k), labels no level strictly between the
+unfiltered level n - δ_k and n.  A step with bound 0 or 1, or over a
+stored parent level, reads it labelled.
+
 The oracle (ex_oracle, and so verify and the oracle command) needs at
 order n only the maximum K_r count and the classes that reach it.  It
 labels no other class of that order: each child is scored as
 N_r(P) + N_{r-1}(P[M]) from its parent P and mask M without being built,
 and only the top-scoring children are labelled (Enumerator.extremal).
-Canonical augmentation needs its parents only up to isomorphism, so
-level n - 1 is not labelled for this unless it already is: the
-unlabelled candidates of order n - 1 are built and extended instead, and
-every level below n - 1 is labelled in full.  verify grows the
-candidates of order N - 1 first, N its largest n, so every smaller n
-reads labelled parents.  classify labels every graph it classifies.
+Level n - 1 is not labelled for this unless it already is: the children
+are grown from the unlabelled candidates of order n - 1, by the same
+step as a skipped filtered level, and every level below n - 1 is
+labelled in full.  verify grows the candidates of order N - 1 first, N
+its largest n, so every smaller n reads labelled parents.  classify
+labels every graph it classifies.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
-and shared by every caller, with the unlabelled candidates of each level
-under the same key, and the candidates grown from the unlabelled ones of
-the order below, one list per (forbid_path, forbid_clique, n).  Only
-whole levels and candidate lists are cached, so the cache doubles as a
-checkpoint: a timed-out sweep resumes from the last completed one.
+and shared by every caller, and under the same key the candidates of
+each level: those grown from the labelled parent level, and those grown
+from its unlabelled candidates.  Only whole levels and candidate lists
+are cached, so the cache doubles as a checkpoint: a timed-out sweep
+resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -182,9 +191,13 @@ class Budget:
     predicted family (verify) and per classified graph (classify).  A
     call therefore overruns its budget by at most one parent's
     extensions, one graph's filters, one family check or one
-    classification.  level_sizes are the sizes of the last chain read
-    (Enumerator.chain writes them): every enumeration stage reads the
-    chain of its parent level first.  A budget holds no graph."""
+    classification.  level_sizes are the sizes of the chain of the last
+    level read (Enumerator.level writes them), from level 0 up to the
+    first level of that chain that is not labelled: every enumeration
+    stage reads a labelled level first, its parent level or the one that
+    its unlabelled parents were grown from.  A level that enumeration
+    skipped (Enumerator.grow) is therefore never in level_sizes, and
+    neither is any level above it.  A budget holds no graph."""
 
     def __init__(self, seconds: Optional[float] = None) -> None:
         self.deadline = None if seconds is None else time.monotonic() + seconds
@@ -198,7 +211,8 @@ class Budget:
         """Raise BudgetExceeded once the deadline is reached.  Its stats
         name the stage and either the counts in done (the n reached and
         the rest), for the stages that follow an order's enumeration, or
-        the last complete chain read (completed_levels, level_sizes)."""
+        the levels of level_sizes (completed_levels, the order of the
+        last, and level_sizes)."""
         if self.deadline is None or time.monotonic() < self.deadline:
             return
         if done:
@@ -510,13 +524,15 @@ def _candidates(
     a subgroup of Aut(P), and one class can arise from several parents,
     so one class can have several candidates.
 
-    Look-ahead.  For bound > 0, the parent level must hold exactly the
-    graphs of the class on i vertices with min degree >= bound - 1, and
-    only masks whose child has min degree >= bound are kept.  The
-    argument above still holds: G - u, for u of maximum degree in G,
-    loses at most 1 from every other degree, so it has min degree
-    >= bound - 1 and is isomorphic to a parent, as the level is complete
-    for its own bound; M = φ(N(u)) passes the min-degree test.
+    Look-ahead.  For bound > 0, the parents must be graphs of the class
+    on i vertices with min degree >= bound - 1, at least one of each
+    isomorphism class (a level, or the unlabelled children of its
+    candidates, Enumerator.grow), and only masks whose child has min
+    degree >= bound are kept.  The argument above still holds: G - u, for
+    u of maximum degree in G, loses at most 1 from every other degree, so
+    it has min degree >= bound - 1 and is isomorphic to a parent, as the
+    parents are complete for their own bound; M = φ(N(u)) passes the
+    min-degree test.
 
     _attachable_masks applies both tests to the twin-canonical masks;
     they are read from degrees, so they are invariant under Aut(g): M'
@@ -556,17 +572,19 @@ class Enumerator:
 
     levels[(k, m, n, δ)] is level (n, δ): the graphs of the class of
     {P_k, K_m}-free graphs on n vertices with min degree >= δ, shared by
-    every caller; δ = 0 is the unfiltered level.  It is labelled from
-    candidates[(k, m, n, δ)], the children of level (n - 1, max(δ - 1, 0))
-    with min degree >= δ (children), so every level with a bound is one
-    of the keys that this recursion visits, and each is labelled once.
-    An order whose extremal graphs were asked for may have candidates but
-    no level yet.  grown[(k, m, n)] holds the candidates of order n whose
-    parents are the unlabelled children of candidates[(k, m, n - 1, 0)],
-    built when the extremal graphs of order n were asked for before level
-    (n - 1, 0) was labelled (extremal).  Only whole levels and whole
-    candidate lists are stored: _candidates, _label and extremal raise
-    before they store."""
+    every caller; δ = 0 is the unfiltered level.  It is labelled once
+    (level), from the candidates of level (n, δ): the children of level
+    (n - 1, max(δ - 1, 0)) with min degree >= δ (children).  They are kept
+    in candidates[(k, m, n, δ)] when they were grown from that level
+    labelled, and in grown[(k, m, n, δ)] when they were grown from its
+    unlabelled candidates (grow): at a step with δ >= 2 whose parent level
+    is not stored, which then stays unlabelled (a skipped level), and at
+    the top order of the extremal graphs, δ = 0, when level (n - 1, 0) is
+    not stored.  So a level is labelled only when something reads it: a
+    caller, a chain, or a step with bound 0 or 1.  An order whose extremal
+    graphs were asked for may have candidates but no level yet.  Only
+    whole levels and whole candidate lists are stored: _candidates, _label
+    and extremal raise before they store."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
@@ -588,31 +606,85 @@ class Enumerator:
     ) -> list[Candidate]:
         """The candidates of level (n, δ), δ = min_degree >= 0: the children
         of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once;
-        the graph on 0 vertices has none.  The chain below is read even when
-        they are stored, so the budget reports the levels they stand on."""
+        the graph on 0 vertices has none.  For δ >= 2, when that parent
+        level is not stored, they are grown from its unlabelled candidates
+        (grow) and it is not labelled.  Otherwise the parent level is read
+        labelled (level), also when the candidates are stored, so the budget
+        reports the levels they stand on.
+
+        A step with bound 1 always reads its parent level labelled.  It
+        needs only the isolated vertices in every mask, so it has almost
+        no early exit, and unlabelled parents, not reduced to one per
+        class, cost more than labelling them: on 2 cores, a cold level
+        (9, 2) of (9,5) took 1.1-1.4 s, and 2.0-2.1 s with the step to
+        (8, 1) grown too, which left the next step 28,977 unlabelled
+        parents."""
+        parent = (forbid_path, forbid_clique, n - 1, min_degree - 1)
+        if min_degree >= 2 and parent not in self.levels:
+            return self.grow(forbid_path, forbid_clique, n, min_degree, budget)
         key = (forbid_path, forbid_clique, n, min_degree)
-        below = self.chain(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
+        parents = self.level(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
         if key not in self.candidates:
-            parents = below[-1] if below else []
             self.candidates[key] = _candidates(
                 parents, forbid_path, forbid_clique, min_degree, budget
             )
         return self.candidates[key]
 
-    def chain(
+    def grow(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        min_degree: int,
+        budget: Budget,
+        stage: str = "levels",
+    ) -> list[Candidate]:
+        """The candidates of level (n, δ), δ = min_degree >= 0, grown from
+        the unlabelled candidates of level (n - 1, max(δ - 1, 0)), which is
+        not labelled for them; computed once and kept in grown.  Each
+        candidate (P, M) of children(n - 1, max(δ - 1, 0)) gives an
+        unlabelled parent C = P + v(M), which _candidates extends by every
+        mask of _attachable_masks(C, k, m, δ), as C is given no generators;
+        the budget is checked once per C, in stage.  The candidates below
+        are read even when these are stored, as in children.
+
+        Soundness.  Every class of level (n, δ) has a candidate.  Let G be
+        in it and u a vertex of maximum degree.  Deleting u lowers every
+        other degree by at most 1, so G - u is in level
+        (n - 1, max(δ - 1, 0)), which has a candidate for each of its
+        classes (children, _candidates): G - u ≅ C for some unlabelled
+        parent C, by some φ.  C + v(φ(N(u))) ≅ G with v ↦ u, so it is
+        {P_k, K_m}-free with min degree >= δ and v has maximum degree in
+        it: φ(N(u)) passes every test of _attachable_masks(C, k, m, δ).
+        Its twin-canonical image, by twin swaps of C, gives an isomorphic
+        child and passes too, as the tests are invariant under Aut(C), so
+        _attachable_masks returns it.  With no generators, no mask is
+        dropped as the image of another, which only automorphisms of C
+        would allow.  Several parents may be isomorphic, so a class may
+        have several candidates; _label keeps one per code."""
+        key = (forbid_path, forbid_clique, n, min_degree)
+        parents = self.children(forbid_path, forbid_clique, n - 1, max(min_degree - 1, 0), budget)
+        if key not in self.grown:
+            self.grown[key] = _candidates(
+                ((_attach(g, mask), ()) for g, mask in parents),
+                forbid_path, forbid_clique, min_degree, budget, stage,
+            )
+        return self.grown[key]
+
+    def level(
         self,
         forbid_path: Optional[int],
         forbid_clique: Optional[int],
         n: int,
         min_degree: int = 0,
         budget: Budget = _NO_BUDGET,
-    ) -> list[Level]:
-        """The levels (i, max(δ - n + i, 0)), i = 0, ..., n, δ =
-        max(min_degree, 0): the chain whose level n holds the graphs of the
-        class on n vertices with min degree >= δ; [] when there are none.
-        Level (n, δ) is labelled from children(n, δ) unless it is stored,
-        and every level below it is then stored.  Its sizes are written to
-        budget.level_sizes."""
+    ) -> Level:
+        """Level (n, δ), δ = max(min_degree, 0): the graphs of the class on
+        n vertices with min degree >= δ, labelled from children(n, δ)
+        unless it is stored; [] when there are none.  A level below it that
+        children skips stays unlabelled.  Writes to budget.level_sizes the
+        sizes of the levels of its chain (see chain) from level 0 up to the
+        first one that is not stored."""
         delta = max(min_degree, 0)
         if n < 0 or delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
@@ -625,12 +697,38 @@ class Enumerator:
             else:
                 candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
                 self.levels[key] = _label(candidates, budget)
-        levels = [
-            self.levels[forbid_path, forbid_clique, i, max(delta - n + i, 0)]
+        sizes = []
+        for i in range(n + 1):
+            below = self.levels.get((forbid_path, forbid_clique, i, max(delta - n + i, 0)))
+            if below is None:
+                break
+            sizes.append(len(below))
+        budget.level_sizes = sizes
+        return self.levels[key]
+
+    def chain(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        min_degree: int = 0,
+        budget: Budget = _NO_BUDGET,
+    ) -> list[Level]:
+        """The levels (i, max(δ - n + i, 0)), i = 0, ..., n, δ =
+        max(min_degree, 0): the chain whose level n holds the graphs of the
+        class on n vertices with min degree >= δ; [] when there are none.
+        The levels are read in ascending order (level), so each one that is
+        not stored is labelled from its parent level, labelled: a chain has
+        no gap, and a level that enumeration skipped is labelled once a
+        chain through it is asked for.  Its sizes are written to
+        budget.level_sizes."""
+        delta = max(min_degree, 0)
+        if n < 0 or delta > max(n - 1, 0):
+            return []
+        return [
+            self.level(forbid_path, forbid_clique, i, max(delta - n + i, 0), budget)
             for i in range(n + 1)
         ]
-        budget.level_sizes = [len(level) for level in levels]
-        return levels
 
     def extremal(
         self,
@@ -648,45 +746,28 @@ class Enumerator:
         per labelled winner.
 
         The candidates of order n are children(n) when level (n - 1, 0) is
-        stored (always for n = 1).  Otherwise level n - 1 is not
-        labelled for them: each candidate (P, M) of order n - 1 gives an
-        unlabelled parent C = P + v(M), which _candidates extends by every
-        mask of _attachable_masks(C), as C is given no generators; the
-        budget is checked once per C, and the list is kept in grown.
+        stored (always for n = 1).  Otherwise level n - 1 is not labelled
+        for them: they are grown from its unlabelled candidates
+        (grow(n, 0), in the extremal stage).
 
-        Soundness.  Every class on n vertices has a candidate.  For
-        children(n) see _candidates.  For the grown list, let G be in the
-        class and u a vertex of maximum degree: G - u is in the class on
-        n - 1 vertices, which has a candidate, so G - u ≅ C for some
-        unlabelled parent C, by some φ.  φ(N(u)) is attachable in C and
-        passes the degree test, as C + v(φ(N(u))) ≅ G with v ↦ u; its
-        twin-canonical image, by twin swaps of C, gives an isomorphic
-        child, and _attachable_masks returns it.  Several parents may be
-        isomorphic, so a class may have several candidates.
-
-        Every candidate's child is in the class.  A K_r of P + v(M) either
-        avoids v, and is a K_r of P, or holds v and a K_{r-1} inside
-        N(v) = M, so the score N_r(P) + N_{r-1}(P[M]) is exactly N_r of the
-        child.  v joins the components of P that M meets and no other, so
-        P + v(M) is connected iff M meets every component of P.  The
-        maximum over the candidates is therefore the maximum over the
-        classes, the winners' children are exactly the extremal classes,
-        and labelling them gives each once, in the canonical form the level
-        would hold.  The graph on 0 vertices has no parent and no K_r."""
+        Soundness.  Every class on n vertices has a candidate (_candidates,
+        grow).  Every candidate's child is in the class.  A K_r of
+        P + v(M) either avoids v, and is a K_r of P, or holds v and a
+        K_{r-1} inside N(v) = M, so the score N_r(P) + N_{r-1}(P[M]) is
+        exactly N_r of the child.  v joins the components of P that M
+        meets and no other, so P + v(M) is connected iff M meets every
+        component of P.  The maximum over the candidates is therefore the
+        maximum over the classes, the winners' children are exactly the
+        extremal classes, and labelling them gives each once, in the
+        canonical form the level would hold.  The graph on 0 vertices has
+        no parent and no K_r."""
         if n == 0:
-            level = self.chain(forbid_path, forbid_clique, 0, budget=budget)[0]
+            level = self.level(forbid_path, forbid_clique, 0, budget=budget)
             return [g for g, _gens, _code in level]
         if n == 1 or (forbid_path, forbid_clique, n - 1, 0) in self.levels:
             candidates = self.children(forbid_path, forbid_clique, n, budget=budget)
         else:
-            parents = self.children(forbid_path, forbid_clique, n - 1, budget=budget)
-            key = (forbid_path, forbid_clique, n)
-            if key not in self.grown:
-                self.grown[key] = _candidates(
-                    ((_attach(g, mask), ()) for g, mask in parents),
-                    forbid_path, forbid_clique, 0, budget, "extremal",
-                )
-            candidates = self.grown[key]
+            candidates = self.grow(forbid_path, forbid_clique, n, 0, budget, "extremal")
         best, top = -1, []
         parent = None
         for g, mask in candidates:
@@ -711,8 +792,8 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's chains and candidates and the classifier's
-    table of candidates."""
+    """Empty the enumerator's levels and candidate lists and the
+    classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 
@@ -765,8 +846,7 @@ def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     k, m, n = config.forbid_path, config.forbid_clique, config.n
     connected = config.connected_only
     if config.extremal_r is None:
-        levels = _ENUMERATOR.chain(k, m, n, config.min_degree, budget)
-        graphs = [g for g, _gens, _code in levels[-1]] if levels else []
+        graphs = [g for g, _gens, _code in _ENUMERATOR.level(k, m, n, config.min_degree, budget)]
     else:
         graphs = _ENUMERATOR.extremal(k, m, n, config.extremal_r, connected, budget)
         connected = False  # decided on the candidates
@@ -1047,10 +1127,11 @@ def verify_classification(
     checked once per classified graph.  n asks for min degree
     >= max(delta_k - (N - n), 0), N the largest n within the enumeration
     cap: every such level is in the chain of (N, delta_k), so each level
-    is labelled once.  n skips the graphs below delta_k, which leaves, in
-    order, those that min degree delta_k gives (canonical forms are
-    unique and levels are sorted by code).  n_range is reported as its
-    least and largest n.
+    is labelled once, and a level of that chain that no n reads is
+    skipped (Enumerator.grow).  n skips the graphs below delta_k, which
+    leaves, in order, those that min degree delta_k gives (canonical
+    forms are unique and levels are sorted by code).  n_range is
+    reported as its least and largest n.
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure

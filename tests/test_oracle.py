@@ -212,12 +212,17 @@ def test_level_lists_byte_identical():
 
 
 def test_filtered_levels_byte_identical():
+    """Level (n, δ) asked first from a fresh enumerator, which skips the
+    levels between it and the unfiltered level n - δ when δ >= 2, and
+    then each level (order, δ - (n - order)) below it, asked directly."""
     for (k, m, n, delta), want in FILTERED_DIGESTS.items():
-        chain = _ENUMERATOR.chain(k, m, n, delta)
+        enumerator = Enumerator()
+        enumerator.level(k, m, n, delta)
+        orders = range(n - delta + 1, n + 1)
         lines = [
             f"{order} {code}"
-            for order in range(n - delta + 1, n + 1)
-            for _g, _gens, code in chain[order]
+            for order in orders
+            for _g, _gens, code in enumerator.level(k, m, order, delta - (n - order))
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == want, (k, m, n, delta)
@@ -874,33 +879,45 @@ def _unfiltered_keys(k, m, count: int) -> set:
     return {(k, m, n, 0) for n in range(count)}
 
 
+def _step_spy(monkeypatch, steps: list) -> None:
+    """Record (order, bound, whether the parents are labelled) in steps for
+    every step of _candidates with a bound in the levels stage; unlabelled
+    parents are (graph, ()) pairs and come as a generator."""
+    candidates = oracle._candidates
+
+    def spy(parents, k, m, bound, budget, stage="levels"):
+        parents = list(parents)
+        if stage == "levels" and bound > 0 and parents:
+            steps.append((parents[0][0].n + 1, bound, len(parents[0]) == 3))
+        return candidates(parents, k, m, bound, budget, stage)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+
+
 def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
-    """A filtered chain for n = 9, δ = 2 extends the unfiltered levels only
-    to level 7, reuses the levels that an unfiltered enumeration at n = 7
-    stored, and adds levels (8, 1) and (9, 2) with bounds 1 and 2;
-    clear_cache empties, through Enumerator.clear, the levels, the
-    candidates and the candidates grown from unlabelled parents, and the
-    classifier's tables.  A fresh enumerator keeps the shared one warm for
-    the other tests.  A chain for n = 10, δ = 2 stores the unfiltered
-    levels to 8 and the levels (9, 1) and (10, 2), each once."""
+    """A filtered enumeration for n = 9, δ = 2 extends the unfiltered
+    levels only to level 7, reuses the levels that an unfiltered
+    enumeration at n = 7 stored, takes the step to (8, 1) from level 7
+    labelled and the step to (9, 2) from the unlabelled candidates of
+    (8, 1), and adds only level (9, 2); clear_cache empties, through
+    Enumerator.clear, the levels, the candidates and the candidates grown
+    from unlabelled parents, and the classifier's tables.  A fresh
+    enumerator keeps the shared one warm for the other tests.  A chain for
+    n = 10, δ = 2 stores the unfiltered levels to 8 and the levels (9, 1)
+    and (10, 2), each once, and grows nothing unlabelled; level (10, 2)
+    alone stores the unfiltered levels to 8 and level (10, 2)."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
     cached = dict(enumerator.levels)
     assert set(cached) == _unfiltered_keys(7, 4, 8)
     steps = []
-    candidates = oracle._candidates
-
-    def spy(parents, k, m, bound, budget, stage="levels"):
-        if stage == "levels" and bound > 0:
-            steps.append((parents[0][0].n + 1, bound))
-        return candidates(parents, k, m, bound, budget, stage)
-
-    monkeypatch.setattr(oracle, "_candidates", spy)
+    _step_spy(monkeypatch, steps)
     config = EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
     got = enumerate_graphs(config)
-    assert steps == [(8, 1), (9, 2)]
-    assert set(enumerator.levels) == set(cached) | {(7, 4, 8, 1), (7, 4, 9, 2)}
+    assert steps == [(8, 1, True), (9, 2, False)]
+    assert set(enumerator.levels) == set(cached) | {(7, 4, 9, 2)}
+    assert list(enumerator.grown) == [(7, 4, 9, 2)]
     assert all(enumerator.levels[key] is level for key, level in cached.items())
     assert [g for g, _gens, _code in enumerator.levels[7, 4, 9, 2]] == got
     # a second call is served from the cache
@@ -911,36 +928,37 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     # the extremal graphs on 9 vertices are scored from the unlabelled
     # candidates of order 8, so level 8 is still not labelled
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert list(enumerator.grown) == [(7, 4, 9)] and (7, 4, 8, 0) not in enumerator.levels
+    assert list(enumerator.grown) == [(7, 4, 9, 2), (7, 4, 9, 0)]
+    assert (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
     assert not enumerator.levels and not enumerator.candidates and not enumerator.grown
     assert class_table.cache_info().currsize == 0
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
+    assert not fresh.grown
+    fresh = Enumerator()
+    fresh.level(7, 4, 10, 2)
+    assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 10, 2)}
+    assert list(fresh.grown) == [(7, 4, 10, 2)]
 
 
 def test_classification_sweep_reads_one_tail(monkeypatch):
     """verify_classification(7, 4, range(7, 11)) (δ_7 = 2) reads every
     order from the chain of (10, 2): from a fresh enumerator it takes only
-    the filtered steps to 9 (bound 1) and 10 (bound 2), stores the levels
-    of that chain and no other of (7, 4), the chains of its orders share
-    their levels, and its report is the merge of the four single-n
-    reports, each from a fresh enumerator.  A sweep to 11, above the cap,
-    grows the same chain before it raises."""
+    the filtered steps to 9 (bound 1) and 10 (bound 2), both from labelled
+    parent levels, grows nothing unlabelled, stores the levels of that
+    chain and no other of (7, 4), the chains of its orders share their
+    levels, and its report is the merge of the four single-n reports, each
+    from a fresh enumerator.  A sweep to 11, above the cap, grows the same
+    chain before it raises."""
     steps = []
-    candidates = oracle._candidates
-
-    def spy(parents, k, m, bound, budget, stage="levels"):
-        if stage == "levels" and bound > 0:
-            steps.append((parents[0][0].n + 1, bound))
-        return candidates(parents, k, m, bound, budget, stage)
-
-    monkeypatch.setattr(oracle, "_candidates", spy)
+    _step_spy(monkeypatch, steps)
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     report = verify_classification(7, 4, range(7, 11))
-    assert steps == [(9, 1), (10, 2)]
+    assert steps == [(9, 1, True), (10, 2, True)]
+    assert not enumerator.grown
     # the classifier's own enumerations are of other classes
     stored = {key for key in enumerator.levels if key[:2] == (7, 4)}
     assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
@@ -969,7 +987,59 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     with pytest.raises(CapExceeded):
         verify_classification(7, 4, range(9, 12))
-    assert steps == [(9, 1), (10, 2)]
+    assert steps == [(9, 1, True), (10, 2, True)]
+
+
+# (forbid_path, forbid_clique, n, δ) cells whose level (n, δ) is grown from
+# unlabelled parents; at (9, 5, 9, 3) two steps in a row are skipped
+SKIPPED_CELLS = [(7, 4, 10, 2), (6, 4, 9, 2), (None, 3, 8, 2), (9, 5, 9, 3)]
+
+
+def test_skipped_levels_match_the_labelled_ones(monkeypatch):
+    """Level (n, δ), asked from a fresh enumerator, labels no level between
+    the unfiltered level n - δ and n: each step with bound >= 2 is grown
+    from the unlabelled candidates of its parent level (Enumerator.grow),
+    and the step with bound 1 from level n - δ labelled.  Each level so
+    grown, the one asked and, at δ = 3, level (n - 1, 2) asked from another
+    fresh enumerator, equals, code by code and graph by graph, the same
+    level in the chain of (n, δ) from a fresh enumerator, which labels
+    each level after its parent level and grows nothing unlabelled."""
+    steps = []
+    _step_spy(monkeypatch, steps)
+    for k, m, n, delta in SKIPPED_CELLS:
+        enumerator = Enumerator()
+        steps.clear()
+        enumerator.level(k, m, n, delta)
+        skipped = [(k, m, n - j, delta - j) for j in range(delta)]
+        assert set(enumerator.levels) == _unfiltered_keys(k, m, n - delta + 1) | {skipped[0]}
+        assert set(enumerator.grown) == set(skipped[:-1]), (k, m, n, delta)
+        assert steps == [(n - j, delta - j, j == delta - 1) for j in reversed(range(delta))]
+        reference = Enumerator()
+        reference.chain(k, m, n, delta)
+        assert not reference.grown
+        for key in skipped[:-1]:
+            got = enumerator.levels[key] if key == skipped[0] else Enumerator().level(*key)
+            want = reference.levels[key]
+            assert [code for _g, _gens, code in got] == [code for _g, _gens, code in want], key
+            assert [g for g, _gens, _code in got] == [g for g, _gens, _code in want], key
+            assert got, key
+
+
+def test_steps_below_bound_two_read_labelled_parents(monkeypatch):
+    """A step with bound 1 reads its parent level labelled, as does a step
+    with bound 2 whose parent level is stored; neither grows anything from
+    unlabelled parents.  Level (9, 1) of (7,4), asked from a fresh
+    enumerator, labels level (8, 0) and reads it; level (10, 2), asked
+    after it, reads level (9, 1)."""
+    steps = []
+    _step_spy(monkeypatch, steps)
+    enumerator = Enumerator()
+    enumerator.level(7, 4, 9, 1)
+    assert steps == [(9, 1, True)] and (7, 4, 8, 0) in enumerator.levels
+    enumerator.level(7, 4, 10, 2)
+    assert steps == [(9, 1, True), (10, 2, True)]
+    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
+    assert not enumerator.grown
 
 
 # (forbid_path, forbid_clique) cells of the extremal tests, orders 0..8
@@ -1066,10 +1136,10 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
-            assert list(enumerator.grown) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
+            assert list(enumerator.grown) == ([(k, m, n, 0)] if n >= 2 else []), (k, m, n)
             if n >= 2:
                 want = _grown_reference(enumerator, k, m, n)
-                assert enumerator.grown[k, m, n] == want, (k, m, n)
+                assert enumerator.grown[k, m, n, 0] == want, (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1112,7 +1182,7 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 10))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert list(enumerator.grown) == [(7, 4, 10)]
+    assert list(enumerator.grown) == [(7, 4, 10, 0)]
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1471,7 +1541,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert list(enumerator.grown) == [(7, 4, 9)]
+    assert list(enumerator.grown) == [(7, 4, 9, 0)]
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -1718,6 +1788,48 @@ def test_time_budget_inside_the_filtered_chain(monkeypatch):
     # the interrupted filtered level was not cached half-built
     filtered = {key for key in enumerator.levels if key[3]}
     assert filtered == {(None, 3, n, n - 8) for n in range(9, done + 1)}
+    unbudgeted = replace(config, time_budget_s=None)
+    resumed = enumerate_graphs(unbudgeted)
+    enumerator.clear()
+    assert enumerate_graphs(unbudgeted) == resumed
+
+
+def test_time_budget_inside_a_skipped_step(monkeypatch):
+    """The deadline is checked per unlabelled parent in a skipped step.
+    From a fresh enumerator, level (10, 2) of (7,4) is grown from the
+    unlabelled candidates of level (9, 1), which rest on level 8 labelled.
+    The budget is 60 s, and the clock jumps past the deadline at the first
+    unlabelled parent (a graph on 9 vertices), so the call raises in the
+    levels stage after level 8, with the sizes of the chain to 8.  It
+    stores no level above 8 and no list grown from unlabelled parents, and
+    a resumed run gives what a cold one does."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    clock = _JumpingClock()
+    attachable = oracle._attachable_masks
+
+    def jump_at_order_9(g, *args):
+        if g.n == 9:
+            clock.jump()
+        return attachable(g, *args)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_9)
+    config = EnumerationConfig(
+        n=10, forbid_path=7, forbid_clique=4, min_degree=2, time_budget_s=60.0
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_graphs(config)
+    assert time.monotonic() - clock.jumped < 2.0
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    assert info.value.stats == {
+        "stage": "levels",
+        "completed_levels": 8,
+        "level_sizes": [len(l) for l in _ENUMERATOR.chain(7, 4, 8)],
+    }
+    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
+    assert not enumerator.grown and (7, 4, 9, 1) in enumerator.candidates
     unbudgeted = replace(config, time_budget_s=None)
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
