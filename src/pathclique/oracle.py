@@ -58,19 +58,26 @@ order n only the maximum K_r count and the classes that reach it.  It
 labels no other class of that order: each child is scored as
 N_r(P) + N_{r-1}(P[M]) from its parent P and mask M without being built,
 and only the top-scoring children are labelled (Enumerator.extremal).
-Level n - 1 is not labelled for this unless it already is: the children
-are grown from the unlabelled candidates of order n - 1, by the same
-step as a skipped filtered level, and every level below n - 1 is
-labelled in full.  verify grows the candidates of order N - 1 first, N
-its largest n, so every smaller n reads labelled parents.  classify
-labels every graph it classifies.
+No child of P scores more than N_r(P) + N_{r-1}(P), so the parents are
+visited by that bound, highest first, and the visit stops at the first
+bound strictly below the best score so far; a parent whose bound ties
+the best is still visited, so no tied class is lost.  Level n - 1 is not
+labelled for this unless it already is: the parents are the children
+of the candidates of order n - 1, built but not labelled, and only the
+visited ones are searched for masks, each once, so a call at another r
+or connectivity searches only the parents it adds.  Every level below n - 1 is labelled
+in full.  verify grows the candidates of order N - 1 first, N its
+largest n, so every smaller n reads labelled parents.  classify labels
+every graph it classifies.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
-and shared by every caller, and under the same key the candidates of
-each level: those grown from the labelled parent level, and those grown
-from its unlabelled candidates.  Only whole levels and candidate lists
-are cached, so the cache doubles as a checkpoint: a timed-out sweep
-resumes from the last completed one.
+and shared by every caller, under the same key the candidates of each
+level (those grown from the labelled parent level, and those grown from
+its unlabelled candidates until the level is labelled), and, per order,
+the masks of each unlabelled parent the oracle searched.  Only whole
+levels, whole candidate lists and whole mask lists are cached, so the
+cache doubles as a checkpoint: a timed-out sweep resumes from the last
+completed one.
 """
 
 from __future__ import annotations
@@ -186,7 +193,8 @@ class Budget:
     never runs out.  Every stage of a call is handed the same object and
     calls check once per unit of work: per parent while candidates are
     built, per child labelled, per unlabelled parent extended, per parent
-    scored and per winner labelled at the top order (Enumerator.extremal),
+    bounded, per parent visited and per winner labelled at the top order
+    (Enumerator.extremal),
     per graph in the final filters, before each n's check of the
     predicted family (verify) and per classified graph (classify).  A
     call therefore overruns its budget by at most one parent's
@@ -504,7 +512,6 @@ def _candidates(
     forbid_clique: Optional[int],
     bound: int,
     budget: Budget,
-    stage: str = "levels",
 ) -> list[Candidate]:
     """The children (parent, mask) of the parent level, restricted to min
     degree >= bound (0: unfiltered), one per orbit of kept masks, in
@@ -545,7 +552,7 @@ def _candidates(
     reads the classes from them with graphs.twin_classes."""
     out: list[Candidate] = []
     for g, gens, *_code in parents:
-        budget.check(stage)
+        budget.check("levels")
         lower = lower_twins(g)
         masks = _attachable_masks(g, forbid_path, forbid_clique, bound, lower)
         out += [(g, mask) for mask in _orbit_representatives(masks, gens, lower)]
@@ -577,24 +584,31 @@ class Enumerator:
     (n - 1, max(δ - 1, 0)) with min degree >= δ (children).  They are kept
     in candidates[(k, m, n, δ)] when they were grown from that level
     labelled, and in grown[(k, m, n, δ)] when they were grown from its
-    unlabelled candidates (grow): at a step with δ >= 2 whose parent level
-    is not stored, which then stays unlabelled (a skipped level), and at
-    the top order of the extremal graphs, δ = 0, when level (n - 1, 0) is
-    not stored.  So a level is labelled only when something reads it: a
-    caller, a chain, or a step with bound 0 or 1.  An order whose extremal
-    graphs were asked for may have candidates but no level yet.  Only
-    whole levels and whole candidate lists are stored: _candidates, _label
-    and extremal raise before they store."""
+    unlabelled candidates (grow), at a step with δ >= 2 whose parent level
+    is not stored, which then stays unlabelled (a skipped level); a grown
+    list is dropped once its level is stored.  So a level is labelled only
+    when something reads it: a caller, a chain, or a step with bound 0 or
+    1.  At the top order of the extremal graphs (extremal), when level
+    (n - 1, 0) is not stored, the unlabelled children C of the candidates
+    of order n - 1 are the parents; masks[(k, m, n)][C] is the list of
+    _attachable_masks(C, k, m), kept for each C that a call visited; a
+    parent that no call visits is never searched.  An order whose extremal graphs
+    were asked for may have candidates or mask lists but no level yet.
+    Only whole levels, whole candidate lists and whole mask lists are
+    stored: _candidates, _label and extremal raise before they store a
+    list, never inside one, so a timed-out call leaves a checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
         self.candidates: dict[tuple, list[Candidate]] = {}
         self.grown: dict[tuple, list[Candidate]] = {}
+        self.masks: dict[tuple, dict[Graph, list[int]]] = {}
 
     def clear(self) -> None:
         self.levels.clear()
         self.candidates.clear()
         self.grown.clear()
+        self.masks.clear()
 
     def children(
         self,
@@ -637,21 +651,20 @@ class Enumerator:
         n: int,
         min_degree: int,
         budget: Budget,
-        stage: str = "levels",
     ) -> list[Candidate]:
-        """The candidates of level (n, δ), δ = min_degree >= 0, grown from
-        the unlabelled candidates of level (n - 1, max(δ - 1, 0)), which is
-        not labelled for them; computed once and kept in grown.  Each
-        candidate (P, M) of children(n - 1, max(δ - 1, 0)) gives an
-        unlabelled parent C = P + v(M), which _candidates extends by every
-        mask of _attachable_masks(C, k, m, δ), as C is given no generators;
-        the budget is checked once per C, in stage.  The candidates below
-        are read even when these are stored, as in children.
+        """The candidates of level (n, δ), δ = min_degree >= 2, grown from
+        the unlabelled candidates of level (n - 1, δ - 1), which is not
+        labelled for them; computed once and kept in grown until level
+        (n, δ) is stored.  Each candidate (P, M) of children(n - 1, δ - 1)
+        gives an unlabelled parent C = P + v(M), which _candidates extends
+        by every mask of _attachable_masks(C, k, m, δ), as C is given no
+        generators; the budget is checked once per C.  The candidates
+        below are read even when these are stored, as in children.
 
         Soundness.  Every class of level (n, δ) has a candidate.  Let G be
         in it and u a vertex of maximum degree.  Deleting u lowers every
         other degree by at most 1, so G - u is in level
-        (n - 1, max(δ - 1, 0)), which has a candidate for each of its
+        (n - 1, δ - 1), which has a candidate for each of its
         classes (children, _candidates): G - u ≅ C for some unlabelled
         parent C, by some φ.  C + v(φ(N(u))) ≅ G with v ↦ u, so it is
         {P_k, K_m}-free with min degree >= δ and v has maximum degree in
@@ -663,11 +676,11 @@ class Enumerator:
         would allow.  Several parents may be isomorphic, so a class may
         have several candidates; _label keeps one per code."""
         key = (forbid_path, forbid_clique, n, min_degree)
-        parents = self.children(forbid_path, forbid_clique, n - 1, max(min_degree - 1, 0), budget)
+        parents = self.children(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
         if key not in self.grown:
             self.grown[key] = _candidates(
                 ((_attach(g, mask), ()) for g, mask in parents),
-                forbid_path, forbid_clique, min_degree, budget, stage,
+                forbid_path, forbid_clique, min_degree, budget,
             )
         return self.grown[key]
 
@@ -682,9 +695,10 @@ class Enumerator:
         """Level (n, δ), δ = max(min_degree, 0): the graphs of the class on
         n vertices with min degree >= δ, labelled from children(n, δ)
         unless it is stored; [] when there are none.  A level below it that
-        children skips stays unlabelled.  Writes to budget.level_sizes the
-        sizes of the levels of its chain (see chain) from level 0 up to the
-        first one that is not stored."""
+        children skips stays unlabelled, and the list grown for this one,
+        if any, is dropped once it is stored, as nothing reads it again.
+        Writes to budget.level_sizes the sizes of the levels of its chain
+        (see chain) from level 0 up to the first one that is not stored."""
         delta = max(min_degree, 0)
         if n < 0 or delta > max(n - 1, 0):
             # min degree is at most n - 1, and 0 on the graph on 0 vertices
@@ -697,6 +711,7 @@ class Enumerator:
             else:
                 candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
                 self.levels[key] = _label(candidates, budget)
+                self.grown.pop(key, None)
         sizes = []
         for i in range(n + 1):
             below = self.levels.get((forbid_path, forbid_clique, i, max(delta - n + i, 0)))
@@ -741,14 +756,18 @@ class Enumerator:
     ) -> list[Graph]:
         """The graphs of the class on n vertices (connected ones only, if
         connected) with the most K_r, in canonical labels, sorted by code.
-        Only the candidates of order n with the top score are built and
-        labelled; the budget is checked once per scored parent and once
-        per labelled winner.
+        The parents of order n - 1 are visited best bound first, and only
+        the children with the top score are built and labelled; the budget
+        is checked once per parent bounded, once per parent visited and
+        once per labelled winner.
 
-        The candidates of order n are children(n) when level (n - 1, 0) is
-        stored (always for n = 1).  Otherwise level n - 1 is not labelled
-        for them: they are grown from its unlabelled candidates
-        (grow(n, 0), in the extremal stage).
+        The parents are those of children(n), with their masks, when level
+        (n - 1, 0) is stored (always for n = 1).  Otherwise level n - 1 is
+        not labelled for them: they are the unlabelled children
+        C = P + v(M) of the candidates (P, M) of children(n - 1), and a
+        visited C is extended by every mask of _attachable_masks(C, k, m),
+        as it has no generators (see grow), searched once and kept in
+        masks[(k, m, n)] under C.
 
         Soundness.  Every class on n vertices has a candidate (_candidates,
         grow).  Every candidate's child is in the class.  A K_r of
@@ -760,31 +779,57 @@ class Enumerator:
         maximum over the classes, the winners' children are exactly the
         extremal classes, and labelling them gives each once, in the
         canonical form the level would hold.  The graph on 0 vertices has
-        no parent and no K_r."""
+        no parent and no K_r.
+
+        Branch and bound.  P[M] is a subgraph of P, so N_{r-1}(P[M]) <=
+        N_{r-1}(P), and no child of P scores more than its bound
+        N_r(P) + N_{r-1}(P); the connected children are some of them, so
+        the bound holds for them too.  Parents are visited by descending
+        bound, in a stable order, and the visit stops at the first bound
+        strictly below the best score so far: that parent and every later
+        one score below the best, which only grows, so none has a winner.
+        A parent whose bound equals the best is still visited, as it may
+        have a child that ties, and every tied class is reported.  So the
+        winners are those of scoring every candidate, and as each class
+        is labelled once, their order does not matter."""
+        k, m = forbid_path, forbid_clique
         if n == 0:
-            level = self.level(forbid_path, forbid_clique, 0, budget=budget)
+            level = self.level(k, m, 0, budget=budget)
             return [g for g, _gens, _code in level]
-        if n == 1 or (forbid_path, forbid_clique, n - 1, 0) in self.levels:
-            candidates = self.children(forbid_path, forbid_clique, n, budget=budget)
+        if n == 1 or (k, m, n - 1, 0) in self.levels:
+            masks: dict[Graph, list[int]] = {}
+            for g, mask in self.children(k, m, n, budget=budget):
+                masks.setdefault(g, []).append(mask)
+            parents = list(masks)
         else:
-            candidates = self.grow(forbid_path, forbid_clique, n, 0, budget, "extremal")
+            parents = (_attach(g, mask) for g, mask in self.children(k, m, n - 1, budget=budget))
+            masks = self.masks.setdefault((k, m, n), {})
+        ranked = []  # (bound, N_r(g), g)
+        for g in parents:
+            budget.check("extremal")
+            base = count_cliques(g, r)
+            ranked.append((base + count_cliques(g, r - 1), base, g))
+        ranked.sort(key=lambda entry: entry[0], reverse=True)  # stable
         best, top = -1, []
-        parent = None
-        for g, mask in candidates:
-            if g is not parent:
-                budget.check("extremal")
-                parent, base, components = g, count_cliques(g, r), []
-                rest = g.vertex_mask() if connected else 0
-                while rest:
-                    components.append(_reachable(g.rows, rest & -rest))
-                    rest &= ~components[-1]
-            if not all(mask & c for c in components):
-                continue
-            score = base + count_cliques_in(g, mask, r - 1)
-            if score > best:
-                best, top = score, []
-            if score == best:
-                top.append((g, mask))
+        for bound, base, g in ranked:
+            if bound < best:
+                break
+            budget.check("extremal")
+            if g not in masks:
+                masks[g] = _attachable_masks(g, k, m)
+            components = []
+            rest = g.vertex_mask() if connected else 0
+            while rest:
+                components.append(_reachable(g.rows, rest & -rest))
+                rest &= ~components[-1]
+            for mask in masks[g]:
+                if not all(mask & c for c in components):
+                    continue
+                score = base + count_cliques_in(g, mask, r - 1)
+                if score > best:
+                    best, top = score, []
+                if score == best:
+                    top.append((g, mask))
         return [cf for cf, _gens, _code in _label(top, budget, "extremal")]
 
 
@@ -792,8 +837,8 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's levels and candidate lists and the
-    classifier's table of candidates."""
+    """Empty the enumerator's levels, candidate lists and mask lists and
+    the classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 

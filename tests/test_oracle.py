@@ -881,15 +881,15 @@ def _unfiltered_keys(k, m, count: int) -> set:
 
 def _step_spy(monkeypatch, steps: list) -> None:
     """Record (order, bound, whether the parents are labelled) in steps for
-    every step of _candidates with a bound in the levels stage; unlabelled
-    parents are (graph, ()) pairs and come as a generator."""
+    every step of _candidates with a bound; unlabelled parents are
+    (graph, ()) pairs and come as a generator."""
     candidates = oracle._candidates
 
-    def spy(parents, k, m, bound, budget, stage="levels"):
+    def spy(parents, k, m, bound, budget):
         parents = list(parents)
-        if stage == "levels" and bound > 0 and parents:
+        if bound > 0 and parents:
             steps.append((parents[0][0].n + 1, bound, len(parents[0]) == 3))
-        return candidates(parents, k, m, bound, budget, stage)
+        return candidates(parents, k, m, bound, budget)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
 
@@ -899,13 +899,15 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     levels only to level 7, reuses the levels that an unfiltered
     enumeration at n = 7 stored, takes the step to (8, 1) from level 7
     labelled and the step to (9, 2) from the unlabelled candidates of
-    (8, 1), and adds only level (9, 2); clear_cache empties, through
-    Enumerator.clear, the levels, the candidates and the candidates grown
-    from unlabelled parents, and the classifier's tables.  A fresh
-    enumerator keeps the shared one warm for the other tests.  A chain for
-    n = 10, δ = 2 stores the unfiltered levels to 8 and the levels (9, 1)
-    and (10, 2), each once, and grows nothing unlabelled; level (10, 2)
-    alone stores the unfiltered levels to 8 and level (10, 2)."""
+    (8, 1), and adds only level (9, 2), whose grown candidates are then
+    dropped; clear_cache empties, through Enumerator.clear, the levels,
+    the candidates, the candidates grown from unlabelled parents, the mask
+    lists of the oracle's unlabelled parents and the classifier's tables.
+    A fresh enumerator keeps the shared one warm for the other tests.  A
+    chain for n = 10, δ = 2 stores the unfiltered levels to 8 and the
+    levels (9, 1) and (10, 2), each once, and grows nothing unlabelled;
+    level (10, 2) alone stores the unfiltered levels to 8 and level
+    (10, 2), and keeps no grown list."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
@@ -917,7 +919,7 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     got = enumerate_graphs(config)
     assert steps == [(8, 1, True), (9, 2, False)]
     assert set(enumerator.levels) == set(cached) | {(7, 4, 9, 2)}
-    assert list(enumerator.grown) == [(7, 4, 9, 2)]
+    assert not enumerator.grown
     assert all(enumerator.levels[key] is level for key, level in cached.items())
     assert [g for g, _gens, _code in enumerator.levels[7, 4, 9, 2]] == got
     # a second call is served from the cache
@@ -928,10 +930,11 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     # the extremal graphs on 9 vertices are scored from the unlabelled
     # candidates of order 8, so level 8 is still not labelled
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert list(enumerator.grown) == [(7, 4, 9, 2), (7, 4, 9, 0)]
+    assert not enumerator.grown and list(enumerator.masks) == [(7, 4, 9)]
     assert (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
-    assert not enumerator.levels and not enumerator.candidates and not enumerator.grown
+    assert not enumerator.levels and not enumerator.candidates
+    assert not enumerator.grown and not enumerator.masks
     assert class_table.cache_info().currsize == 0
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
@@ -940,7 +943,7 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     fresh = Enumerator()
     fresh.level(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 10, 2)}
-    assert list(fresh.grown) == [(7, 4, 10, 2)]
+    assert not fresh.grown
 
 
 def test_classification_sweep_reads_one_tail(monkeypatch):
@@ -999,8 +1002,9 @@ def test_skipped_levels_match_the_labelled_ones(monkeypatch):
     """Level (n, δ), asked from a fresh enumerator, labels no level between
     the unfiltered level n - δ and n: each step with bound >= 2 is grown
     from the unlabelled candidates of its parent level (Enumerator.grow),
-    and the step with bound 1 from level n - δ labelled.  Each level so
-    grown, the one asked and, at δ = 3, level (n - 1, 2) asked from another
+    and the step with bound 1 from level n - δ labelled; only the grown
+    lists of the levels still unlabelled are kept.  Each level so grown,
+    the one asked and, at δ = 3, level (n - 1, 2) asked from another
     fresh enumerator, equals, code by code and graph by graph, the same
     level in the chain of (n, δ) from a fresh enumerator, which labels
     each level after its parent level and grows nothing unlabelled."""
@@ -1012,7 +1016,7 @@ def test_skipped_levels_match_the_labelled_ones(monkeypatch):
         enumerator.level(k, m, n, delta)
         skipped = [(k, m, n - j, delta - j) for j in range(delta)]
         assert set(enumerator.levels) == _unfiltered_keys(k, m, n - delta + 1) | {skipped[0]}
-        assert set(enumerator.grown) == set(skipped[:-1]), (k, m, n, delta)
+        assert set(enumerator.grown) == set(skipped[1:-1]), (k, m, n, delta)
         assert steps == [(n - j, delta - j, j == delta - 1) for j in reversed(range(delta))]
         reference = Enumerator()
         reference.chain(k, m, n, delta)
@@ -1084,10 +1088,9 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     computed = []
     candidates = oracle._candidates
 
-    def spy(parents, k, m, bound, budget, stage="levels"):
-        if stage == "levels":
-            computed.append(parents[0][0].n + 1)
-        return candidates(parents, k, m, bound, budget, stage)
+    def spy(parents, k, m, bound, budget):
+        computed.append(parents[0][0].n + 1)
+        return candidates(parents, k, m, bound, budget)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     ties = 0
@@ -1107,26 +1110,27 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     assert ties > 60, ties
 
 
-def _grown_reference(enumerator: Enumerator, k, m, n: int) -> list:
-    """The candidates of order n grown from the unlabelled candidates of
-    order n - 1, by the loop Enumerator.extremal ran before it grew them
-    with _candidates, kept as the reference: each child C of order n - 1
-    is built and extended by every mask of _attachable_masks(C)."""
-    out = []
+def _grown_reference(enumerator: Enumerator, k, m, n: int) -> dict:
+    """The children of order n grown from the unlabelled candidates of
+    order n - 1, by the loop Enumerator.extremal ran before it searched
+    only the parents it visits, kept as the reference: each child C of
+    order n - 1, in order, is built and mapped to every mask of
+    _attachable_masks(C)."""
+    out = {}
     for g, mask in enumerator.children(k, m, n - 1):
         child = _attach(g, mask)
-        out += [(child, x) for x in _attachable_masks(child, k, m)]
+        out[child] = _attachable_masks(child, k, m)
     return out
 
 
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
     extremal_r = r does not label level n - 1 (n >= 2): it scores the
-    children grown from the unlabelled candidates of order n - 1, which
-    are exactly those of the reference loop, in order (_grown_reference),
-    and still returns exactly the graphs of the labelled level n, after
-    the same final filters, with the most K_r, over the cells, r,
-    connected_only and edge_maximal of
+    children grown from the unlabelled candidates of order n - 1, and the
+    mask list it keeps for each parent it visited is exactly that of the
+    reference loop (_grown_reference); it still returns exactly the
+    graphs of the labelled level n, after the same final filters, with
+    the most K_r, over the cells, r, connected_only and edge_maximal of
     test_extremal_matches_the_labelled_level.  A cold
     ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
     gives with level 8 labelled."""
@@ -1136,10 +1140,12 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
-            assert list(enumerator.grown) == ([(k, m, n, 0)] if n >= 2 else []), (k, m, n)
+            assert not enumerator.grown
+            assert list(enumerator.masks) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
             if n >= 2:
                 want = _grown_reference(enumerator, k, m, n)
-                assert enumerator.grown[k, m, n, 0] == want, (k, m, n)
+                stored = enumerator.masks[k, m, n]
+                assert stored and all(want[c] == x for c, x in stored.items()), (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1158,6 +1164,53 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
     assert ex_oracle(9, 7, 4, 2) == cold
 
 
+def _full_scoring(reference: dict, r: int, connected: bool) -> list:
+    """The graphs with the most K_r (connected ones only, if connected)
+    among the children of the parents and masks of reference
+    (_grown_reference), each built and counted whole, with no bound, in
+    canonical labels, sorted by code."""
+    scored = []
+    for parent, masks in reference.items():
+        for x in masks:
+            child = _attach(parent, x)
+            if not connected or is_connected(child):
+                scored.append((count_cliques(child, r), parent, x))
+    best = max(score for score, _parent, _x in scored)
+    top = [(parent, x) for score, parent, x in scored if score == best]
+    return [cf for cf, _gens, _code in oracle._label(top, Budget())]
+
+
+def test_bounded_scoring_equals_full_scoring():
+    """Enumerator.extremal visits the unlabelled parents best bound first
+    and stops at the first bound strictly below the best score.  Asked
+    cold, for every cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9,
+    for r in {2, 3}, connected or not, it returns exactly the graphs that
+    scoring every child of every parent gives (_full_scoring), tied
+    classes included; each mask list it keeps is _attachable_masks(C) for
+    its parent C, and at (7,4) and (8,5), n = 9, some parent is never
+    searched.
+    Parents whose bound equals the best must be visited: (7,4) at n = 9
+    has four extremal classes at r = 2."""
+    ties = 0
+    for k, m, n in [(k, m, n) for k, m in EXTREMAL_CELLS for n in range(2, 10)] + [(8, 5, 9)]:
+        enumerator, reference = Enumerator(), None
+        for r in (2, 3):
+            for connected in (False, True):
+                got = enumerator.extremal(k, m, n, r, connected)
+                assert (k, m, n - 1, 0) not in enumerator.levels
+                if reference is None:
+                    reference = _grown_reference(enumerator, k, m, n)
+                assert got == _full_scoring(reference, r, connected), (k, m, n, r, connected)
+                ties += len(got) > 1
+        stored = enumerator.masks[k, m, n]
+        assert all(x == _attachable_masks(c, k, m) for c, x in stored.items()), (k, m, n)
+        assert set(stored) <= set(reference), (k, m, n)
+        if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
+            assert len(stored) < len(reference), (k, m, n)
+    assert len(Enumerator().extremal(7, 4, 9, 2, False)) == 4
+    assert ties > 30, ties
+
+
 def test_verify_grows_the_largest_order_first(monkeypatch):
     """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then grows
     the candidates of order 9, so the orders 7..9 score the children of
@@ -1170,10 +1223,9 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     computed = []
     candidates = oracle._candidates
 
-    def spy(parents, k, m, bound, budget, stage="levels"):
-        if stage == "levels":
-            computed.append(parents[0][0].n + 1)
-        return candidates(parents, k, m, bound, budget, stage)
+    def spy(parents, k, m, bound, budget):
+        computed.append(parents[0][0].n + 1)
+        return candidates(parents, k, m, bound, budget)
 
     monkeypatch.setattr(oracle, "_candidates", spy)
     enumerator = Enumerator()
@@ -1182,7 +1234,7 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 10))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert list(enumerator.grown) == [(7, 4, 10, 0)]
+    assert not enumerator.grown and list(enumerator.masks) == [(7, 4, 10)]
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1524,8 +1576,9 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     Level 9 of (7,4), labelled from candidates stored by an earlier
     oracle call, raises in the levels stage after level 8, with the sizes
     of the chain to 8.  The extremal graphs on 9 vertices, scored from
-    the stored candidates grown from unlabelled parents, raise in the
-    extremal stage after level 7, with the sizes of the chain to 7."""
+    unlabelled parents whose visited ones have stored mask lists, raise
+    in the extremal stage after level 7, with the sizes of the chain to
+    7."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.chain(7, 4, 8)
@@ -1541,7 +1594,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert list(enumerator.grown) == [(7, 4, 9, 0)]
+    assert list(enumerator.masks) == [(7, 4, 9)]
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -1834,6 +1887,47 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
     assert enumerate_graphs(unbudgeted) == resumed
+
+
+def test_time_budget_inside_the_bounded_stage(monkeypatch):
+    """The deadline is checked per visited parent at the top order.  From
+    a fresh enumerator, ex_oracle(9, 7, 4, 2) visits unlabelled parents
+    of order 8, which rest on level 7 labelled.  The budget is 60 s, and
+    the clock jumps past the deadline while the first visited parent is
+    searched, so the call raises in the extremal stage after level 7,
+    with the sizes of the chain to 7.  The mask list of that parent is
+    stored whole and no other is, no level above 7 is stored, and a
+    resumed call gives what a cold one does."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    clock = _JumpingClock()
+    attachable = oracle._attachable_masks
+    searched = []
+
+    def jump_at_order_8(g, *args):
+        if g.n == 8:
+            clock.jump()
+            searched.append(g)
+        return attachable(g, *args)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_8)
+    with pytest.raises(BudgetExceeded) as info:
+        ex_oracle(9, 7, 4, 2, time_budget_s=60.0)
+    assert time.monotonic() - clock.jumped < 2.0
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    assert info.value.stats == {
+        "stage": "extremal",
+        "completed_levels": 7,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
+    }
+    assert len(searched) == 1
+    assert enumerator.masks == {(7, 4, 9): {searched[0]: _attachable_masks(searched[0], 7, 4)}}
+    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
+    resumed = ex_oracle(9, 7, 4, 2)
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    assert ex_oracle(9, 7, 4, 2) == resumed
 
 
 def test_time_budget_in_the_final_filters(monkeypatch):
