@@ -58,26 +58,27 @@ order n only the maximum K_r count and the classes that reach it.  It
 labels no other class of that order: each child is scored as
 N_r(P) + N_{r-1}(P[M]) from its parent P and mask M without being built,
 and only the top-scoring children are labelled (Enumerator.extremal).
-No child of P scores more than N_r(P) + N_{r-1}(P), so the parents are
-visited by that bound, highest first, and the visit stops at the first
-bound strictly below the best score so far; a parent whose bound ties
-the best is still visited, so no tied class is lost.  Level n - 1 is not
-labelled for this unless it already is: the parents are the children
-of the candidates of order n - 1, built but not labelled, and only the
-visited ones are searched for masks, each once, so a call at another r
-or connectivity searches only the parents it adds.  Every level below n - 1 is labelled
-in full.  verify grows the candidates of order N - 1 first, N its
-largest n, so every smaller n reads labelled parents.  classify labels
-every graph it classifies.
+It needs no canonical augmentation to find a maximum, so it attaches
+the new vertex as a vertex of minimum degree, not maximum: every graph
+of the class arises from a parent P with a mask of at most δ(P) + 1
+vertices, δ(P) the min degree of P, and no child of P scores more than
+N_r(P) + min(N_{r-1}(P), C(δ(P) + 1, r - 1)).  The parents are visited
+by that bound, highest first, and the visit stops at the first bound
+strictly below the best score so far; a parent whose bound ties the
+best is still visited, so no tied class is lost.  Level n - 1 is not
+labelled for this unless it already is: the parents are then the
+children of the candidates of order n - 1, built but not labelled, and
+only the visited ones are searched for masks.  Every level below n - 1
+is labelled in full.  verify grows the candidates of order N - 1 first,
+N its largest n, so every smaller n reads labelled parents.  classify
+labels every graph it classifies.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
-and shared by every caller, under the same key the candidates of each
-level (those grown from the labelled parent level, and those grown from
-its unlabelled candidates until the level is labelled), and, per order,
-the masks of each unlabelled parent the oracle searched.  Only whole
-levels, whole candidate lists and whole mask lists are cached, so the
-cache doubles as a checkpoint: a timed-out sweep resumes from the last
-completed one.
+and shared by every caller, and under the same key the candidates of
+each level (those grown from the labelled parent level, and those grown
+from its unlabelled candidates until the level is labelled).  Only whole
+levels and whole candidate lists are cached, so the cache doubles as a
+checkpoint: a timed-out sweep resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Optional
 
 from .canon import canonical, canonical_with_generators
@@ -328,6 +330,7 @@ def _attachable_masks(
     forbid_clique: Optional[int],
     bound: int = 0,
     lower: Optional[list[int]] = None,
+    most: Optional[int] = None,
 ) -> list[int]:
     """Every twin-canonical mask M, ascending, for which g + v(M) is
     {P_k, K_m}-free and has min degree >= bound, and v has maximum degree
@@ -339,7 +342,9 @@ def _attachable_masks(
     Both tests are read from the degrees of g: M holds need, the vertices
     of degree < bound, and has at least size = max(D, bound) vertices, D
     the maximum degree; v then has maximum degree unless |M| = D and M
-    holds a vertex of degree D.
+    holds a vertex of degree D.  With most given (the top order of
+    Enumerator.extremal), there is no degree test, so size = bound, and
+    only the masks of at most most vertices are kept.
 
     Soundness.  Any P_k or K_m in g + v(M) contains v, because g has none.
     - K_m: its other m - 1 vertices are a K_{m-1} inside M, so g + v(M)
@@ -414,6 +419,10 @@ def _attachable_masks(
       twin-canonical survivor is lost.  Masks are added in ascending
       order, since those that get t exceed every mask of the table and
       are added in its order.
+    - With most, a mask of the table that already has most vertices is
+      not grown, so the table holds exactly the twin-canonical survivors
+      of at most most vertices: when M' has at most most vertices, so do
+      its subsets M and N(t) ∩ M, and the same induction holds.
     need, size and the case |M| = D of the degree test are read on the
     output.  allowed, clash and all three are invariant under Aut(g), so
     the kept masks hold the twin-canonical masks of every orbit they
@@ -423,7 +432,7 @@ def _attachable_masks(
     i, rows = g.n, g.rows
     degs = g.degrees()
     top = max(degs, default=0)
-    size = max(top, bound)
+    size = bound if most is not None else max(top, bound)
     if (k is not None and k <= 1) or (m is not None and m <= 1) or size > i:
         return []
     need = sum(1 << u for u, d in enumerate(degs) if d < bound)
@@ -486,13 +495,17 @@ def _attachable_masks(
         low = lower[t]
         below = 1 << (low.bit_length() - 1) if low else 0
         bit, row, clash_t = 1 << t, rows[t], clash[t]
-        for mask, w in list(table.items()):
+        if most is None:
+            grows = list(table.items())
+        else:
+            grows = [(mask, w) for mask, w in table.items() if mask.bit_count() < most]
+        for mask, w in grows:
             if mask & below != below or clash_t & mask:
                 continue
             w = max(w, table[row & mask] + 1)
             if w < limit:
                 table[mask | bit] = w
-    at_top = sum(1 << u for u, d in enumerate(degs) if d == top)
+    at_top = 0 if most is not None else sum(1 << u for u, d in enumerate(degs) if d == top)
     return [
         mask
         for mask in table
@@ -588,27 +601,23 @@ class Enumerator:
     is not stored, which then stays unlabelled (a skipped level); a grown
     list is dropped once its level is stored.  So a level is labelled only
     when something reads it: a caller, a chain, or a step with bound 0 or
-    1.  At the top order of the extremal graphs (extremal), when level
-    (n - 1, 0) is not stored, the unlabelled children C of the candidates
-    of order n - 1 are the parents; masks[(k, m, n)][C] is the list of
-    _attachable_masks(C, k, m), kept for each C that a call visited; a
-    parent that no call visits is never searched.  An order whose extremal graphs
-    were asked for may have candidates or mask lists but no level yet.
-    Only whole levels, whole candidate lists and whole mask lists are
-    stored: _candidates, _label and extremal raise before they store a
-    list, never inside one, so a timed-out call leaves a checkpoint."""
+    1.  The top order of the extremal graphs (extremal) stores nothing of
+    its own: it reads level (n - 1, 0) when it is stored, and else the
+    unlabelled children of the candidates of order n - 1, so an order
+    whose extremal graphs were asked for may have candidates but no
+    level yet.  Only whole levels and whole candidate lists are stored:
+    _candidates and _label raise before they store a list, never inside
+    one, so a timed-out call leaves a checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
         self.candidates: dict[tuple, list[Candidate]] = {}
         self.grown: dict[tuple, list[Candidate]] = {}
-        self.masks: dict[tuple, dict[Graph, list[int]]] = {}
 
     def clear(self) -> None:
         self.levels.clear()
         self.candidates.clear()
         self.grown.clear()
-        self.masks.clear()
 
     def children(
         self,
@@ -761,68 +770,74 @@ class Enumerator:
         is checked once per parent bounded, once per parent visited and
         once per labelled winner.
 
-        The parents are those of children(n), with their masks, when level
-        (n - 1, 0) is stored (always for n = 1).  Otherwise level n - 1 is
-        not labelled for them: they are the unlabelled children
-        C = P + v(M) of the candidates (P, M) of children(n - 1), and a
-        visited C is extended by every mask of _attachable_masks(C, k, m),
-        as it has no generators (see grow), searched once and kept in
-        masks[(k, m, n)] under C.
+        The parents are the graphs of level (n - 1, 0) when it is stored
+        (always for n = 1).  Otherwise level n - 1 is not labelled for
+        them: they are the unlabelled children C = P + v(M) of the
+        candidates (P, M) of children(n - 1).  A visited parent C is
+        extended by every mask of _attachable_masks(C, k, m, most=δ(C) + 1),
+        δ(C) the min degree of C, as the new vertex is attached as a vertex
+        of minimum degree; no generators are used, so no mask is dropped as
+        the image of another.
 
-        Soundness.  Every class on n vertices has a candidate (_candidates,
-        grow).  Every candidate's child is in the class.  A K_r of
-        P + v(M) either avoids v, and is a K_r of P, or holds v and a
-        K_{r-1} inside N(v) = M, so the score N_r(P) + N_{r-1}(P[M]) is
-        exactly N_r of the child.  v joins the components of P that M
-        meets and no other, so P + v(M) is connected iff M meets every
-        component of P.  The maximum over the candidates is therefore the
-        maximum over the classes, the winners' children are exactly the
-        extremal classes, and labelling them gives each once, in the
-        canonical form the level would hold.  The graph on 0 vertices has
-        no parent and no K_r.
+        Soundness.  Every class on n vertices has a child.  Let G be a
+        graph of the class on n vertices and u a vertex of minimum degree.
+        G - u is in the class, which is closed under vertex deletion, so
+        some parent C is isomorphic to it by some φ: the parents hold every
+        class of order n - 1 (a level, or the children of its candidates,
+        _candidates).  Every x of G - u has deg_G(x) <= deg_{G-u}(x) + 1
+        and deg_G(x) >= deg_G(u), so M = φ(N(u)) has at most δ(C) + 1
+        vertices, and C + v(M) ≅ G with v ↦ u, so M is attachable.  Its
+        twin-canonical image, by twin swaps of C, has the same size and
+        gives an isomorphic child, so the masks of _attachable_masks reach
+        every class.  Every child is in the class.  A K_r of C + v(M)
+        either avoids v, and is a K_r of C, or holds v and a K_{r-1}
+        inside N(v) = M, so the score N_r(C) + N_{r-1}(C[M]) is exactly
+        N_r of the child.  v joins the components of C that M meets and no
+        other, so C + v(M) is connected iff M meets every component of C;
+        if G is connected, M meets every component of G - u.  The maximum
+        over the children is therefore the maximum over the classes, the
+        winners' children are exactly the extremal classes, and labelling
+        them gives each once, in the canonical form the level would hold.
+        The graph on 0 vertices has no parent and no K_r.
 
-        Branch and bound.  P[M] is a subgraph of P, so N_{r-1}(P[M]) <=
-        N_{r-1}(P), and no child of P scores more than its bound
-        N_r(P) + N_{r-1}(P); the connected children are some of them, so
-        the bound holds for them too.  Parents are visited by descending
-        bound, in a stable order, and the visit stops at the first bound
-        strictly below the best score so far: that parent and every later
-        one score below the best, which only grows, so none has a winner.
-        A parent whose bound equals the best is still visited, as it may
-        have a child that ties, and every tied class is reported.  So the
-        winners are those of scoring every candidate, and as each class
-        is labelled once, their order does not matter."""
+        Branch and bound.  C[M] is a subgraph of C on at most δ(C) + 1
+        vertices, so N_{r-1}(C[M]) <= min(N_{r-1}(C), C(δ(C) + 1, r - 1)),
+        and no child of C scores more than its bound, N_r(C) plus that
+        minimum; the connected children are some of them, so the bound
+        holds for them too.  Parents are visited by descending bound, in a
+        stable order, and the visit stops at the first bound strictly below
+        the best score so far: that parent and every later one score below
+        the best, which only grows, so none has a winner.  A parent whose
+        bound equals the best is still visited, as it may have a child that
+        ties, and every tied class is reported.  So the winners are those
+        of scoring every child, and as each class is labelled once, their
+        order does not matter."""
         k, m = forbid_path, forbid_clique
         if n == 0:
             level = self.level(k, m, 0, budget=budget)
             return [g for g, _gens, _code in level]
         if n == 1 or (k, m, n - 1, 0) in self.levels:
-            masks: dict[Graph, list[int]] = {}
-            for g, mask in self.children(k, m, n, budget=budget):
-                masks.setdefault(g, []).append(mask)
-            parents = list(masks)
+            parents = (g for g, _gens, _code in self.level(k, m, n - 1, budget=budget))
         else:
             parents = (_attach(g, mask) for g, mask in self.children(k, m, n - 1, budget=budget))
-            masks = self.masks.setdefault((k, m, n), {})
-        ranked = []  # (bound, N_r(g), g)
+        ranked = []  # (bound, N_r(g), δ(g), g)
         for g in parents:
             budget.check("extremal")
-            base = count_cliques(g, r)
-            ranked.append((base + count_cliques(g, r - 1), base, g))
+            base, low = count_cliques(g, r), g.min_degree()
+            most_below = min(count_cliques(g, r - 1), comb(low + 1, r - 1))
+            ranked.append((base + most_below, base, low, g))
         ranked.sort(key=lambda entry: entry[0], reverse=True)  # stable
         best, top = -1, []
-        for bound, base, g in ranked:
+        for bound, base, low, g in ranked:
             if bound < best:
                 break
             budget.check("extremal")
-            if g not in masks:
-                masks[g] = _attachable_masks(g, k, m)
             components = []
             rest = g.vertex_mask() if connected else 0
             while rest:
                 components.append(_reachable(g.rows, rest & -rest))
                 rest &= ~components[-1]
-            for mask in masks[g]:
+            for mask in _attachable_masks(g, k, m, most=low + 1):
                 if not all(mask & c for c in components):
                     continue
                 score = base + count_cliques_in(g, mask, r - 1)
@@ -837,8 +852,8 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's levels, candidate lists and mask lists and
-    the classifier's table of candidates."""
+    """Empty the enumerator's levels and candidate lists and the
+    classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 
@@ -1099,8 +1114,8 @@ def verify_theorem(
     one for the whole sweep: each n gets the time left, and it is also
     checked before each n's check of the predicted family.  The range is
     checked before anything is enumerated.  Then the candidates of order
-    N - 1 are grown, N the largest n, so every smaller n scores the
-    children of a labelled level and only N reads unlabelled parents
+    N - 1 are grown, N the largest n, so every smaller n reads a labelled
+    parent level and only N reads unlabelled parents
     (Enumerator.extremal); the runtime_ms of the first n's row includes
     that step, so the rows add up to the sweep.
     """

@@ -473,7 +473,10 @@ def test_max_degree_masks():
     with a bound b from 1 to the parent's min degree + 1, those whose
     child also has min degree >= b.  What it keeps holds canon(a(M)) for
     every kept M and generator a, canon the twin-canonical image
-    (_twin_canon), as _orbit_representatives needs."""
+    (_twin_canon), as _orbit_representatives needs.  With most = d, for d
+    from 0 to the parent's min degree + 1 (the top order of
+    Enumerator.extremal), it applies no degree test and keeps exactly the
+    twin-canonical attachable masks of at most d vertices."""
     bounded = 0
     for k, m, n in RULE_CELLS:
         for i, level in enumerate(_ENUMERATOR.chain(k, m, n - 1)):
@@ -500,6 +503,9 @@ def test_max_degree_masks():
                             img = sum(1 << a[u] for u in range(i) if (mask >> u) & 1)
                             assert _twin_canon(classes, img) in members, (k, m, code, b, mask)
                     bounded += len(kept) if b else 0
+                for d in range(g.min_degree() + 2):
+                    kept = _attachable_masks(g, k, m, most=d)
+                    assert kept == [x for x in masks if x.bit_count() <= d], (k, m, code, d)
     assert bounded > 1000
 
 
@@ -901,8 +907,8 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     labelled and the step to (9, 2) from the unlabelled candidates of
     (8, 1), and adds only level (9, 2), whose grown candidates are then
     dropped; clear_cache empties, through Enumerator.clear, the levels,
-    the candidates, the candidates grown from unlabelled parents, the mask
-    lists of the oracle's unlabelled parents and the classifier's tables.
+    the candidates, the candidates grown from unlabelled parents and the
+    classifier's tables.
     A fresh enumerator keeps the shared one warm for the other tests.  A
     chain for n = 10, δ = 2 stores the unfiltered levels to 8 and the
     levels (9, 1) and (10, 2), each once, and grows nothing unlabelled;
@@ -930,11 +936,11 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     # the extremal graphs on 9 vertices are scored from the unlabelled
     # candidates of order 8, so level 8 is still not labelled
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert not enumerator.grown and list(enumerator.masks) == [(7, 4, 9)]
+    assert not enumerator.grown and (7, 4, 8, 0) in enumerator.candidates
     assert (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
     assert not enumerator.levels and not enumerator.candidates
-    assert not enumerator.grown and not enumerator.masks
+    assert not enumerator.grown
     assert class_table.cache_info().currsize == 0
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
@@ -1115,7 +1121,7 @@ def _grown_reference(enumerator: Enumerator, k, m, n: int) -> dict:
     order n - 1, by the loop Enumerator.extremal ran before it searched
     only the parents it visits, kept as the reference: each child C of
     order n - 1, in order, is built and mapped to every mask of
-    _attachable_masks(C)."""
+    _attachable_masks(C), which gives the new vertex maximum degree."""
     out = {}
     for g, mask in enumerator.children(k, m, n - 1):
         child = _attach(g, mask)
@@ -1123,29 +1129,45 @@ def _grown_reference(enumerator: Enumerator, k, m, n: int) -> dict:
     return out
 
 
+def _top_order_spy(monkeypatch, searched: list) -> None:
+    """Record (parent, most) in searched for every call of
+    _attachable_masks with most, the top order of Enumerator.extremal."""
+    attachable = oracle._attachable_masks
+
+    def spy(g, *args, **kwargs):
+        if kwargs.get("most") is not None:
+            searched.append((g, kwargs["most"]))
+        return attachable(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_attachable_masks", spy)
+
+
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
     extremal_r = r does not label level n - 1 (n >= 2): it scores the
-    children grown from the unlabelled candidates of order n - 1, and the
-    mask list it keeps for each parent it visited is exactly that of the
-    reference loop (_grown_reference); it still returns exactly the
-    graphs of the labelled level n, after the same final filters, with
-    the most K_r, over the cells, r, connected_only and edge_maximal of
+    children grown from the unlabelled candidates of order n - 1, so every
+    parent it searches is a parent of the reference loop
+    (_grown_reference), searched for the masks of at most its min degree
+    + 1 vertices; it still returns exactly the graphs of the labelled
+    level n, after the same final filters, with the most K_r, over the
+    cells, r, connected_only and edge_maximal of
     test_extremal_matches_the_labelled_level.  A cold
     ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
     gives with level 8 labelled."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
     for k, m in EXTREMAL_CELLS:
         for n in range(9):
             enumerator = Enumerator()
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+            searched.clear()
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
             assert not enumerator.grown
-            assert list(enumerator.masks) == ([(k, m, n)] if n >= 2 else []), (k, m, n)
+            assert all(most == c.min_degree() + 1 for c, most in searched), (k, m, n)
             if n >= 2:
                 want = _grown_reference(enumerator, k, m, n)
-                stored = enumerator.masks[k, m, n]
-                assert stored and all(want[c] == x for c, x in stored.items()), (k, m, n)
+                assert searched and all(c in want for c, _most in searched), (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1180,20 +1202,24 @@ def _full_scoring(reference: dict, r: int, connected: bool) -> list:
     return [cf for cf, _gens, _code in oracle._label(top, Budget())]
 
 
-def test_bounded_scoring_equals_full_scoring():
-    """Enumerator.extremal visits the unlabelled parents best bound first
-    and stops at the first bound strictly below the best score.  Asked
-    cold, for every cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9,
-    for r in {2, 3}, connected or not, it returns exactly the graphs that
-    scoring every child of every parent gives (_full_scoring), tied
-    classes included; each mask list it keeps is _attachable_masks(C) for
-    its parent C, and at (7,4) and (8,5), n = 9, some parent is never
-    searched.
+def test_bounded_scoring_equals_full_scoring(monkeypatch):
+    """Enumerator.extremal visits the unlabelled parents best bound first,
+    searches each for the masks of at most δ(C) + 1 vertices, and stops at
+    the first bound strictly below the best score.  Asked cold, for every
+    cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9, for r in
+    {2, 3}, connected or not, it returns exactly the graphs that scoring
+    every child of every parent with every maximum-degree mask gives
+    (_full_scoring), tied classes included; each parent C it searches is
+    a reference parent, searched with most = δ(C) + 1, and at (7,4) and
+    (8,5), n = 9, some parent is never searched.
     Parents whose bound equals the best must be visited: (7,4) at n = 9
     has four extremal classes at r = 2."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
     ties = 0
     for k, m, n in [(k, m, n) for k, m in EXTREMAL_CELLS for n in range(2, 10)] + [(8, 5, 9)]:
         enumerator, reference = Enumerator(), None
+        searched.clear()
         for r in (2, 3):
             for connected in (False, True):
                 got = enumerator.extremal(k, m, n, r, connected)
@@ -1202,22 +1228,37 @@ def test_bounded_scoring_equals_full_scoring():
                     reference = _grown_reference(enumerator, k, m, n)
                 assert got == _full_scoring(reference, r, connected), (k, m, n, r, connected)
                 ties += len(got) > 1
-        stored = enumerator.masks[k, m, n]
-        assert all(x == _attachable_masks(c, k, m) for c, x in stored.items()), (k, m, n)
-        assert set(stored) <= set(reference), (k, m, n)
+        assert all(most == c.min_degree() + 1 for c, most in searched), (k, m, n)
+        parents = {c for c, _most in searched}
+        assert parents <= set(reference), (k, m, n)
         if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
-            assert len(stored) < len(reference), (k, m, n)
+            assert len(parents) < len(reference), (k, m, n)
     assert len(Enumerator().extremal(7, 4, 9, 2, False)) == 4
     assert ties > 30, ties
 
 
+def test_top_order_searches_few_parents(monkeypatch):
+    """A fresh Enumerator().extremal(7, 4, 9, r, connected) bounds each of
+    the 705 unlabelled parents of order 8 by N_r(C) + min(N_{r-1}(C),
+    C(δ(C) + 1, r - 1)) and searches only those it visits: 8 at r = 2,
+    connected or not, 3 at r = 3 and 15 at r = 3 connected."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
+    assert len(Enumerator().children(7, 4, 8)) == 705
+    for r, connected, want in [(2, False, 8), (2, True, 8), (3, False, 3), (3, True, 15)]:
+        searched.clear()
+        Enumerator().extremal(7, 4, 9, r, connected)
+        assert all(c.n == 8 for c, _most in searched)
+        assert len(searched) == want, (r, connected, len(searched))
+
+
 def test_verify_grows_the_largest_order_first(monkeypatch):
     """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then grows
-    the candidates of order 9, so the orders 7..9 score the children of
-    labelled levels and only order 10 reads unlabelled parents: each
-    order 1..9 of _candidates is computed once and level 9 is never
-    labelled.  Its data equals four single-n sweeps, each on a fresh
-    enumerator, where every n reads unlabelled parents.  A range that
+    the candidates of order 9, so the orders 7..9 read labelled parent
+    levels and only order 10 reads unlabelled parents: each order 1..9
+    of _candidates is computed once and level 9 is never labelled.  Its
+    data equals four single-n sweeps, each on a fresh enumerator, where
+    every n reads unlabelled parents.  A range that
     holds an order above the cap, or below δ_k + 2, raises before
     anything is enumerated."""
     computed = []
@@ -1234,7 +1275,8 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 10))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert not enumerator.grown and list(enumerator.masks) == [(7, 4, 10)]
+    assert not enumerator.grown
+    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 10)}
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1573,16 +1615,16 @@ def test_budget_checks_and_stats():
 def test_budget_stats_over_a_warm_store(monkeypatch):
     """The stats name the chain a stage stands on also when the store is
     warm, so that the stage reads no level before its first check.
-    Level 9 of (7,4), labelled from candidates stored by an earlier
-    oracle call, raises in the levels stage after level 8, with the sizes
-    of the chain to 8.  The extremal graphs on 9 vertices, scored from
-    unlabelled parents whose visited ones have stored mask lists, raise
-    in the extremal stage after level 7, with the sizes of the chain to
-    7."""
+    Level 9 of (7,4), labelled from candidates stored by an earlier call,
+    raises in the levels stage after level 8, with the sizes of the chain
+    to 8.  The extremal graphs on 9 vertices, scored from unlabelled
+    parents grown from stored candidates of order 8, raise in the
+    extremal stage after level 7, with the sizes of the chain to 7."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.chain(7, 4, 8)
     ex_oracle(9, 7, 4, 2)
+    enumerator.children(7, 4, 9)
     assert (7, 4, 9, 0) in enumerator.candidates and (7, 4, 9, 0) not in enumerator.levels
     with pytest.raises(BudgetExceeded) as info:
         enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, time_budget_s=0))
@@ -1594,7 +1636,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert list(enumerator.masks) == [(7, 4, 9)]
+    assert (7, 4, 8, 0) in enumerator.candidates and (7, 4, 8, 0) not in enumerator.levels
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -1895,20 +1937,20 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
     of order 8, which rest on level 7 labelled.  The budget is 60 s, and
     the clock jumps past the deadline while the first visited parent is
     searched, so the call raises in the extremal stage after level 7,
-    with the sizes of the chain to 7.  The mask list of that parent is
-    stored whole and no other is, no level above 7 is stored, and a
-    resumed call gives what a cold one does."""
+    with the sizes of the chain to 7.  No other parent is searched, the
+    candidates of orders 1..8 are stored whole, no level above 7 is
+    stored, and a resumed call gives what a cold one does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
     attachable = oracle._attachable_masks
     searched = []
 
-    def jump_at_order_8(g, *args):
+    def jump_at_order_8(g, *args, **kwargs):
         if g.n == 8:
             clock.jump()
             searched.append(g)
-        return attachable(g, *args)
+        return attachable(g, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "time", clock)
     monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_8)
@@ -1923,7 +1965,7 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
         "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
     }
     assert len(searched) == 1
-    assert enumerator.masks == {(7, 4, 9): {searched[0]: _attachable_masks(searched[0], 7, 4)}}
+    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 9)}
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
     resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
