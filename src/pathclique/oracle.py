@@ -65,13 +65,15 @@ vertices, δ(P) the min degree of P, and no child of P scores more than
 N_r(P) + min(N_{r-1}(P), C(δ(P) + 1, r - 1)).  The parents are visited
 by that bound, highest first, and the visit stops at the first bound
 strictly below the best score so far; a parent whose bound ties the
-best is still visited, so no tied class is lost.  Level n - 1 is not
-labelled for this unless it already is: the parents are then the
-children of the candidates of order n - 1, built but not labelled, and
-only the visited ones are searched for masks.  Every level below n - 1
-is labelled in full.  verify grows the candidates of order N - 1 first,
-N its largest n, so every smaller n reads labelled parents.  classify
-labels every graph it classifies.
+best is still visited, so no tied class is lost.  Level n - 1 is
+neither labelled nor grown for this unless it is already stored: the
+same rule, applied twice, bounds order n from the graphs D of level
+n - 2, by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1, r - 1)) +
+C(δ(D) + 2, r - 1), and only the roots D so visited are extended, into
+parents built but not labelled, which are then visited as above.  Every
+level below n - 1 is labelled in full.  verify labels level N - 2
+first, N its largest n, so every smaller n reads a labelled level
+n - 1.  classify labels every graph it classifies.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
 and shared by every caller, and under the same key the candidates of
@@ -194,9 +196,9 @@ class Budget:
     """One call's time budget, started when the object is made; Budget()
     never runs out.  Every stage of a call is handed the same object and
     calls check once per unit of work: per parent while candidates are
-    built, per child labelled, per unlabelled parent extended, per parent
-    bounded, per parent visited and per winner labelled at the top order
-    (Enumerator.extremal),
+    built, per child labelled, per unlabelled parent extended, per root
+    bounded, per root expanded, per parent bounded, per parent visited
+    and per winner labelled at the top order (Enumerator.extremal),
     per graph in the final filters, before each n's check of the
     predicted family (verify) and per classified graph (classify).  A
     call therefore overruns its budget by at most one parent's
@@ -204,10 +206,11 @@ class Budget:
     classification.  level_sizes are the sizes of the chain of the last
     level read (Enumerator.level writes them), from level 0 up to the
     first level of that chain that is not labelled: every enumeration
-    stage reads a labelled level first, its parent level or the one that
-    its unlabelled parents were grown from.  A level that enumeration
-    skipped (Enumerator.grow) is therefore never in level_sizes, and
-    neither is any level above it.  A budget holds no graph."""
+    stage reads a labelled level first: its parent level, the level of
+    its roots (the top order), or the one that its unlabelled parents
+    were grown from.  A level that enumeration skipped (Enumerator.grow)
+    is therefore never in level_sizes, and neither is any level above
+    it.  A budget holds no graph."""
 
     def __init__(self, seconds: Optional[float] = None) -> None:
         self.deadline = None if seconds is None else time.monotonic() + seconds
@@ -602,10 +605,10 @@ class Enumerator:
     list is dropped once its level is stored.  So a level is labelled only
     when something reads it: a caller, a chain, or a step with bound 0 or
     1.  The top order of the extremal graphs (extremal) stores nothing of
-    its own: it reads level (n - 1, 0) when it is stored, and else the
-    unlabelled children of the candidates of order n - 1, so an order
-    whose extremal graphs were asked for may have candidates but no
-    level yet.  Only whole levels and whole candidate lists are stored:
+    its own: it reads level (n - 1, 0) when it is stored, and else level
+    (n - 2, 0), and builds what it needs of order n - 1 unlabelled, so
+    asking for the extremal graphs of order n stores nothing of order
+    n - 1.  Only whole levels and whole candidate lists are stored:
     _candidates and _label raise before they store a list, never inside
     one, so a timed-out call leaves a checkpoint."""
 
@@ -765,86 +768,120 @@ class Enumerator:
     ) -> list[Graph]:
         """The graphs of the class on n vertices (connected ones only, if
         connected) with the most K_r, in canonical labels, sorted by code.
-        The parents of order n - 1 are visited best bound first, and only
-        the children with the top score are built and labelled; the budget
-        is checked once per parent bounded, once per parent visited and
-        once per labelled winner.
+        Order n is reached from stored graphs through one or two
+        minimum-degree steps, visited best bound first, and only the
+        children with the top score are built and labelled.  The budget is
+        checked once per graph bounded and once per graph visited, at
+        each step (roots and parents alike), and once per labelled
+        winner.
 
-        The parents are the graphs of level (n - 1, 0) when it is stored
-        (always for n = 1).  Otherwise level n - 1 is not labelled for
-        them: they are the unlabelled children C = P + v(M) of the
-        candidates (P, M) of children(n - 1).  A visited parent C is
-        extended by every mask of _attachable_masks(C, k, m, most=δ(C) + 1),
-        δ(C) the min degree of C, as the new vertex is attached as a vertex
-        of minimum degree; no generators are used, so no mask is dropped as
-        the image of another.
+        One step, when level (n - 1, 0) is stored (always for n = 1): the
+        parents are its graphs.  Two steps, otherwise: the roots are the
+        graphs D of level n - 2, labelled, and level n - 1 is neither
+        labelled nor grown for them; a visited root is expanded into the
+        parents C = D + v(M), one per mask M of _attachable_masks(D, k, m,
+        most=δ(D) + 1), built but not labelled, which then go through the
+        one-step visit with the same best score.  A visited parent C is
+        extended by every mask of _attachable_masks(C, k, m,
+        most=δ(C) + 1), δ the min degree, as the new vertex is attached as
+        a vertex of minimum degree at each step; no generators are used,
+        so no mask is dropped as the image of another.
 
-        Soundness.  Every class on n vertices has a child.  Let G be a
-        graph of the class on n vertices and u a vertex of minimum degree.
-        G - u is in the class, which is closed under vertex deletion, so
-        some parent C is isomorphic to it by some φ: the parents hold every
-        class of order n - 1 (a level, or the children of its candidates,
-        _candidates).  Every x of G - u has deg_G(x) <= deg_{G-u}(x) + 1
-        and deg_G(x) >= deg_G(u), so M = φ(N(u)) has at most δ(C) + 1
-        vertices, and C + v(M) ≅ G with v ↦ u, so M is attachable.  Its
-        twin-canonical image, by twin swaps of C, has the same size and
-        gives an isomorphic child, so the masks of _attachable_masks reach
-        every class.  Every child is in the class.  A K_r of C + v(M)
-        either avoids v, and is a K_r of C, or holds v and a K_{r-1}
-        inside N(v) = M, so the score N_r(C) + N_{r-1}(C[M]) is exactly
-        N_r of the child.  v joins the components of C that M meets and no
-        other, so C + v(M) is connected iff M meets every component of C;
-        if G is connected, M meets every component of G - u.  The maximum
-        over the children is therefore the maximum over the classes, the
-        winners' children are exactly the extremal classes, and labelling
-        them gives each once, in the canonical form the level would hold.
-        The graph on 0 vertices has no parent and no K_r.
+        Soundness of one step.  Let G be a graph of the class on n
+        vertices and u a vertex of minimum degree.  G - u is in the class,
+        which is closed under vertex deletion.  Let C be a parent
+        isomorphic to it, by some φ; with one step the parents are a
+        level, which holds every class of order n - 1.  Every x of G - u
+        has deg_G(x) <= deg_{G-u}(x) + 1 and deg_G(x) >= deg_G(u), so
+        M = φ(N(u)) has at most δ(C) + 1 vertices, and C + v(M) ≅ G with
+        v ↦ u, so M is attachable.  Its twin-canonical image, by twin swaps
+        of C, has the same size and gives an isomorphic child, so the
+        masks of _attachable_masks reach G.  Every child is in the class.
+        A K_r of C + v(M) either avoids v, and is a K_r of C, or holds v
+        and a K_{r-1} inside N(v) = M, so the score N_r(C) + N_{r-1}(C[M])
+        is exactly N_r of the child.  v joins the components of C that M
+        meets and no other, so C + v(M) is connected iff M meets every
+        component of C; if G is connected, M meets every component of
+        G - u.  Connectivity is decided at this last step only.  The graph
+        on 0 vertices has no parent and no K_r.
+
+        Soundness of two steps.  Let u be a vertex of minimum degree in G,
+        C = G - u, u' a vertex of minimum degree in C and D = C - u'.
+        Both deletions stay in the class, so D is isomorphic to a root.
+        The argument above, applied to C and D, gives a mask of that root
+        with at most δ(D) + 1 vertices whose child, a parent, is
+        isomorphic to C; applied to G and that parent, it gives a mask of
+        the parent whose child is isomorphic to G.  So in both cases every
+        class on n vertices has a child, and the maximum over the children
+        is the maximum over the classes.  The winners' children are exactly
+        the extremal classes, and labelling them gives each once, in the
+        canonical form the level would hold.
 
         Branch and bound.  C[M] is a subgraph of C on at most δ(C) + 1
         vertices, so N_{r-1}(C[M]) <= min(N_{r-1}(C), C(δ(C) + 1, r - 1)),
-        and no child of C scores more than its bound, N_r(C) plus that
-        minimum; the connected children are some of them, so the bound
-        holds for them too.  Parents are visited by descending bound, in a
-        stable order, and the visit stops at the first bound strictly below
-        the best score so far: that parent and every later one score below
-        the best, which only grows, so none has a winner.  A parent whose
-        bound equals the best is still visited, as it may have a child that
+        and no child of C scores more than its one-step bound, N_r(C) plus
+        that minimum; the connected children are some of them, so the
+        bound holds for them too.  A parent C = D + v(M) of a root D has
+        |M| <= δ(D) + 1, so N_r(C) <= N_r(D) + min(N_{r-1}(D),
+        C(δ(D) + 1, r - 1)), by the same argument, and δ(C) <= |M| <=
+        δ(D) + 1, as v has degree |M|; so no child of a child of D scores
+        more than D's two-step bound, N_r(D) + min(N_{r-1}(D),
+        C(δ(D) + 1, r - 1)) + C(δ(D) + 2, r - 1), which is at least the
+        one-step bound of each of D's parents.  At each step the graphs
+        are visited by descending bound, in a stable order, and the visit
+        stops at the first bound strictly below the best score so far:
+        that graph and every later one have no child that reaches the
+        best, which only grows, so none has a winner.  A graph whose bound
+        equals the best is still visited, as it may have a child that
         ties, and every tied class is reported.  So the winners are those
         of scoring every child, and as each class is labelled once, their
-        order does not matter."""
+        order does not matter.
+
+        Depth.  Two steps is the most.  At (7,4), n = 9, on 2 cores, three
+        steps from level 6 took 21-39 ms per call (r in {2, 3}, connected
+        or not), against 4-10 ms for two steps from level 7, which takes
+        22 ms to label once and then serves every later call."""
         k, m = forbid_path, forbid_clique
         if n == 0:
             level = self.level(k, m, 0, budget=budget)
             return [g for g, _gens, _code in level]
-        if n == 1 or (k, m, n - 1, 0) in self.levels:
-            parents = (g for g, _gens, _code in self.level(k, m, n - 1, budget=budget))
-        else:
-            parents = (_attach(g, mask) for g, mask in self.children(k, m, n - 1, budget=budget))
-        ranked = []  # (bound, N_r(g), δ(g), g)
-        for g in parents:
-            budget.check("extremal")
-            base, low = count_cliques(g, r), g.min_degree()
-            most_below = min(count_cliques(g, r - 1), comb(low + 1, r - 1))
-            ranked.append((base + most_below, base, low, g))
-        ranked.sort(key=lambda entry: entry[0], reverse=True)  # stable
+        steps = 1 if n == 1 or (k, m, n - 1, 0) in self.levels else 2
         best, top = -1, []
-        for bound, base, low, g in ranked:
-            if bound < best:
-                break
-            budget.check("extremal")
-            components = []
-            rest = g.vertex_mask() if connected else 0
-            while rest:
-                components.append(_reachable(g.rows, rest & -rest))
-                rest &= ~components[-1]
-            for mask in _attachable_masks(g, k, m, most=low + 1):
-                if not all(mask & c for c in components):
+
+        def visit(graphs: Iterable[Graph], steps: int) -> None:
+            nonlocal best, top
+            ranked = []  # (bound, N_r(g), δ(g), g)
+            for g in graphs:
+                budget.check("extremal")
+                base, low = count_cliques(g, r), g.min_degree()
+                bound = base + min(count_cliques(g, r - 1), comb(low + 1, r - 1))
+                if steps == 2:
+                    bound += comb(low + 2, r - 1)
+                ranked.append((bound, base, low, g))
+            ranked.sort(key=lambda entry: entry[0], reverse=True)  # stable
+            for bound, base, low, g in ranked:
+                if bound < best:
+                    break
+                budget.check("extremal")
+                masks = _attachable_masks(g, k, m, most=low + 1)
+                if steps == 2:
+                    visit((_attach(g, mask) for mask in masks), 1)
                     continue
-                score = base + count_cliques_in(g, mask, r - 1)
-                if score > best:
-                    best, top = score, []
-                if score == best:
-                    top.append((g, mask))
+                components = []
+                rest = g.vertex_mask() if connected else 0
+                while rest:
+                    components.append(_reachable(g.rows, rest & -rest))
+                    rest &= ~components[-1]
+                for mask in masks:
+                    if not all(mask & c for c in components):
+                        continue
+                    score = base + count_cliques_in(g, mask, r - 1)
+                    if score > best:
+                        best, top = score, []
+                    if score == best:
+                        top.append((g, mask))
+
+        visit((g for g, _gens, _code in self.level(k, m, n - steps, budget=budget)), steps)
         return [cf for cf, _gens, _code in _label(top, budget, "extremal")]
 
 
@@ -1113,9 +1150,9 @@ def verify_theorem(
     should be exact) is the failure state.  The time budget (Budget) is
     one for the whole sweep: each n gets the time left, and it is also
     checked before each n's check of the predicted family.  The range is
-    checked before anything is enumerated.  Then the candidates of order
-    N - 1 are grown, N the largest n, so every smaller n reads a labelled
-    parent level and only N reads unlabelled parents
+    checked before anything is enumerated.  Then level N - 2 is labelled,
+    N the largest n, so every smaller n reads a labelled level n - 1 and
+    only N takes two minimum-degree steps, from level N - 2
     (Enumerator.extremal); the runtime_ms of the first n's row includes
     that step, so the rows add up to the sweep.
     """
@@ -1129,7 +1166,7 @@ def verify_theorem(
     budget = Budget(time_budget_s)
     t0 = time.monotonic()
     if n_range:
-        _ENUMERATOR.children(k, m, max(n_range) - 1, budget=budget)
+        _ENUMERATOR.level(k, m, max(n_range) - 2, budget=budget)
     case = threshold_case(k, m, r)
     rows = []
     for n in n_range:

@@ -906,7 +906,8 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     enumeration at n = 7 stored, takes the step to (8, 1) from level 7
     labelled and the step to (9, 2) from the unlabelled candidates of
     (8, 1), and adds only level (9, 2), whose grown candidates are then
-    dropped; clear_cache empties, through Enumerator.clear, the levels,
+    dropped; the extremal graphs on 9 vertices then store nothing of
+    order 8; clear_cache empties, through Enumerator.clear, the levels,
     the candidates, the candidates grown from unlabelled parents and the
     classifier's tables.
     A fresh enumerator keeps the shared one warm for the other tests.  A
@@ -933,10 +934,10 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     class_table(9, 7, 4, False)
     assert class_table.cache_info().currsize > 0
     assert enumerator.candidates
-    # the extremal graphs on 9 vertices are scored from the unlabelled
-    # candidates of order 8, so level 8 is still not labelled
+    # the extremal graphs on 9 vertices are bounded from level 7 through
+    # two minimum-degree steps, so order 8 is neither labelled nor grown
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert not enumerator.grown and (7, 4, 8, 0) in enumerator.candidates
+    assert not enumerator.grown and (7, 4, 8, 0) not in enumerator.candidates
     assert (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
     assert not enumerator.levels and not enumerator.candidates
@@ -1130,8 +1131,9 @@ def _grown_reference(enumerator: Enumerator, k, m, n: int) -> dict:
 
 
 def _top_order_spy(monkeypatch, searched: list) -> None:
-    """Record (parent, most) in searched for every call of
-    _attachable_masks with most, the top order of Enumerator.extremal."""
+    """Record (graph, most) in searched for every call of
+    _attachable_masks with most: the roots and the parents that
+    Enumerator.extremal searches."""
     attachable = oracle._attachable_masks
 
     def spy(g, *args, **kwargs):
@@ -1142,16 +1144,35 @@ def _top_order_spy(monkeypatch, searched: list) -> None:
     monkeypatch.setattr(oracle, "_attachable_masks", spy)
 
 
+def _two_step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> list:
+    """The roots that a cold Enumerator.extremal at order n >= 2 expanded,
+    from the (graph, most) calls _top_order_spy recorded, after checking
+    each search: every search was given most = δ + 1, every graph
+    searched of order n - 2 is a graph of level n - 2 (a root), and every
+    one of order n - 1 is a min-degree child D + v(M) of a root D
+    searched before it, M one of D's attachable masks of at most
+    δ(D) + 1 vertices."""
+    level = {g for g, _gens, _code in enumerator.levels[k, m, n - 2, 0]}
+    roots, children = [], set()
+    for g, most in searched:
+        assert most == g.min_degree() + 1, (k, m, n)
+        if g.n == n - 2:
+            assert g in level, (k, m, n)
+            roots.append(g)
+            children |= {_attach(g, x) for x in _attachable_masks(g, k, m, most=most)}
+        else:
+            assert g.n == n - 1 and g in children, (k, m, n)
+    return roots
+
+
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
-    extremal_r = r does not label level n - 1 (n >= 2): it scores the
-    children grown from the unlabelled candidates of order n - 1, so every
-    parent it searches is a parent of the reference loop
-    (_grown_reference), searched for the masks of at most its min degree
-    + 1 vertices; it still returns exactly the graphs of the labelled
-    level n, after the same final filters, with the most K_r, over the
-    cells, r, connected_only and edge_maximal of
-    test_extremal_matches_the_labelled_level.  A cold
+    extremal_r = r labels no graph of order n - 1 (n >= 2) and grows no
+    candidate of that order: it bounds order n from level n - 2 through
+    two minimum-degree steps (_two_step_searches), and still returns
+    exactly the graphs of the labelled level n, after the same final
+    filters, with the most K_r, over the cells, r, connected_only and
+    edge_maximal of test_extremal_matches_the_labelled_level.  A cold
     ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
     gives with level 8 labelled."""
     searched = []
@@ -1163,11 +1184,10 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             searched.clear()
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
+            assert (k, m, n - 1, 0) not in enumerator.candidates, (k, m, n)
             assert not enumerator.grown
-            assert all(most == c.min_degree() + 1 for c, most in searched), (k, m, n)
             if n >= 2:
-                want = _grown_reference(enumerator, k, m, n)
-                assert searched and all(c in want for c, _most in searched), (k, m, n)
+                assert _two_step_searches(searched, enumerator, k, m, n), (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1203,64 +1223,80 @@ def _full_scoring(reference: dict, r: int, connected: bool) -> list:
 
 
 def test_bounded_scoring_equals_full_scoring(monkeypatch):
-    """Enumerator.extremal visits the unlabelled parents best bound first,
-    searches each for the masks of at most δ(C) + 1 vertices, and stops at
-    the first bound strictly below the best score.  Asked cold, for every
-    cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9, for r in
-    {2, 3}, connected or not, it returns exactly the graphs that scoring
-    every child of every parent with every maximum-degree mask gives
-    (_full_scoring), tied classes included; each parent C it searches is
-    a reference parent, searched with most = δ(C) + 1, and at (7,4) and
-    (8,5), n = 9, some parent is never searched.
+    """Enumerator.extremal bounds its parents and visits them best bound
+    first, and stops at the first bound strictly below the best score.
+    For every cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9, for
+    r in {2, 3}, connected or not, it is asked twice, and both answers
+    equal the graphs that scoring every child of every parent with every
+    maximum-degree mask gives (_full_scoring), tied classes included:
+    - cold, it stores nothing of order n - 1 and takes two minimum-degree
+      steps from the roots of level n - 2 (_two_step_searches); at (7,4)
+      and (8,5), n = 9, some root is never expanded;
+    - with level n - 1 stored, it takes one step: every parent C it
+      searches is a graph of that level, searched with most = δ(C) + 1.
     Parents whose bound equals the best must be visited: (7,4) at n = 9
     has four extremal classes at r = 2."""
     searched = []
     _top_order_spy(monkeypatch, searched)
     ties = 0
     for k, m, n in [(k, m, n) for k, m in EXTREMAL_CELLS for n in range(2, 10)] + [(8, 5, 9)]:
-        enumerator, reference = Enumerator(), None
+        reference = _grown_reference(Enumerator(), k, m, n)
+        want = {
+            (r, connected): _full_scoring(reference, r, connected)
+            for r in (2, 3)
+            for connected in (False, True)
+        }
+        ties += sum(len(got) > 1 for got in want.values())
+        cold = Enumerator()
         searched.clear()
-        for r in (2, 3):
-            for connected in (False, True):
-                got = enumerator.extremal(k, m, n, r, connected)
-                assert (k, m, n - 1, 0) not in enumerator.levels
-                if reference is None:
-                    reference = _grown_reference(enumerator, k, m, n)
-                assert got == _full_scoring(reference, r, connected), (k, m, n, r, connected)
-                ties += len(got) > 1
-        assert all(most == c.min_degree() + 1 for c, most in searched), (k, m, n)
-        parents = {c for c, _most in searched}
-        assert parents <= set(reference), (k, m, n)
+        for (r, connected), best in want.items():
+            assert cold.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
+        assert (k, m, n - 1, 0) not in cold.levels and (k, m, n - 1, 0) not in cold.candidates
+        roots = _two_step_searches(searched, cold, k, m, n)
         if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
-            assert len(parents) < len(reference), (k, m, n)
+            assert len(set(roots)) < len(cold.levels[k, m, n - 2, 0]), (k, m, n)
+        warm = Enumerator()
+        level = {g for g, _gens, _code in warm.level(k, m, n - 1)}
+        searched.clear()
+        for (r, connected), best in want.items():
+            assert warm.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
+        assert searched and all(c in level and most == c.min_degree() + 1 for c, most in searched)
     assert len(Enumerator().extremal(7, 4, 9, 2, False)) == 4
     assert ties > 30, ties
 
 
 def test_top_order_searches_few_parents(monkeypatch):
     """A fresh Enumerator().extremal(7, 4, 9, r, connected) bounds each of
-    the 705 unlabelled parents of order 8 by N_r(C) + min(N_{r-1}(C),
-    C(δ(C) + 1, r - 1)) and searches only those it visits: 8 at r = 2,
-    connected or not, 3 at r = 3 and 15 at r = 3 connected."""
+    the 253 roots of level 7 by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1,
+    r - 1)) + C(δ(D) + 2, r - 1), and searches only the roots and the
+    parents of order 8 it visits: 19 roots and 13 parents at r = 2,
+    connected or not, 13 and 16 at r = 3, and 36 and 26 at r = 3
+    connected.  It stores no candidate list of order 8.  These are counts
+    of the searches, not times."""
     searched = []
     _top_order_spy(monkeypatch, searched)
-    assert len(Enumerator().children(7, 4, 8)) == 705
-    for r, connected, want in [(2, False, 8), (2, True, 8), (3, False, 3), (3, True, 15)]:
+    for r, connected, roots, parents in [
+        (2, False, 19, 13), (2, True, 19, 13), (3, False, 13, 16), (3, True, 36, 26)
+    ]:
+        enumerator = Enumerator()
         searched.clear()
-        Enumerator().extremal(7, 4, 9, r, connected)
-        assert all(c.n == 8 for c, _most in searched)
-        assert len(searched) == want, (r, connected, len(searched))
+        enumerator.extremal(7, 4, 9, r, connected)
+        assert len(enumerator.levels[7, 4, 7, 0]) == 253
+        orders = [c.n for c, _most in searched]
+        assert (orders.count(7), orders.count(8)) == (roots, parents), (r, connected)
+        assert len(orders) == roots + parents
+        assert not any(key[2] == 8 for key in enumerator.candidates)
 
 
 def test_verify_grows_the_largest_order_first(monkeypatch):
-    """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then grows
-    the candidates of order 9, so the orders 7..9 read labelled parent
-    levels and only order 10 reads unlabelled parents: each order 1..9
-    of _candidates is computed once and level 9 is never labelled.  Its
+    """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then
+    labels level 8, N - 2 for N the largest n, so the orders 7..9 read
+    labelled parent levels and only order 10 takes two minimum-degree
+    steps from level 8: each order 1..8 of _candidates is computed once,
+    level 9 is never labelled and no candidate of order 9 is grown.  Its
     data equals four single-n sweeps, each on a fresh enumerator, where
-    every n reads unlabelled parents.  A range that
-    holds an order above the cap, or below δ_k + 2, raises before
-    anything is enumerated."""
+    every n takes two steps.  A range that holds an order above the cap,
+    or below δ_k + 2, raises before anything is enumerated."""
     computed = []
     candidates = oracle._candidates
 
@@ -1273,10 +1309,10 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     params = TheoremParams(7, 4, 2)
     rows = verify_theorem(params, range(7, 11))
-    assert computed == list(range(1, 10))
+    assert computed == list(range(1, 9))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
     assert not enumerator.grown
-    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 10)}
+    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 9)}
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1617,9 +1653,10 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     warm, so that the stage reads no level before its first check.
     Level 9 of (7,4), labelled from candidates stored by an earlier call,
     raises in the levels stage after level 8, with the sizes of the chain
-    to 8.  The extremal graphs on 9 vertices, scored from unlabelled
-    parents grown from stored candidates of order 8, raise in the
-    extremal stage after level 7, with the sizes of the chain to 7."""
+    to 8.  The extremal graphs on 9 vertices, bounded from the stored
+    level 7 through two minimum-degree steps, which grow nothing of
+    order 8, raise in the extremal stage after level 7, with the sizes of
+    the chain to 7."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.chain(7, 4, 8)
@@ -1636,7 +1673,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert (7, 4, 8, 0) in enumerator.candidates and (7, 4, 8, 0) not in enumerator.levels
+    assert (7, 4, 8, 0) not in enumerator.candidates and (7, 4, 8, 0) not in enumerator.levels
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -1668,8 +1705,9 @@ class _JumpingClock:
 
 def test_time_budget_overshoot_and_recovery(monkeypatch):
     """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
-    levels to 8, extends the unlabelled candidates of order 9 and then
-    scores the children on 10 vertices, so the last complete level is 8.
+    levels to 8, expands the roots of level 8 into unlabelled parents of
+    order 9 and then scores the children on 10 vertices, so the last
+    complete level is 8.
     The clock jumps past the deadline at the first score, so the deadline
     passes inside the order-10 stage, where a check made only between levels
     would not fire at all.  The jump is an event of the run, not a
@@ -1827,9 +1865,8 @@ def test_one_budget_per_command(monkeypatch):
 
 
 def test_verify_reports_the_shared_first_step(monkeypatch):
-    """verify_theorem starts the clock of the first n's row before it grows
-    the candidates of order N - 1 for the whole range, so that row carries
-    the step.  The clock jumps 10**6 s in that step (the first children
+    """verify_theorem starts the clock of the first n's row before it labels
+    level N - 2 for the whole range, so that row carries the step.  The clock jumps 10**6 s in that step (the first children
     call): the row of n = 7 reads at least 10**9 ms, and the other rows,
     timed after the jump, read less."""
     clock = _JumpingClock()
@@ -1934,12 +1971,12 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
 def test_time_budget_inside_the_bounded_stage(monkeypatch):
     """The deadline is checked per visited parent at the top order.  From
     a fresh enumerator, ex_oracle(9, 7, 4, 2) visits unlabelled parents
-    of order 8, which rest on level 7 labelled.  The budget is 60 s, and
-    the clock jumps past the deadline while the first visited parent is
-    searched, so the call raises in the extremal stage after level 7,
-    with the sizes of the chain to 7.  No other parent is searched, the
-    candidates of orders 1..8 are stored whole, no level above 7 is
-    stored, and a resumed call gives what a cold one does."""
+    of order 8, the children of the roots of level 7 labelled.  The
+    budget is 60 s, and the clock jumps past the deadline while the first
+    visited parent is searched, so the call raises in the extremal stage
+    after level 7, with the sizes of the chain to 7.  No other parent is
+    searched, the candidates of orders 1..7 are stored whole, no level
+    above 7 is stored, and a resumed call gives what a cold one does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
@@ -1965,8 +2002,48 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
         "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
     }
     assert len(searched) == 1
-    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 9)}
+    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 8)}
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
+    resumed = ex_oracle(9, 7, 4, 2)
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    assert ex_oracle(9, 7, 4, 2) == resumed
+
+
+def test_time_budget_while_a_root_is_expanded(monkeypatch):
+    """The deadline is checked per root bounded and per root expanded at
+    the top order.  From a fresh enumerator, ex_oracle(9, 7, 4, 2) bounds
+    order 9 from the roots of level 7.  The budget is 60 s, and the clock
+    jumps past the deadline while the first root is expanded, so the call
+    raises in the extremal stage after level 7, with the sizes of the
+    chain to 7, before any other root is expanded.  It stores no level
+    and no candidate list of order 8, and a resumed call gives what a
+    cold one does."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    clock = _JumpingClock()
+    attachable = oracle._attachable_masks
+    expanded = []
+
+    def jump_at_order_7(g, *args, **kwargs):
+        if g.n == 7 and kwargs.get("most") is not None:
+            clock.jump()
+            expanded.append(g)
+        return attachable(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "time", clock)
+    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_7)
+    with pytest.raises(BudgetExceeded) as info:
+        ex_oracle(9, 7, 4, 2, time_budget_s=60.0)
+    assert time.monotonic() - clock.jumped < 2.0
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    assert info.value.stats == {
+        "stage": "extremal",
+        "completed_levels": 7,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
+    }
+    assert len(expanded) == 1
+    assert not any(key[2] >= 8 for key in [*enumerator.levels, *enumerator.candidates])
     resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     assert ex_oracle(9, 7, 4, 2) == resumed
