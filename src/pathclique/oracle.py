@@ -48,10 +48,11 @@ Canonical augmentation needs its parents only up to isomorphism, so a
 level is labelled only when something reads it.  A step to level
 (n, δ) with δ >= 2 whose parent level (n - 1, δ - 1) is not stored is
 grown from the unlabelled candidates of that level instead, and the
-parent level is not labelled (Enumerator.grow); so classify over one n,
-which reads only level (n, δ_k), labels no level strictly between the
-unfiltered level n - δ_k and n.  A step with bound 0 or 1, or over a
-stored parent level, reads it labelled.
+parent level is not labelled (Enumerator.children); so classify over
+one n, which reads only level (n, δ_k), labels no level strictly
+between the unfiltered level n - δ_k and n.  A step with bound 0 or 1,
+or over a stored parent level, reads it labelled; a list grown from
+unlabelled parents is dropped once its parent level is labelled.
 
 The oracle (ex_oracle, and so verify and the oracle command) needs at
 order n only the maximum K_r count and the classes that reach it.  It
@@ -77,10 +78,10 @@ n - 1.  classify labels every graph it classifies.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
 and shared by every caller, and under the same key the candidates of
-each level (those grown from the labelled parent level, and those grown
-from its unlabelled candidates until the level is labelled).  Only whole
-levels and whole candidate lists are cached, so the cache doubles as a
-checkpoint: a timed-out sweep resumes from the last completed one.
+each level that is not stored yet, dropped once the level is labelled.
+Only whole levels and whole candidate lists are cached, so the cache
+doubles as a checkpoint: a timed-out sweep resumes from the last
+completed one.
 """
 
 from __future__ import annotations
@@ -208,9 +209,9 @@ class Budget:
     first level of that chain that is not labelled: every enumeration
     stage reads a labelled level first: its parent level, the level of
     its roots (the top order), or the one that its unlabelled parents
-    were grown from.  A level that enumeration skipped (Enumerator.grow)
-    is therefore never in level_sizes, and neither is any level above
-    it.  A budget holds no graph."""
+    were grown from.  A level that enumeration skipped
+    (Enumerator.children) is therefore never in level_sizes, and neither
+    is any level above it.  A budget holds no graph."""
 
     def __init__(self, seconds: Optional[float] = None) -> None:
         self.deadline = None if seconds is None else time.monotonic() + seconds
@@ -550,7 +551,7 @@ def _candidates(
     Look-ahead.  For bound > 0, the parents must be graphs of the class
     on i vertices with min degree >= bound - 1, at least one of each
     isomorphism class (a level, or the unlabelled children of its
-    candidates, Enumerator.grow), and only masks whose child has min
+    candidates, Enumerator.children), and only masks whose child has min
     degree >= bound are kept.  The argument above still holds: G - u, for
     u of maximum degree in G, loses at most 1 from every other degree, so
     it has min degree >= bound - 1 and is isomorphic to a parent, as the
@@ -598,29 +599,28 @@ class Enumerator:
     every caller; δ = 0 is the unfiltered level.  It is labelled once
     (level), from the candidates of level (n, δ): the children of level
     (n - 1, max(δ - 1, 0)) with min degree >= δ (children).  They are kept
-    in candidates[(k, m, n, δ)] when they were grown from that level
-    labelled, and in grown[(k, m, n, δ)] when they were grown from its
-    unlabelled candidates (grow), at a step with δ >= 2 whose parent level
-    is not stored, which then stays unlabelled (a skipped level); a grown
-    list is dropped once its level is stored.  So a level is labelled only
-    when something reads it: a caller, a chain, or a step with bound 0 or
-    1.  The top order of the extremal graphs (extremal) stores nothing of
-    its own: it reads level (n - 1, 0) when it is stored, and else level
-    (n - 2, 0), and builds what it needs of order n - 1 unlabelled, so
-    asking for the extremal graphs of order n stores nothing of order
-    n - 1.  Only whole levels and whole candidate lists are stored:
-    _candidates and _label raise before they store a list, never inside
-    one, so a timed-out call leaves a checkpoint."""
+    in candidates[(k, m, n, δ)] until level (n, δ) is stored, as nothing
+    reads them after, so no key is in both stores.  At a step with δ >= 2
+    whose parent level is not stored they are grown from its unlabelled
+    candidates, and the parent level stays unlabelled (a skipped level);
+    such a list is also dropped when its parent level is stored, and
+    grown again from it labelled if it is asked for.  So a level is
+    labelled only when something reads it: a caller, a chain, or a step
+    with bound 0 or 1.  The top order of the extremal graphs (extremal)
+    stores nothing of its own: it reads level (n - 1, 0) when it is
+    stored, and else level (n - 2, 0), and builds what it needs of order
+    n - 1 unlabelled, so asking for the extremal graphs of order n stores
+    nothing of order n - 1.  Only whole levels and whole candidate lists
+    are stored: _candidates and _label raise before they store a list,
+    never inside one, so a timed-out call leaves a checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
         self.candidates: dict[tuple, list[Candidate]] = {}
-        self.grown: dict[tuple, list[Candidate]] = {}
 
     def clear(self) -> None:
         self.levels.clear()
         self.candidates.clear()
-        self.grown.clear()
 
     def children(
         self,
@@ -631,52 +631,22 @@ class Enumerator:
         budget: Budget = _NO_BUDGET,
     ) -> list[Candidate]:
         """The candidates of level (n, δ), δ = min_degree >= 0: the children
-        of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once;
-        the graph on 0 vertices has none.  For δ >= 2, when that parent
-        level is not stored, they are grown from its unlabelled candidates
-        (grow) and it is not labelled.  Otherwise the parent level is read
-        labelled (level), also when the candidates are stored, so the budget
-        reports the levels they stand on.
+        of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once
+        and kept in candidates until level (n, δ) is stored; the graph on 0
+        vertices has none.  For δ >= 2, when that parent level is not
+        stored, they are grown from its unlabelled candidates and it is not
+        labelled: each candidate (P, M) of children(n - 1, δ - 1) gives an
+        unlabelled parent C = P + v(M), which _candidates extends by every
+        mask of _attachable_masks(C, k, m, δ), as C is given no generators;
+        the budget is checked once per C.  Otherwise the parent level is
+        read labelled (level).  Either way the parents are read even when
+        the candidates are stored, so the budget reports the levels they
+        stand on.
 
-        A step with bound 1 always reads its parent level labelled.  It
-        needs only the isolated vertices in every mask, so it has almost
-        no early exit, and unlabelled parents, not reduced to one per
-        class, cost more than labelling them: on 2 cores, a cold level
-        (9, 2) of (9,5) took 1.1-1.4 s, and 2.0-2.1 s with the step to
-        (8, 1) grown too, which left the next step 28,977 unlabelled
-        parents."""
-        parent = (forbid_path, forbid_clique, n - 1, min_degree - 1)
-        if min_degree >= 2 and parent not in self.levels:
-            return self.grow(forbid_path, forbid_clique, n, min_degree, budget)
-        key = (forbid_path, forbid_clique, n, min_degree)
-        parents = self.level(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
-        if key not in self.candidates:
-            self.candidates[key] = _candidates(
-                parents, forbid_path, forbid_clique, min_degree, budget
-            )
-        return self.candidates[key]
-
-    def grow(
-        self,
-        forbid_path: Optional[int],
-        forbid_clique: Optional[int],
-        n: int,
-        min_degree: int,
-        budget: Budget,
-    ) -> list[Candidate]:
-        """The candidates of level (n, δ), δ = min_degree >= 2, grown from
-        the unlabelled candidates of level (n - 1, δ - 1), which is not
-        labelled for them; computed once and kept in grown until level
-        (n, δ) is stored.  Each candidate (P, M) of children(n - 1, δ - 1)
-        gives an unlabelled parent C = P + v(M), which _candidates extends
-        by every mask of _attachable_masks(C, k, m, δ), as C is given no
-        generators; the budget is checked once per C.  The candidates
-        below are read even when these are stored, as in children.
-
-        Soundness.  Every class of level (n, δ) has a candidate.  Let G be
-        in it and u a vertex of maximum degree.  Deleting u lowers every
-        other degree by at most 1, so G - u is in level
-        (n - 1, δ - 1), which has a candidate for each of its
+        Soundness of the unlabelled parents.  Every class of level (n, δ)
+        has a candidate.  Let G be in it and u a vertex of maximum degree.
+        Deleting u lowers every other degree by at most 1, so G - u is in
+        level (n - 1, δ - 1), which has a candidate for each of its
         classes (children, _candidates): G - u ≅ C for some unlabelled
         parent C, by some φ.  C + v(φ(N(u))) ≅ G with v ↦ u, so it is
         {P_k, K_m}-free with min degree >= δ and v has maximum degree in
@@ -686,15 +656,27 @@ class Enumerator:
         _attachable_masks returns it.  With no generators, no mask is
         dropped as the image of another, which only automorphisms of C
         would allow.  Several parents may be isomorphic, so a class may
-        have several candidates; _label keeps one per code."""
+        have several candidates; _label keeps one per code.
+
+        A step with bound 1 always reads its parent level labelled.  It
+        needs only the isolated vertices in every mask, so it has almost
+        no early exit, and unlabelled parents, not reduced to one per
+        class, cost more than labelling them: on 2 cores, a cold level
+        (9, 2) of (9,5) took 1.1-1.4 s, and 2.0-2.1 s with the step to
+        (8, 1) grown too, which left the next step 28,977 unlabelled
+        parents."""
         key = (forbid_path, forbid_clique, n, min_degree)
-        parents = self.children(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
-        if key not in self.grown:
-            self.grown[key] = _candidates(
-                ((_attach(g, mask), ()) for g, mask in parents),
-                forbid_path, forbid_clique, min_degree, budget,
+        parent = (forbid_path, forbid_clique, n - 1, min_degree - 1)
+        if min_degree >= 2 and parent not in self.levels:
+            below = self.children(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
+            parents: Iterable[tuple] = ((_attach(g, mask), ()) for g, mask in below)
+        else:
+            parents = self.level(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
+        if key not in self.candidates:
+            self.candidates[key] = _candidates(
+                parents, forbid_path, forbid_clique, min_degree, budget
             )
-        return self.grown[key]
+        return self.candidates[key]
 
     def level(
         self,
@@ -707,8 +689,8 @@ class Enumerator:
         """Level (n, δ), δ = max(min_degree, 0): the graphs of the class on
         n vertices with min degree >= δ, labelled from children(n, δ)
         unless it is stored; [] when there are none.  A level below it that
-        children skips stays unlabelled, and the list grown for this one,
-        if any, is dropped once it is stored, as nothing reads it again.
+        children skips stays unlabelled.  Once the level is stored, its
+        candidate list and that of level (n + 1, δ + 1) are dropped.
         Writes to budget.level_sizes the sizes of the levels of its chain
         (see chain) from level 0 up to the first one that is not stored."""
         delta = max(min_degree, 0)
@@ -723,7 +705,11 @@ class Enumerator:
             else:
                 candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
                 self.levels[key] = _label(candidates, budget)
-                self.grown.pop(key, None)
+                del self.candidates[key]
+                # the list of level (n + 1, δ + 1), if any, was grown from the
+                # unlabelled candidates of this level; children regrows it
+                # from this level labelled, whose generators can differ
+                self.candidates.pop((forbid_path, forbid_clique, n + 1, delta + 1), None)
         sizes = []
         for i in range(n + 1):
             below = self.levels.get((forbid_path, forbid_clique, i, max(delta - n + i, 0)))
@@ -889,8 +875,8 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's levels and candidate lists and the
-    classifier's table of candidates."""
+    """Empty the enumerator's levels and the candidate lists of the levels
+    not yet stored, and the classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 
@@ -1225,10 +1211,10 @@ def verify_classification(
     >= max(delta_k - (N - n), 0), N the largest n within the enumeration
     cap: every such level is in the chain of (N, delta_k), so each level
     is labelled once, and a level of that chain that no n reads is
-    skipped (Enumerator.grow).  n skips the graphs below delta_k, which
-    leaves, in order, those that min degree delta_k gives (canonical
-    forms are unique and levels are sorted by code).  n_range is
-    reported as its least and largest n.
+    skipped (Enumerator.children).  n skips the graphs below delta_k,
+    which leaves, in order, those that min degree delta_k gives
+    (canonical forms are unique and levels are sorted by code).  n_range
+    is reported as its least and largest n.
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure

@@ -885,6 +885,18 @@ def _unfiltered_keys(k, m, count: int) -> set:
     return {(k, m, n, 0) for n in range(count)}
 
 
+def _grown_keys(enumerator: Enumerator) -> set:
+    """The keys of the candidate lists grown from unlabelled parents: those
+    with bound >= 2 whose parent level is not stored.  A list grown from a
+    level's unlabelled candidates is dropped when that level is stored, so
+    every other list with bound >= 2 was grown from its level labelled."""
+    return {
+        (k, m, n, delta)
+        for k, m, n, delta in enumerator.candidates
+        if delta >= 2 and (k, m, n - 1, delta - 1) not in enumerator.levels
+    }
+
+
 def _step_spy(monkeypatch, steps: list) -> None:
     """Record (order, bound, whether the parents are labelled) in steps for
     every step of _candidates with a bound; unlabelled parents are
@@ -905,16 +917,16 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     levels only to level 7, reuses the levels that an unfiltered
     enumeration at n = 7 stored, takes the step to (8, 1) from level 7
     labelled and the step to (9, 2) from the unlabelled candidates of
-    (8, 1), and adds only level (9, 2), whose grown candidates are then
+    (8, 1), and adds only level (9, 2), whose candidates are then
     dropped; the extremal graphs on 9 vertices then store nothing of
-    order 8; clear_cache empties, through Enumerator.clear, the levels,
-    the candidates, the candidates grown from unlabelled parents and the
+    order 8; clear_cache empties, through Enumerator.clear, the levels
+    and the candidates, the enumerator's only two stores, and the
     classifier's tables.
     A fresh enumerator keeps the shared one warm for the other tests.  A
     chain for n = 10, δ = 2 stores the unfiltered levels to 8 and the
     levels (9, 1) and (10, 2), each once, and grows nothing unlabelled;
     level (10, 2) alone stores the unfiltered levels to 8 and level
-    (10, 2), and keeps no grown list."""
+    (10, 2), and keeps no list grown from unlabelled parents."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
@@ -926,7 +938,7 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     got = enumerate_graphs(config)
     assert steps == [(8, 1, True), (9, 2, False)]
     assert set(enumerator.levels) == set(cached) | {(7, 4, 9, 2)}
-    assert not enumerator.grown
+    assert not _grown_keys(enumerator)
     assert all(enumerator.levels[key] is level for key, level in cached.items())
     assert [g for g, _gens, _code in enumerator.levels[7, 4, 9, 2]] == got
     # a second call is served from the cache
@@ -937,20 +949,20 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     # the extremal graphs on 9 vertices are bounded from level 7 through
     # two minimum-degree steps, so order 8 is neither labelled nor grown
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert not enumerator.grown and (7, 4, 8, 0) not in enumerator.candidates
+    assert not _grown_keys(enumerator) and (7, 4, 8, 0) not in enumerator.candidates
     assert (7, 4, 8, 0) not in enumerator.levels
     clear_cache()
     assert not enumerator.levels and not enumerator.candidates
-    assert not enumerator.grown
+    assert set(vars(enumerator)) == {"levels", "candidates"}
     assert class_table.cache_info().currsize == 0
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
-    assert not fresh.grown
+    assert not _grown_keys(fresh)
     fresh = Enumerator()
     fresh.level(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 10, 2)}
-    assert not fresh.grown
+    assert not _grown_keys(fresh)
 
 
 def test_classification_sweep_reads_one_tail(monkeypatch):
@@ -968,7 +980,7 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     report = verify_classification(7, 4, range(7, 11))
     assert steps == [(9, 1, True), (10, 2, True)]
-    assert not enumerator.grown
+    assert not _grown_keys(enumerator)
     # the classifier's own enumerations are of other classes
     stored = {key for key in enumerator.levels if key[:2] == (7, 4)}
     assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
@@ -1008,9 +1020,10 @@ SKIPPED_CELLS = [(7, 4, 10, 2), (6, 4, 9, 2), (None, 3, 8, 2), (9, 5, 9, 3)]
 def test_skipped_levels_match_the_labelled_ones(monkeypatch):
     """Level (n, δ), asked from a fresh enumerator, labels no level between
     the unfiltered level n - δ and n: each step with bound >= 2 is grown
-    from the unlabelled candidates of its parent level (Enumerator.grow),
-    and the step with bound 1 from level n - δ labelled; only the grown
-    lists of the levels still unlabelled are kept.  Each level so grown,
+    from the unlabelled candidates of its parent level
+    (Enumerator.children), and the step with bound 1 from level n - δ
+    labelled; of the lists grown from unlabelled parents, only those of
+    the levels still unlabelled are kept.  Each level so grown,
     the one asked and, at δ = 3, level (n - 1, 2) asked from another
     fresh enumerator, equals, code by code and graph by graph, the same
     level in the chain of (n, δ) from a fresh enumerator, which labels
@@ -1023,11 +1036,11 @@ def test_skipped_levels_match_the_labelled_ones(monkeypatch):
         enumerator.level(k, m, n, delta)
         skipped = [(k, m, n - j, delta - j) for j in range(delta)]
         assert set(enumerator.levels) == _unfiltered_keys(k, m, n - delta + 1) | {skipped[0]}
-        assert set(enumerator.grown) == set(skipped[1:-1]), (k, m, n, delta)
+        assert _grown_keys(enumerator) == set(skipped[1:-1]), (k, m, n, delta)
         assert steps == [(n - j, delta - j, j == delta - 1) for j in reversed(range(delta))]
         reference = Enumerator()
         reference.chain(k, m, n, delta)
-        assert not reference.grown
+        assert not _grown_keys(reference)
         for key in skipped[:-1]:
             got = enumerator.levels[key] if key == skipped[0] else Enumerator().level(*key)
             want = reference.levels[key]
@@ -1050,7 +1063,43 @@ def test_steps_below_bound_two_read_labelled_parents(monkeypatch):
     enumerator.level(7, 4, 10, 2)
     assert steps == [(9, 1, True), (10, 2, True)]
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
-    assert not enumerator.grown
+    assert not _grown_keys(enumerator)
+
+
+def test_a_stored_level_drops_the_list_grown_from_it():
+    """Level (9, 3) of (7,4), asked from a fresh enumerator, grows the
+    candidates of (8, 2) from the unlabelled candidates of (7, 1) and
+    keeps them, as level (8, 2) is not stored.  The chain of (8, 2),
+    asked next, labels level (7, 1), which drops that list, so level
+    (8, 2) is labelled from level (7, 1) labelled: its graphs, generators
+    and codes, and those of the whole chain, are those of the chain of a
+    fresh enumerator.  Labelled from the list grown from unlabelled
+    parents, it would hold the same graphs with other generators."""
+    enumerator = Enumerator()
+    enumerator.level(7, 4, 9, 3)
+    assert _grown_keys(enumerator) == {(7, 4, 8, 2)}
+    assert enumerator.chain(7, 4, 8, 2) == Enumerator().chain(7, 4, 8, 2)
+
+
+def test_no_key_is_in_both_stores(monkeypatch):
+    """A candidate list is kept only until its level is stored: after each
+    of an oracle cell, a verify sweep, a classification sweep and a
+    filtered enumeration, run in turn on one fresh enumerator, no key of
+    the candidates is a key of the levels."""
+    enumerator = Enumerator()
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    calls = [
+        lambda: ex_oracle(9, 7, 4, 2),
+        lambda: verify_theorem(TheoremParams(7, 4, 2), range(7, 10)),
+        lambda: verify_classification(7, 4, range(7, 10)),
+        lambda: enumerate_graphs(
+            EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
+        ),
+    ]
+    for i, call in enumerate(calls):
+        call()
+        assert enumerator.levels, i
+        assert set(enumerator.candidates).isdisjoint(enumerator.levels), i
 
 
 # (forbid_path, forbid_clique) cells of the extremal tests, orders 0..8
@@ -1185,7 +1234,7 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             cold = _extremal_asks(k, m, n)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
             assert (k, m, n - 1, 0) not in enumerator.candidates, (k, m, n)
-            assert not enumerator.grown
+            assert not _grown_keys(enumerator)
             if n >= 2:
                 assert _two_step_searches(searched, enumerator, k, m, n), (k, m, n)
             for (config, r), got in cold.items():
@@ -1293,7 +1342,8 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     labels level 8, N - 2 for N the largest n, so the orders 7..9 read
     labelled parent levels and only order 10 takes two minimum-degree
     steps from level 8: each order 1..8 of _candidates is computed once,
-    level 9 is never labelled and no candidate of order 9 is grown.  Its
+    level 9 is never labelled and no candidate of order 9 is grown; each
+    candidate list is dropped once its level is stored.  Its
     data equals four single-n sweeps, each on a fresh enumerator, where
     every n takes two steps.  A range that holds an order above the cap,
     or below δ_k + 2, raises before anything is enumerated."""
@@ -1311,8 +1361,9 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 9))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert not enumerator.grown
-    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 9)}
+    assert not _grown_keys(enumerator)
+    # the lists of orders 1..8 were dropped as their levels were stored
+    assert not enumerator.candidates
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1961,7 +2012,7 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
         "level_sizes": [len(l) for l in _ENUMERATOR.chain(7, 4, 8)],
     }
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert not enumerator.grown and (7, 4, 9, 1) in enumerator.candidates
+    assert not _grown_keys(enumerator) and (7, 4, 9, 1) in enumerator.candidates
     unbudgeted = replace(config, time_budget_s=None)
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
@@ -1975,8 +2026,9 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
     budget is 60 s, and the clock jumps past the deadline while the first
     visited parent is searched, so the call raises in the extremal stage
     after level 7, with the sizes of the chain to 7.  No other parent is
-    searched, the candidates of orders 1..7 are stored whole, no level
-    above 7 is stored, and a resumed call gives what a cold one does."""
+    searched, the levels 0..7 are stored whole and no candidate list is
+    left, as each was dropped when its level was stored, no level above 7
+    is stored, and a resumed call gives what a cold one does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
@@ -2002,7 +2054,7 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
         "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
     }
     assert len(searched) == 1
-    assert set(enumerator.candidates) == {(7, 4, n, 0) for n in range(1, 8)}
+    assert not enumerator.candidates
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
     resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
