@@ -42,15 +42,20 @@ bad, two of them clash, or too few vertices are left to hold gets no
 child before the other pairs are compared or any mask is built.  The
 connected_only and edge_maximal filters are not inherited by subgraphs
 and stay final; the edge_maximal one is decided in each finished graph
-by rooted path and clique searches in it (see _edge_maximal).
+by rooted path and clique searches in it (see _edge_maximal).  Over a
+level that is not stored, connected_only is decided on the candidates
+before they are labelled, and only the connected ones are labelled
+(Enumerator.connected): the new vertex joins the components of its
+parent that its mask meets, so the child is connected iff the mask
+meets every component of the parent.
 
 Canonical augmentation needs its parents only up to isomorphism, so a
 level is labelled only when something reads it.  A step to level
 (n, δ) with δ >= 2 whose parent level (n - 1, δ - 1) is not stored is
 grown from the unlabelled candidates of that level instead, and the
 parent level is not labelled (Enumerator.children); so classify over
-one n, which reads only level (n, δ_k), labels no level strictly
-between the unfiltered level n - δ_k and n.  A step with bound 0 or 1,
+one n, which reads only the candidates of level (n, δ_k), labels no
+level strictly between the unfiltered level n - δ_k and n.  A step with bound 0 or 1,
 or over a stored parent level, reads it labelled; a list grown from
 unlabelled parents is dropped once its parent level is labelled.
 
@@ -74,7 +79,10 @@ C(δ(D) + 2, r - 1), and only the roots D so visited are extended, into
 parents built but not labelled, which are then visited as above.  Every
 level below n - 1 is labelled in full.  verify labels level N - 2
 first, N its largest n, so every smaller n reads a labelled level
-n - 1.  classify labels every graph it classifies.
+n - 1.  classify labels, at its largest order N, only the connected
+children, and stores no level of that order: it first reads labelled,
+in ascending order, the levels of its smaller orders, so that every
+step above one of them reads it labelled.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
 and shared by every caller, and under the same key the candidates of
@@ -159,12 +167,15 @@ class EnumerationConfig:
     unconstrained runs are capped harder because the class explodes.
     min_degree prunes during generation, by look-ahead from the orders
     below n; connected_only and edge_maximal are not closed under vertex
-    deletion and are applied only to the finished level; edge_maximal is
-    decided in each graph without building g + e.  extremal_r = r keeps
-    only the graphs with the most K_r (connected ones, with
-    connected_only), found by scoring the unlabelled children on n
-    vertices; edge_maximal then filters those winners, which loses no
-    maximum.  It cannot be combined with min_degree.
+    deletion and are not pushed below order n.  edge_maximal is applied
+    to the finished level and decided in each graph without building
+    g + e; connected_only, over a level that is not stored, is decided
+    on the candidates of order n before they are labelled
+    (Enumerator.connected), and else filters the stored level.
+    extremal_r = r keeps only the graphs with the most K_r (connected
+    ones, with connected_only), found by scoring the unlabelled children
+    on n vertices; edge_maximal then filters those winners, which loses
+    no maximum.  It cannot be combined with min_degree.
     """
 
     n: int
@@ -576,6 +587,16 @@ def _candidates(
     return out
 
 
+def _components(g: Graph) -> list[int]:
+    """The vertex sets of g's connected components, as bit masks."""
+    components = []
+    rest = g.vertex_mask()
+    while rest:
+        components.append(_reachable(g.rows, rest & -rest))
+        rest &= ~components[-1]
+    return components
+
+
 def _label(candidates: list[Candidate], budget: Budget, stage: str = "levels") -> Level:
     """The level of the candidates' children: each built, labelled
     canonically and kept once per code, with the generators of the first
@@ -610,9 +631,13 @@ class Enumerator:
     stores nothing of its own: it reads level (n - 1, 0) when it is
     stored, and else level (n - 2, 0), and builds what it needs of order
     n - 1 unlabelled, so asking for the extremal graphs of order n stores
-    nothing of order n - 1.  Only whole levels and whole candidate lists
-    are stored: _candidates and _label raise before they store a list,
-    never inside one, so a timed-out call leaves a checkpoint."""
+    nothing of order n - 1.  The connected graphs of a level that is not
+    stored (connected) are labelled from its candidates, which stay in
+    candidates, and are not stored either, so that a later read of the
+    whole level finds its candidates.  Only whole levels and whole
+    candidate lists are stored: _candidates and _label raise before they
+    store a list, never inside one, so a timed-out call leaves a
+    checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
@@ -743,6 +768,44 @@ class Enumerator:
             for i in range(n + 1)
         ]
 
+    def connected(
+        self,
+        forbid_path: Optional[int],
+        forbid_clique: Optional[int],
+        n: int,
+        min_degree: int = 0,
+        budget: Budget = _NO_BUDGET,
+    ) -> list[Graph]:
+        """The connected graphs of level (n, δ), n >= 1, δ =
+        max(min_degree, 0), in canonical labels, sorted by code; [] when
+        δ > n - 1.  Only the candidates of children(n, δ) whose child is
+        connected are labelled, and the result is not stored as a level:
+        the candidate list stays in candidates, so a later read of the
+        whole level labels it from there, and level drops it then.  The
+        components of each parent are computed once.  The budget is
+        checked as in children and once per child labelled.
+
+        Soundness.  v joins the components of P that M meets and no
+        other, so P + v(M) is connected iff M meets every component of P.
+        Every class of level (n, δ) has a candidate (children, _candidates),
+        and every candidate of a class is isomorphic to it, so the
+        candidates of a connected class are connected and those of any
+        other class are not: the kept candidates are the candidates of the
+        connected classes, at least one per class.  _label keeps one
+        canonical form per code and sorts by code, so the graphs and their
+        order are those of [g for g in level(n, δ) if is_connected(g)]."""
+        delta = max(min_degree, 0)
+        if delta > n - 1:
+            return []
+        kept: list[Candidate] = []
+        last, components = None, []
+        for g, mask in self.children(forbid_path, forbid_clique, n, delta, budget):
+            if g is not last:
+                last, components = g, _components(g)
+            if all(mask & c for c in components):
+                kept.append((g, mask))
+        return [cf for cf, _gens, _code in _label(kept, budget)]
+
     def extremal(
         self,
         forbid_path: Optional[int],
@@ -853,11 +916,7 @@ class Enumerator:
                 if steps == 2:
                     visit((_attach(g, mask) for mask in masks), 1)
                     continue
-                components = []
-                rest = g.vertex_mask() if connected else 0
-                while rest:
-                    components.append(_reachable(g.rows, rest & -rest))
-                    rest &= ~components[-1]
+                components = _components(g) if connected else []
                 for mask in masks:
                     if not all(mask & c for c in components):
                         continue
@@ -921,18 +980,27 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
 def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     """All graphs of the configured class on config.n vertices, one per
     isomorphism class, in canonical labels, sorted by canonical code; with
-    extremal_r, only those with the most K_r (Enumerator.extremal).
+    extremal_r, only those with the most K_r (Enumerator.extremal).  With
+    connected_only, over a level (n, δ), n >= 1, that is not stored, only
+    the candidates whose child is connected are labelled
+    (Enumerator.connected), and the level is not stored; over a stored
+    level the connected graphs are filtered from it.  Either way the
+    graphs and their order are the same.
 
     The time budget (Budget) starts with the call; beside the checks of
     the enumeration, it is checked once per graph in the final filters."""
     budget = Budget(config.time_budget_s)
     k, m, n = config.forbid_path, config.forbid_clique, config.n
+    delta = max(config.min_degree, 0)
     connected = config.connected_only
-    if config.extremal_r is None:
-        graphs = [g for g, _gens, _code in _ENUMERATOR.level(k, m, n, config.min_degree, budget)]
-    else:
+    if config.extremal_r is not None:
         graphs = _ENUMERATOR.extremal(k, m, n, config.extremal_r, connected, budget)
         connected = False  # decided on the candidates
+    elif connected and n > 0 and (k, m, n, delta) not in _ENUMERATOR.levels:
+        graphs = _ENUMERATOR.connected(k, m, n, delta, budget)
+        connected = False  # decided on the candidates
+    else:
+        graphs = [g for g, _gens, _code in _ENUMERATOR.level(k, m, n, delta, budget)]
     out = []
     for g in graphs:
         if connected or config.edge_maximal:
@@ -1211,10 +1279,14 @@ def verify_classification(
     >= max(delta_k - (N - n), 0), N the largest n within the enumeration
     cap: every such level is in the chain of (N, delta_k), so each level
     is labelled once, and a level of that chain that no n reads is
-    skipped (Enumerator.children).  n skips the graphs below delta_k,
-    which leaves, in order, those that min degree delta_k gives
-    (canonical forms are unique and levels are sorted by code).  n_range
-    is reported as its least and largest n.
+    skipped (Enumerator.children).  The levels of the n below N are read
+    labelled first, in ascending order, with the sweep's budget, so that
+    each step of the chain above one of them reads it labelled; N then
+    labels only its connected candidates and stores no level
+    (Enumerator.connected).  A sweep of one n labels nothing more.  n
+    skips the graphs below delta_k, which leaves, in order, those that
+    min degree delta_k gives (canonical forms are unique and levels are
+    sorted by code).  n_range is reported as its least and largest n.
     """
     # read from detect at call time, where the perfbench tracer binds it
     from .detect import classify_structure
@@ -1223,6 +1295,11 @@ def verify_classification(
     budget = Budget(time_budget_s)
     dk = delta_k(k)
     last = min(max(n_range, default=0), enumeration_cap(k, m))
+    for n in sorted(n_range):
+        # labelled, so that the step above each reads it and only last
+        # labels its connected graphs alone
+        if k <= n < last:
+            _ENUMERATOR.level(k, m, n, max(dk - (last - n), 0), budget)
     histogram: dict[str, int] = {}
     unclassified: list[str] = []
     total = 0

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -970,10 +971,11 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     order from the chain of (10, 2): from a fresh enumerator it takes only
     the filtered steps to 9 (bound 1) and 10 (bound 2), both from labelled
     parent levels, grows nothing unlabelled, stores the levels of that
-    chain and no other of (7, 4), the chains of its orders share their
-    levels, and its report is the merge of the four single-n reports, each
-    from a fresh enumerator.  A sweep to 11, above the cap, grows the same
-    chain before it raises."""
+    chain below order 10 and no other of (7, 4), keeps the candidate list
+    of (10, 2), whose connected candidates alone it labels, and not that
+    level, the chains of its orders share their levels, and its report is
+    the merge of the four single-n reports, each from a fresh enumerator.
+    A sweep to 11, above the cap, grows the same chain before it raises."""
     steps = []
     _step_spy(monkeypatch, steps)
     enumerator = Enumerator()
@@ -983,7 +985,8 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     assert not _grown_keys(enumerator)
     # the classifier's own enumerations are of other classes
     stored = {key for key in enumerator.levels if key[:2] == (7, 4)}
-    assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
+    assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1)}
+    assert (7, 4, 10, 2) in enumerator.candidates
     assert enumerator.chain(7, 4, 9, 1)[-1] is enumerator.chain(7, 4, 10, 2)[-2]
     singles = []
     for n in range(7, 11):
@@ -1010,6 +1013,135 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     with pytest.raises(CapExceeded):
         verify_classification(7, 4, range(9, 12))
     assert steps == [(9, 1, True), (10, 2, True)]
+
+
+# (forbid_path, forbid_clique, δ_k, largest n) cells of the connected
+# enumeration; (None, 3) takes 2 in place of δ_k
+CONNECTED_CELLS = [(5, 3, 1, 10), (6, 4, 2, 9), (7, 4, 2, 9), (None, 3, 2, 8), (9, 5, 3, 7)]
+
+
+def test_connected_graphs_match_the_filtered_level(monkeypatch):
+    """enumerate_graphs with connected_only, over a level that is not
+    stored, labels only the candidates whose child is connected
+    (Enumerator.connected).  For each cell, every n from 1 to its largest
+    and δ in {0, 1, δ_k}, it returns, from a fresh enumerator and then
+    from the same one with the candidates warm, the connected graphs of
+    level (n, δ), graph by graph, as read from another enumerator, fresh
+    for each cell.  After the first call level (n, δ) is not stored and
+    its candidate list is.  At the largest n, storing the level then
+    drops the list, and the graphs filtered from it are the same."""
+    for k, m, dk, top in CONNECTED_CELLS:
+        reference = Enumerator()
+        found = 0
+        for n in range(1, top + 1):
+            for delta in sorted({0, 1, dk}):
+                key = (k, m, n, delta)
+                want = [g for g, _gens, _code in reference.level(*key) if is_connected(g)]
+                found += len(want)
+                enumerator = Enumerator()
+                monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+                config = EnumerationConfig(
+                    n=n, forbid_path=k, forbid_clique=m, connected_only=True, min_degree=delta
+                )
+                assert enumerate_graphs(config) == want, key
+                if delta < n:
+                    assert key not in enumerator.levels and key in enumerator.candidates, key
+                assert enumerate_graphs(config) == want, key
+                if n == top:
+                    enumerator.level(*key)
+                    assert key not in enumerator.candidates, key
+                    assert enumerate_graphs(config) == want, key
+        assert found > 0, (k, m)
+
+
+def test_connected_candidates_meet_every_component():
+    """For every candidate (P, M) of a few levels, grown from labelled
+    parents and from unlabelled ones, M meets every connected component
+    of P, as networkx finds them, iff P + v(M) is connected.  Each level
+    has candidates of both kinds."""
+    enumerator = Enumerator()
+    for key in [(7, 4, 9, 0), (7, 4, 10, 2), (6, 4, 9, 1), (None, 3, 8, 2), (9, 5, 7, 2)]:
+        kinds = set()
+        for g, mask in enumerator.children(*key):
+            components = nx.connected_components(_nx_graph(g))
+            meets = all(mask & sum(1 << u for u in c) for c in components)
+            assert meets == is_connected(_attach(g, mask)), (key, g, mask)
+            kinds.add(meets)
+        assert kinds == {True, False}, key
+
+
+def test_connected_counts_match_the_graph_atlas(monkeypatch):
+    """The connected triangle-free and K_4-free graphs on 1..7 vertices in
+    the networkx graph atlas (connectivity by networkx.is_connected,
+    clique numbers by networkx.find_cliques) are as many as
+    enumerate_graphs with connected_only returns from a fresh
+    enumerator.  test_oeis_connected_counts checks the unconstrained
+    class."""
+    counts: Counter = Counter()
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() and nx.is_connected(h):
+            omega = max(len(c) for c in nx.find_cliques(h))
+            for m in (3, 4):
+                counts[m, h.number_of_nodes()] += omega < m
+    for m in (3, 4):
+        for n in range(1, 8):
+            monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+            config = EnumerationConfig(n=n, forbid_clique=m, connected_only=True)
+            assert len(enumerate_graphs(config)) == counts[m, n] > 0, (m, n)
+
+
+def _canonical_spy(monkeypatch, calls: Counter) -> None:
+    """Count in calls, by order, the canonical searches of the
+    enumeration."""
+    search = oracle.canonical_with_generators
+
+    def spy(g):
+        calls[g.n] += 1
+        return search(g)
+
+    monkeypatch.setattr(oracle, "canonical_with_generators", spy)
+
+
+def test_classification_labels_the_connected_candidates_of_its_top_order(monkeypatch):
+    """From a fresh enumerator, verify_classification(7, 4, range(10, 11))
+    and range(7, 11) make 16 canonical searches at order 10, one per
+    connected candidate of level (10, 2): of 325 candidates grown from
+    the unlabelled candidates of (9, 1), and of 183 grown from level
+    (9, 1) labelled, which the sweep reads for order 9.
+    verify_classification(9, 5, range(9, 11)) gives the same report and
+    makes the same searches below order 10 as a fresh enumerator that
+    first reads the levels (9, 2) and (10, 3) whole, as every order did
+    before it labelled only the connected candidates of its top order; at
+    order 10 it makes one per connected candidate of level (10, 3), fewer
+    than the candidates, which that enumerator labels all."""
+    calls: Counter = Counter()
+    _canonical_spy(monkeypatch, calls)
+    for n_range, grown in ((range(10, 11), 325), (range(7, 11), 183)):
+        enumerator = Enumerator()
+        monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+        class_table.cache_clear()
+        calls.clear()
+        verify_classification(7, 4, n_range)
+        candidates = enumerator.candidates[7, 4, 10, 2]
+        connected = [c for c in candidates if is_connected(_attach(*c))]
+        assert calls[10] == len(connected) == 16 and len(candidates) == grown, n_range
+    reports, below, top = [], [], []
+    for whole in (True, False):
+        enumerator = Enumerator()
+        monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+        class_table.cache_clear()
+        calls.clear()
+        if whole:
+            enumerator.level(9, 5, 9, 2)
+            enumerator.level(9, 5, 10, 3)
+        reports.append(verify_classification(9, 5, range(9, 11)))
+        below.append({n: count for n, count in calls.items() if n < 10})
+        top.append(calls[10])
+    candidates = enumerator.candidates[9, 5, 10, 3]
+    connected = [c for c in candidates if is_connected(_attach(*c))]
+    assert reports[0] == reports[1] and reports[0]["total"] > 0
+    assert below[0] == below[1]
+    assert top[1] == len(connected) < len(candidates) == top[0]
 
 
 # (forbid_path, forbid_clique, n, δ) cells whose level (n, δ) is grown from
@@ -1791,10 +1923,12 @@ def test_time_budget_overshoot_and_recovery(monkeypatch):
 
 
 def test_time_budget_in_classification(monkeypatch, capsys):
-    """The budget is checked once per classified graph.  With the (7,4)
-    inputs on 7..9 vertices warm and a 60 s budget, the clock jumps past
-    the deadline at the 4th classification, while the 10 graphs on 7
-    vertices are classified: the sweep stops within one classification
+    """The budget is checked once per classified graph.  With the levels
+    of the (7,4) inputs on 7 and 8 vertices and the candidates of those on
+    9 warm (order 9 labels only its connected candidates, and stores no
+    level) and a 60 s budget, the clock jumps past the deadline at the
+    4th classification, while the 10 graphs on 7 vertices are
+    classified: the sweep stops within one classification
     of the jump, the stats name the stage and the n reached, and
     classify --exhaustive, with a fresh clock that jumps the same way,
     exits 3 and reports the budget, not the cap, with the stage."""
