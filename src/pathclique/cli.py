@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from . import constructions
@@ -245,7 +245,10 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by later ones; it
+    keeps no state between parses, and its errors raise UsageError."""
     parser = _Parser(prog="pathclique")
     sub = parser.add_subparsers(dest="command", required=True)
 

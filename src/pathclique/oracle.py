@@ -82,14 +82,21 @@ first, N its largest n, so every smaller n reads a labelled level
 n - 1.  classify labels, at its largest order N, only the connected
 children, and stores no level of that order: it first reads labelled,
 in ascending order, the levels of its smaller orders, so that every
-step above one of them reads it labelled.
+step above one of them reads it labelled.  When r >= m or r >= k, no
+graph of the class has a K_r (K_r holds a K_m, and a P_r, which holds a
+P_k), so every class ties at 0: the oracle then reads level n, or its
+connected graphs, and scores nothing.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
 and shared by every caller, and under the same key the candidates of
 each level that is not stored yet, dropped once the level is labelled.
-Only whole levels and whole candidate lists are cached, so the cache
-doubles as a checkpoint: a timed-out sweep resumes from the last
-completed one.
+It also owns what the oracle's top order read of each graph it bounded
+or visited (its min degree, its clique counts and its masks), per
+(forbid_path, forbid_clique, order) and graph, so that a later call
+searches no graph again; those of an order are dropped once its
+unfiltered level is labelled.  Only whole levels, whole candidate lists
+and whole entries are cached, so the cache doubles as a checkpoint: a
+timed-out sweep resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -612,6 +619,26 @@ def _label(candidates: list[Candidate], budget: Budget, stage: str = "levels") -
     return [out[c] for c in sorted(out)]
 
 
+class _Searched:
+    """What Enumerator.extremal reads of one graph g at its top order: δ(g)
+    (low), N_j(g) for each j asked so far (cliques), and, once g has been
+    visited, _attachable_masks(g, k, m, most=δ(g) + 1) (masks).  All are
+    functions of (k, m, g.rows) alone."""
+
+    __slots__ = ("low", "cliques", "masks")
+
+    def __init__(self, low: int) -> None:
+        self.low = low
+        self.cliques: dict[int, int] = {}
+        self.masks: Optional[list[int]] = None
+
+    def count(self, g: Graph, j: int) -> int:
+        """N_j(g), counted on the first ask."""
+        if j not in self.cliques:
+            self.cliques[j] = count_cliques(g, j)
+        return self.cliques[j]
+
+
 class Enumerator:
     """Owns the enumeration levels, each sorted by graph6 code.
 
@@ -628,24 +655,35 @@ class Enumerator:
     grown again from it labelled if it is asked for.  So a level is
     labelled only when something reads it: a caller, a chain, or a step
     with bound 0 or 1.  The top order of the extremal graphs (extremal)
-    stores nothing of its own: it reads level (n - 1, 0) when it is
-    stored, and else level (n - 2, 0), and builds what it needs of order
-    n - 1 unlabelled, so asking for the extremal graphs of order n stores
-    nothing of order n - 1.  The connected graphs of a level that is not
+    reads level (n - 1, 0) when it is stored, and else level (n - 2, 0),
+    and builds what it needs of order n - 1 unlabelled, so asking for the
+    extremal graphs of order n stores no level and no candidate list of
+    order n - 1.  Its one store is searched[(k, m, i)][g.rows]: for each
+    graph g of order i that it bounded, δ(g), N_j(g) for each j asked
+    and, once g is visited, its masks (_Searched).  Every later call
+    reads them, so no graph is searched twice.  The entries of order n
+    are dropped when level (n, 0) is stored: they were unlabelled
+    parents, and extremal reads that level from then on.  A cell where
+    every class ties (r >= m or r >= k) reads level n instead, or its
+    connected graphs.  The connected graphs of a level that is not
     stored (connected) are labelled from its candidates, which stay in
     candidates, and are not stored either, so that a later read of the
     whole level finds its candidates.  Only whole levels and whole
-    candidate lists are stored: _candidates and _label raise before they
-    store a list, never inside one, so a timed-out call leaves a
+    candidate lists are stored, and each entry of searched is written
+    whole before it is read: _candidates and _label raise before they
+    store a list, never inside one, and extremal checks the budget before
+    it counts or searches, never between, so a timed-out call leaves a
     checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
         self.candidates: dict[tuple, list[Candidate]] = {}
+        self.searched: dict[tuple, dict[tuple, _Searched]] = {}
 
     def clear(self) -> None:
         self.levels.clear()
         self.candidates.clear()
+        self.searched.clear()
 
     def children(
         self,
@@ -715,7 +753,9 @@ class Enumerator:
         n vertices with min degree >= δ, labelled from children(n, δ)
         unless it is stored; [] when there are none.  A level below it that
         children skips stays unlabelled.  Once the level is stored, its
-        candidate list and that of level (n + 1, δ + 1) are dropped.
+        candidate list and that of level (n + 1, δ + 1) are dropped, and
+        for δ = 0 the top order's entries of order n (searched), whose
+        graphs extremal no longer builds.
         Writes to budget.level_sizes the sizes of the levels of its chain
         (see chain) from level 0 up to the first one that is not stored."""
         delta = max(min_degree, 0)
@@ -735,6 +775,9 @@ class Enumerator:
                 # unlabelled candidates of this level; children regrows it
                 # from this level labelled, whose generators can differ
                 self.candidates.pop((forbid_path, forbid_clique, n + 1, delta + 1), None)
+                if delta == 0:
+                    # the unlabelled parents of order n; extremal reads level n now
+                    self.searched.pop((forbid_path, forbid_clique, n), None)
         sizes = []
         for i in range(n + 1):
             below = self.levels.get((forbid_path, forbid_clique, i, max(delta - n + i, 0)))
@@ -821,8 +864,16 @@ class Enumerator:
         minimum-degree steps, visited best bound first, and only the
         children with the top score are built and labelled.  The budget is
         checked once per graph bounded and once per graph visited, at
-        each step (roots and parents alike), and once per labelled
-        winner.
+        each step (roots and parents alike), whether or not its entry is
+        stored, and once per labelled winner.
+
+        Ties.  When r >= m or r >= k, no graph of the class has a K_r:
+        K_r holds a K_m, and a P_r, which holds a P_k.  Every class then
+        scores 0 and is extremal, so for n >= 1 the result is level n
+        (level), or, with connected, its connected graphs: read from the
+        level when it is stored, and else labelled from its candidates
+        (connected).  Nothing is scored; the budget is checked as in those
+        stages.
 
         One step, when level (n - 1, 0) is stored (always for n = 1): the
         parents are its graphs.  Two steps, otherwise: the roots are the
@@ -835,6 +886,17 @@ class Enumerator:
         most=δ(C) + 1), δ the min degree, as the new vertex is attached as
         a vertex of minimum degree at each step; no generators are used,
         so no mask is dropped as the image of another.
+
+        The store.  δ(g), N_j(g) and the masks of g are read from
+        searched[(k, m, g.n)][g.rows] (_Searched) and computed only when
+        they are missing, then written there: a later call with another r
+        or connected, or the same call again, counts and searches no graph
+        twice.  All three are functions of (k, m, g.rows) alone: extremal
+        uses no generators, and connected only filters the masks after
+        they are read.  So the bounds, the order of the visit, where it
+        stops, the winners and their labels are those of computing them
+        afresh.  A root's parents are built again from its stored masks,
+        and their entries are found by their rows.
 
         Soundness of one step.  Let G be a graph of the class on n
         vertices and u a vertex of minimum degree.  G - u is in the class,
@@ -894,25 +956,37 @@ class Enumerator:
         if n == 0:
             level = self.level(k, m, 0, budget=budget)
             return [g for g, _gens, _code in level]
+        if (m is not None and r >= m) or (k is not None and r >= k):
+            # no graph of the class has a K_r, so every class ties at 0
+            if connected and (k, m, n, 0) not in self.levels:
+                return self.connected(k, m, n, 0, budget)
+            level = self.level(k, m, n, budget=budget)
+            return [g for g, _gens, _code in level if not connected or is_connected(g)]
         steps = 1 if n == 1 or (k, m, n - 1, 0) in self.levels else 2
         best, top = -1, []
 
         def visit(graphs: Iterable[Graph], steps: int) -> None:
             nonlocal best, top
-            ranked = []  # (bound, N_r(g), δ(g), g)
+            searched = self.searched.setdefault((k, m, n - steps), {})
+            ranked = []  # (bound, N_r(g), g's entry, g)
             for g in graphs:
                 budget.check("extremal")
-                base, low = count_cliques(g, r), g.min_degree()
-                bound = base + min(count_cliques(g, r - 1), comb(low + 1, r - 1))
+                entry = searched.get(g.rows)
+                if entry is None:
+                    entry = searched[g.rows] = _Searched(g.min_degree())
+                base, low = entry.count(g, r), entry.low
+                bound = base + min(entry.count(g, r - 1), comb(low + 1, r - 1))
                 if steps == 2:
                     bound += comb(low + 2, r - 1)
-                ranked.append((bound, base, low, g))
-            ranked.sort(key=lambda entry: entry[0], reverse=True)  # stable
-            for bound, base, low, g in ranked:
+                ranked.append((bound, base, entry, g))
+            ranked.sort(key=lambda item: item[0], reverse=True)  # stable
+            for bound, base, entry, g in ranked:
                 if bound < best:
                     break
                 budget.check("extremal")
-                masks = _attachable_masks(g, k, m, most=low + 1)
+                if entry.masks is None:
+                    entry.masks = _attachable_masks(g, k, m, most=entry.low + 1)
+                masks = entry.masks
                 if steps == 2:
                     visit((_attach(g, mask) for mask in masks), 1)
                     continue
@@ -934,8 +1008,9 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's levels and the candidate lists of the levels
-    not yet stored, and the classifier's table of candidates."""
+    """Empty the enumerator's levels, the candidate lists of the levels not
+    yet stored and the top order's store of searched graphs, and the
+    classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 

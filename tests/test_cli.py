@@ -200,3 +200,45 @@ def test_readme_examples_run(capsys):
     for line in examples:
         code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
         assert code == 0, (line, err)
+
+
+# one call per subcommand whose stdout is deterministic (verify's data
+# section is; its meta holds timings)
+GOOD_CALLS = [
+    "construct --family h --n 12 --m 4 --k 8",
+    "count --r 2 --graph6 Ds_",
+    "formula --case --k 9 --m 5 --r 2",
+    "oracle --n 7 --k 5 --m 3 --r 2 --connected",
+    "verify --k 4 --m 3 --r 2 --n 4..6 --connected",
+    "classify --k 5 --m 3 --exhaustive --n 5..7",
+    "disintegrate --delta 2 --graph6 Ds_",
+    "table --k 4..5 --m 3..3 --r 2..2 --n 6..7",
+]
+USAGE_ERRORS = ["frobnicate", "oracle --n x --r 2 --k 5", "verify --scope weird", "count"]
+
+
+def _calls(capsys, calls: list[str], fresh: bool) -> list:
+    """(exit code, stdout) of each call, in turn, each through a parser
+    built for it (fresh) or through the one built for the first."""
+    cli._build_parser.cache_clear()
+    out = []
+    for line in calls:
+        if fresh:
+            cli._build_parser.cache_clear()
+        code, text, _ = run(capsys, *line.split())
+        if line.startswith("verify") and code == 0:
+            text = json.dumps(json.loads(text)["data"])
+        out.append((code, text))
+    return out
+
+
+def test_the_parser_is_built_once(capsys):
+    """cli.main builds its parser on its first call and reuses it: in one
+    process, a usage error followed by a good call of every subcommand
+    gives the exit codes and stdout that a parser built fresh for each
+    call gives, and the parser is built once."""
+    calls = [line for error in USAGE_ERRORS for line in [error] + GOOD_CALLS]
+    shared = _calls(capsys, calls, fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == _calls(capsys, calls, fresh=True)
+    assert [code for code, _text in shared] == [1, *[0] * len(GOOD_CALLS)] * len(USAGE_ERRORS)

@@ -920,9 +920,10 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     labelled and the step to (9, 2) from the unlabelled candidates of
     (8, 1), and adds only level (9, 2), whose candidates are then
     dropped; the extremal graphs on 9 vertices then store nothing of
-    order 8; clear_cache empties, through Enumerator.clear, the levels
-    and the candidates, the enumerator's only two stores, and the
-    classifier's tables.
+    order 8 as a level or a candidate list; clear_cache empties, through
+    Enumerator.clear, the levels, the candidates and the top order's
+    searches, the enumerator's only three stores, and the classifier's
+    tables.
     A fresh enumerator keeps the shared one warm for the other tests.  A
     chain for n = 10, δ = 2 stores the unfiltered levels to 8 and the
     levels (9, 1) and (10, 2), each once, and grows nothing unlabelled;
@@ -952,9 +953,10 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
     assert not _grown_keys(enumerator) and (7, 4, 8, 0) not in enumerator.candidates
     assert (7, 4, 8, 0) not in enumerator.levels
+    assert enumerator.searched
     clear_cache()
-    assert not enumerator.levels and not enumerator.candidates
-    assert set(vars(enumerator)) == {"levels", "candidates"}
+    assert not enumerator.levels and not enumerator.candidates and not enumerator.searched
+    assert set(vars(enumerator)) == {"levels", "candidates", "searched"}
     assert class_table.cache_info().currsize == 0
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
@@ -1238,6 +1240,13 @@ def test_no_key_is_in_both_stores(monkeypatch):
 EXTREMAL_CELLS = [(5, 3), (6, 4), (7, 4), (None, 3), (6, None)]
 
 
+def _ties(k, m, r: int) -> bool:
+    """Whether no graph of the class has a K_r (r >= m or r >= k), so that
+    Enumerator.extremal reads level n instead of scoring: (5,3) and
+    (None,3) at r = 3 among the asks of EXTREMAL_CELLS."""
+    return (m is not None and r >= m) or (k is not None and r >= k)
+
+
 def _extremal_asks(k, m, n: int) -> dict:
     """enumerate_graphs with extremal_r = r for r in {2, 3}, with and
     without connected_only and edge_maximal, keyed by (config, r), the
@@ -1272,7 +1281,8 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     the most K_r: for r in {2, 3}, n = 0..8, with and without
     connected_only and edge_maximal.  Each order is asked first with
     level n not yet labelled, and again once it is; candidates are
-    computed once per order, and labelling the level reuses them."""
+    computed once per order, and labelling the level reuses them.  A cell
+    where every class ties at r = 3 (_ties) stores level n at that ask."""
     computed = []
     candidates = oracle._candidates
 
@@ -1288,7 +1298,8 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
         computed.clear()
         for n in range(9):
             cold = _extremal_asks(k, m, n)
-            assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n, 1)), (k, m, n)
+            stored = n + 1 if _ties(k, m, 3) else max(n, 1)
+            assert set(enumerator.levels) == _unfiltered_keys(k, m, stored), (k, m, n)
             for (config, r), got in cold.items():
                 want = _most_cliques(config, r)
                 assert got == want, (config, r)
@@ -1332,8 +1343,10 @@ def _two_step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> 
     searched of order n - 2 is a graph of level n - 2 (a root), and every
     one of order n - 1 is a min-degree child D + v(M) of a root D
     searched before it, M one of D's attachable masks of at most
-    δ(D) + 1 vertices."""
+    δ(D) + 1 vertices, or, once a cell where every class ties has stored
+    level n - 1 (_ties), a graph of that level, searched in one step."""
     level = {g for g, _gens, _code in enumerator.levels[k, m, n - 2, 0]}
+    parents = {g for g, _gens, _code in enumerator.levels.get((k, m, n - 1, 0), [])}
     roots, children = [], set()
     for g, most in searched:
         assert most == g.min_degree() + 1, (k, m, n)
@@ -1342,7 +1355,7 @@ def _two_step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> 
             roots.append(g)
             children |= {_attach(g, x) for x in _attachable_masks(g, k, m, most=most)}
         else:
-            assert g.n == n - 1 and g in children, (k, m, n)
+            assert g.n == n - 1 and (g in children or g in parents), (k, m, n)
     return roots
 
 
@@ -1353,9 +1366,10 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
     two minimum-degree steps (_two_step_searches), and still returns
     exactly the graphs of the labelled level n, after the same final
     filters, with the most K_r, over the cells, r, connected_only and
-    edge_maximal of test_extremal_matches_the_labelled_level.  A cold
-    ex_oracle(9, 7, 4, 2) labels no graph on 8 vertices and gives what it
-    gives with level 8 labelled."""
+    edge_maximal of test_extremal_matches_the_labelled_level; a cell
+    where every class ties at r = 3 (_ties) stores levels n - 1 and n at
+    that ask instead.  A cold ex_oracle(9, 7, 4, 2) labels no graph on 8
+    vertices and gives what it gives with level 8 labelled."""
     searched = []
     _top_order_spy(monkeypatch, searched)
     for k, m in EXTREMAL_CELLS:
@@ -1364,7 +1378,8 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             searched.clear()
             cold = _extremal_asks(k, m, n)
-            assert set(enumerator.levels) == _unfiltered_keys(k, m, max(n - 1, 1)), (k, m, n)
+            stored = n + 1 if _ties(k, m, 3) else max(n - 1, 1)
+            assert set(enumerator.levels) == _unfiltered_keys(k, m, stored), (k, m, n)
             assert (k, m, n - 1, 0) not in enumerator.candidates, (k, m, n)
             assert not _grown_keys(enumerator)
             if n >= 2:
@@ -1412,7 +1427,9 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
     maximum-degree mask gives (_full_scoring), tied classes included:
     - cold, it stores nothing of order n - 1 and takes two minimum-degree
       steps from the roots of level n - 2 (_two_step_searches); at (7,4)
-      and (8,5), n = 9, some root is never expanded;
+      and (8,5), n = 9, some root is never expanded; where every class
+      ties at r = 3 (_ties), that ask comes last and stores levels n - 1
+      and n;
     - with level n - 1 stored, it takes one step: every parent C it
       searches is a graph of that level, searched with most = δ(C) + 1.
     Parents whose bound equals the best must be visited: (7,4) at n = 9
@@ -1432,7 +1449,8 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
         searched.clear()
         for (r, connected), best in want.items():
             assert cold.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
-        assert (k, m, n - 1, 0) not in cold.levels and (k, m, n - 1, 0) not in cold.candidates
+        assert ((k, m, n - 1, 0) in cold.levels) == _ties(k, m, 3), (k, m, n)
+        assert (k, m, n - 1, 0) not in cold.candidates
         roots = _two_step_searches(searched, cold, k, m, n)
         if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
             assert len(set(roots)) < len(cold.levels[k, m, n - 2, 0]), (k, m, n)
@@ -1467,6 +1485,150 @@ def test_top_order_searches_few_parents(monkeypatch):
         assert (orders.count(7), orders.count(8)) == (roots, parents), (r, connected)
         assert len(orders) == roots + parents
         assert not any(key[2] == 8 for key in enumerator.candidates)
+
+
+# (forbid_path, forbid_clique) cells of the tests of the top order's store
+STORE_CELLS = [(7, 4), (8, 5), (6, 4), (5, 3)]
+
+
+def _seeded(source: Enumerator, k, m, below: int) -> Enumerator:
+    """A fresh Enumerator holding only source's unfiltered levels 0, ...,
+    below - 1 of (k, m).  Any enumerator labels these levels alike, from
+    its own labelled levels, so the fresh one answers as a cold one does;
+    it only skips labelling them again."""
+    fresh = Enumerator()
+    for key in _unfiltered_keys(k, m, below):
+        fresh.levels[key] = source.level(*key)
+    return fresh
+
+
+def test_a_warm_store_answers_as_fresh_enumerators():
+    """One warm Enumerator answers a grid of extremal asks in a shuffled,
+    mixed order: the cells of STORE_CELLS, n = 0..9, r in {2, 3, 4},
+    connected or not, with level n - 1 stored before the ask or not.
+    Every answer equals that of a fresh Enumerator per ask, which holds
+    only the levels the ask reads (_seeded), so nothing it searched
+    before the ask is reused."""
+    asks = [
+        (k, m, n, r, connected, stored)
+        for k, m in STORE_CELLS
+        for n in range(10)
+        for r in (2, 3, 4)
+        for connected in (False, True)
+        for stored in (False, True)
+    ]
+    random.Random(33).shuffle(asks)
+    warm, levels = Enumerator(), Enumerator()
+    for k, m, n, r, connected, stored in asks:
+        if stored and n >= 1:
+            warm.level(k, m, n - 1)
+        fresh = _seeded(levels, k, m, n if stored else max(n - 1, 1))
+        want = fresh.extremal(k, m, n, r, connected)
+        assert warm.extremal(k, m, n, r, connected) == want, (k, m, n, r, connected, stored)
+    assert warm.searched
+
+
+def test_repeat_asks_search_no_graph_twice(monkeypatch):
+    """Asks of one order with other r or connected, over the same stored
+    level, search no graph twice: the top order's store keeps each
+    visited graph's masks.  This holds with one step (level n - 1
+    stored) and with two (only level n - 2 stored, so the unlabelled
+    parents are built again but not searched again).  An identical
+    repeat ask searches no graph at all and gives the same answer
+    (test_a_warm_store_answers_as_fresh_enumerators checks the answers)."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
+    for k, m, n in [(7, 4, 9), (8, 5, 9), (6, 4, 8)]:
+        for below in (n - 1, n - 2):
+            enumerator = Enumerator()
+            enumerator.level(k, m, below)
+            searched.clear()
+            asks = [(r, connected) for r in (2, 3) for connected in (False, True)]
+            answers = [enumerator.extremal(k, m, n, r, connected) for r, connected in asks]
+            rows = [g.rows for g, _most in searched]
+            assert rows and len(set(rows)) == len(rows), (k, m, n, below)
+            count = len(searched)
+            for (r, connected), answer in zip(asks, answers):
+                assert enumerator.extremal(k, m, n, r, connected) == answer
+                assert len(searched) == count, (k, m, n, below, r, connected)
+
+
+def test_storing_a_level_drops_its_searches(monkeypatch):
+    """A cold extremal ask at order 9 of (7,4) keeps the searches of its
+    roots, of order 7, and of its unlabelled parents, of order 8.
+    Storing level 8 drops the entries of order 8 and keeps those of order
+    7; a one-step ask then stores entries for the graphs of level 8.
+    Enumerator.clear, and clear_cache for the shared enumerator, empty
+    the store."""
+    enumerator = Enumerator()
+    enumerator.extremal(7, 4, 9, 2, False)
+    assert set(enumerator.searched) == {(7, 4, 7), (7, 4, 8)}
+    roots = dict(enumerator.searched[7, 4, 7])
+    enumerator.level(7, 4, 8)
+    assert set(enumerator.searched) == {(7, 4, 7)}
+    assert enumerator.searched[7, 4, 7] == roots
+    enumerator.extremal(7, 4, 9, 2, False)
+    level = {g.rows for g, _gens, _code in enumerator.levels[7, 4, 8, 0]}
+    assert enumerator.searched[7, 4, 8] and set(enumerator.searched[7, 4, 8]) <= level
+    enumerator.clear()
+    assert not enumerator.searched
+    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+    ex_oracle(9, 7, 4, 3, connected=True)
+    assert enumerator.searched
+    clear_cache()
+    assert not enumerator.searched
+
+
+class _Countdown(Budget):
+    """A budget that runs out at its calls-th check of the extremal stage
+    (counting from 0; never for calls < 0), and counts those checks in
+    done."""
+
+    def __init__(self, calls: int = -1) -> None:
+        super().__init__()
+        self.calls, self.done = calls, 0
+
+    def check(self, stage: str, **done) -> None:
+        if stage == "extremal":
+            if self.done == self.calls:
+                raise BudgetExceeded("extremal", {"stage": stage})
+            self.done += 1
+
+
+def _whole_entries(enumerator: Enumerator, k, m) -> int:
+    """Check that every entry of the store holds δ, N_j and, when set, the
+    masks of its graph; return the number of entries."""
+    count = 0
+    for (k_, m_, order), entries in enumerator.searched.items():
+        assert (k_, m_) == (k, m)
+        for rows, entry in entries.items():
+            g = Graph(order, rows)
+            assert entry.low == g.min_degree()
+            assert all(entry.cliques[j] == count_cliques(g, j) for j in entry.cliques)
+            if entry.masks is not None:
+                assert entry.masks == _attachable_masks(g, k, m, most=entry.low + 1)
+            count += 1
+    return count
+
+
+def test_a_timed_out_visit_leaves_whole_entries():
+    """A BudgetExceeded raised at any of a sample of the extremal stage's
+    checks of a cold extremal ask at order 9 of (7,4), with level 7
+    stored, leaves only whole entries in the store (each read back
+    against its graph), and the retried call returns the graphs of a
+    fresh enumerator."""
+    for r, connected in [(2, False), (3, True)]:
+        want = Enumerator().extremal(7, 4, 9, r, connected)
+        total = _Countdown()
+        Enumerator().extremal(7, 4, 9, r, connected, total)
+        for calls in sorted({0, 1, 253, 254, total.done // 2, total.done - 1}):
+            enumerator = Enumerator()
+            enumerator.level(7, 4, 7)
+            with pytest.raises(BudgetExceeded):
+                enumerator.extremal(7, 4, 9, r, connected, _Countdown(calls))
+            assert (_whole_entries(enumerator, 7, 4) > 0) == (calls > 0), calls
+            assert enumerator.extremal(7, 4, 9, r, connected) == want, (r, connected, calls)
+            _whole_entries(enumerator, 7, 4)
 
 
 def test_verify_grows_the_largest_order_first(monkeypatch):
