@@ -71,15 +71,18 @@ vertices, δ(P) the min degree of P, and no child of P scores more than
 N_r(P) + min(N_{r-1}(P), C(δ(P) + 1, r - 1)).  The parents are visited
 by that bound, highest first, and the visit stops at the first bound
 strictly below the best score so far; a parent whose bound ties the
-best is still visited, so no tied class is lost.  Level n - 1 is
-neither labelled nor grown for this unless it is already stored: the
-same rule, applied twice, bounds order n from the graphs D of level
-n - 2, by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1, r - 1)) +
-C(δ(D) + 2, r - 1), and only the roots D so visited are extended, into
-parents built but not labelled, which are then visited as above.  Every
-level below n - 1 is labelled in full.  verify labels level N - 2
-first, N its largest n, so every smaller n reads a labelled level
-n - 1.  classify labels, at its largest order N, only the connected
+best is still visited, so no tied class is lost.  Levels n - 1 and
+n - 2 are neither labelled nor grown for this unless they are already
+stored: the same rule, applied s times, bounds order n from the graphs
+D of level n - s, s the least of 1, 2 and 3 with level n - s stored (3,
+or n if n < 3, when neither n - 1 nor n - 2 is), by N_r(D) +
+min(N_{r-1}(D), C(δ(D) + 1, r - 1)) + Σ_{j=2..s} C(δ(D) + j, r - 1),
+and only the roots D so visited are extended, into graphs built but not
+labelled, which are visited the same way at s - 1 steps, down to the
+parents of the last step.  Every level up to n - s is labelled in full.
+verify labels level N - 3 first, N its largest n, so N - 2, N - 1 and
+N take one, two and three steps, and neither N - 2 nor N - 1 is
+labelled.  classify labels, at its largest order N, only the connected
 children, and stores no level of that order: it first reads labelled,
 in ascending order, the levels of its smaller orders, so that every
 step above one of them reads it labelled.  When r >= m or r >= k, no
@@ -215,19 +218,19 @@ class Budget:
     """One call's time budget, started when the object is made; Budget()
     never runs out.  Every stage of a call is handed the same object and
     calls check once per unit of work: per parent while candidates are
-    built, per child labelled, per unlabelled parent extended, per root
-    bounded, per root expanded, per parent bounded, per parent visited
-    and per winner labelled at the top order (Enumerator.extremal),
-    per graph in the final filters, before each n's check of the
-    predicted family (verify) and per classified graph (classify).  A
-    call therefore overruns its budget by at most one parent's
-    extensions, one graph's filters, one family check or one
-    classification.  level_sizes are the sizes of the chain of the last
-    level read (Enumerator.level writes them), from level 0 up to the
-    first level of that chain that is not labelled: every enumeration
-    stage reads a labelled level first: its parent level, the level of
-    its roots (the top order), or the one that its unlabelled parents
-    were grown from.  A level that enumeration skipped
+    built, per child labelled, per unlabelled parent extended, per graph
+    bounded and per graph visited at each of the top order's steps (the
+    roots, the unlabelled graphs between and the parents), per winner
+    labelled there (Enumerator.extremal), per graph in the final
+    filters, before each n's check of the predicted family (verify) and
+    per classified graph (classify).  A call therefore overruns its
+    budget by at most one parent's extensions, one graph's filters, one
+    family check or one classification.  level_sizes are the sizes of
+    the chain of the last level read (Enumerator.level writes them), from
+    level 0 up to the first level of that chain that is not labelled:
+    every enumeration stage reads a labelled level first: its parent
+    level, the level of its roots (the top order), or the one that its
+    unlabelled parents were grown from.  A level that enumeration skipped
     (Enumerator.children) is therefore never in level_sizes, and neither
     is any level above it.  A budget holds no graph."""
 
@@ -655,25 +658,25 @@ class Enumerator:
     grown again from it labelled if it is asked for.  So a level is
     labelled only when something reads it: a caller, a chain, or a step
     with bound 0 or 1.  The top order of the extremal graphs (extremal)
-    reads level (n - 1, 0) when it is stored, and else level (n - 2, 0),
-    and builds what it needs of order n - 1 unlabelled, so asking for the
-    extremal graphs of order n stores no level and no candidate list of
-    order n - 1.  Its one store is searched[(k, m, i)][g.rows]: for each
-    graph g of order i that it bounded, δ(g), N_j(g) for each j asked
-    and, once g is visited, its masks (_Searched).  Every later call
-    reads them, so no graph is searched twice.  The entries of order n
-    are dropped when level (n, 0) is stored: they were unlabelled
-    parents, and extremal reads that level from then on.  A cell where
-    every class ties (r >= m or r >= k) reads level n instead, or its
-    connected graphs.  The connected graphs of a level that is not
-    stored (connected) are labelled from its candidates, which stay in
-    candidates, and are not stored either, so that a later read of the
-    whole level finds its candidates.  Only whole levels and whole
-    candidate lists are stored, and each entry of searched is written
-    whole before it is read: _candidates and _label raise before they
-    store a list, never inside one, and extremal checks the budget before
-    it counts or searches, never between, so a timed-out call leaves a
-    checkpoint."""
+    reads level (n - 1, 0) when it is stored, else level (n - 2, 0) when
+    it is, and else level (n - 3, 0), and builds what it needs of the
+    orders above unlabelled, so asking for the extremal graphs of order n
+    stores no level and no candidate list of order n - 1 or n - 2.  Its
+    one store is searched[(k, m, i)][g.rows]: for each graph g of order
+    i that it bounded, δ(g), N_j(g) for each j asked and, once g is
+    visited, its masks (_Searched).  Every later call reads them, so no
+    graph is searched twice.  The entries of order n are dropped when
+    level (n, 0) is stored: they were unlabelled graphs, and extremal
+    reads that level from then on.  A cell where every class ties
+    (r >= m or r >= k) reads level n instead, or its connected graphs.
+    The connected graphs of a level that is not stored (connected) are
+    labelled from its candidates, which stay in candidates, and are not
+    stored either, so that a later read of the whole level finds its
+    candidates.  Only whole levels and whole candidate lists are stored,
+    and each entry of searched is written whole before it is read:
+    _candidates and _label raise before they store a list, never inside
+    one, and extremal checks the budget before it counts or searches,
+    never between, so a timed-out call leaves a checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
@@ -860,7 +863,7 @@ class Enumerator:
     ) -> list[Graph]:
         """The graphs of the class on n vertices (connected ones only, if
         connected) with the most K_r, in canonical labels, sorted by code.
-        Order n is reached from stored graphs through one or two
+        Order n is reached from stored graphs through one, two or three
         minimum-degree steps, visited best bound first, and only the
         children with the top score are built and labelled.  The budget is
         checked once per graph bounded and once per graph visited, at
@@ -875,14 +878,17 @@ class Enumerator:
         (connected).  Nothing is scored; the budget is checked as in those
         stages.
 
-        One step, when level (n - 1, 0) is stored (always for n = 1): the
-        parents are its graphs.  Two steps, otherwise: the roots are the
-        graphs D of level n - 2, labelled, and level n - 1 is neither
-        labelled nor grown for them; a visited root is expanded into the
-        parents C = D + v(M), one per mask M of _attachable_masks(D, k, m,
-        most=δ(D) + 1), built but not labelled, which then go through the
-        one-step visit with the same best score.  A visited parent C is
-        extended by every mask of _attachable_masks(C, k, m,
+        Steps.  Order n takes s steps, s the least of 1, 2 and 3 for which
+        level (n - s, 0) is stored, 3 when neither level n - 1 nor level
+        n - 2 is, and never more than n (so always one for n = 1).  With
+        one step the parents are the graphs of level n - 1.  With s >= 2
+        the roots are the graphs D of level n - s, labelled, and the levels
+        above it are neither labelled nor grown for them; a graph D visited
+        at t >= 2 steps is expanded into the graphs D + v(M), one per mask
+        M of _attachable_masks(D, k, m, most=δ(D) + 1), built but not
+        labelled, which then go through the visit at t - 1 steps with the
+        same best score, down to the parents of one step.  A visited
+        parent C is extended by every mask of _attachable_masks(C, k, m,
         most=δ(C) + 1), δ the min degree, as the new vertex is attached as
         a vertex of minimum degree at each step; no generators are used,
         so no mask is dropped as the image of another.
@@ -916,42 +922,52 @@ class Enumerator:
         G - u.  Connectivity is decided at this last step only.  The graph
         on 0 vertices has no parent and no K_r.
 
-        Soundness of two steps.  Let u be a vertex of minimum degree in G,
-        C = G - u, u' a vertex of minimum degree in C and D = C - u'.
-        Both deletions stay in the class, so D is isomorphic to a root.
-        The argument above, applied to C and D, gives a mask of that root
-        with at most δ(D) + 1 vertices whose child, a parent, is
-        isomorphic to C; applied to G and that parent, it gives a mask of
-        the parent whose child is isomorphic to G.  So in both cases every
-        class on n vertices has a child, and the maximum over the children
-        is the maximum over the classes.  The winners' children are exactly
-        the extremal classes, and labelling them gives each once, in the
-        canonical form the level would hold.
+        Soundness of s steps.  Let G_0 = G and, for j = 1, ..., s, G_j =
+        G_{j-1} - u_j, u_j a vertex of minimum degree in G_{j-1}.  Each
+        deletion stays in the class, so G_s is isomorphic to a root.  The
+        argument above, applied to G_{s-1} and G_s, gives a mask of that
+        root with at most δ(G_s) + 1 vertices whose child is isomorphic to
+        G_{s-1}; applied again to G_{j-1} and the graph so reached for
+        G_j, for j = s - 1 down to 1, it gives a mask of that graph whose
+        child is isomorphic to G_{j-1}, and G_0 = G.  So at every depth
+        every class on n vertices has a child, and the maximum over the
+        children is the maximum over the classes.  The winners' children
+        are exactly the extremal classes, and labelling them gives each
+        once, in the canonical form the level would hold.
 
         Branch and bound.  C[M] is a subgraph of C on at most δ(C) + 1
         vertices, so N_{r-1}(C[M]) <= min(N_{r-1}(C), C(δ(C) + 1, r - 1)),
         and no child of C scores more than its one-step bound, N_r(C) plus
         that minimum; the connected children are some of them, so the
-        bound holds for them too.  A parent C = D + v(M) of a root D has
-        |M| <= δ(D) + 1, so N_r(C) <= N_r(D) + min(N_{r-1}(D),
-        C(δ(D) + 1, r - 1)), by the same argument, and δ(C) <= |M| <=
-        δ(D) + 1, as v has degree |M|; so no child of a child of D scores
-        more than D's two-step bound, N_r(D) + min(N_{r-1}(D),
-        C(δ(D) + 1, r - 1)) + C(δ(D) + 2, r - 1), which is at least the
-        one-step bound of each of D's parents.  At each step the graphs
-        are visited by descending bound, in a stable order, and the visit
-        stops at the first bound strictly below the best score so far:
-        that graph and every later one have no child that reaches the
-        best, which only grows, so none has a winner.  A graph whose bound
-        equals the best is still visited, as it may have a child that
-        ties, and every tied class is reported.  So the winners are those
+        bound holds for them too.  A graph C = D + v(M) that a graph D
+        expands into has |M| <= δ(D) + 1, so N_r(C) <= N_r(D) +
+        min(N_{r-1}(D), C(δ(D) + 1, r - 1)), by the same argument, and
+        δ(C) <= |M| <= δ(D) + 1, as v has degree |M|: the min degree grows
+        by at most 1 per step.  So the vertex added at the j-th step from
+        D has at most δ(D) + j neighbours and lies in at most
+        C(δ(D) + j, r - 1) of the K_r, and no graph that D reaches in s
+        steps scores more than D's s-step bound, N_r(D) + min(N_{r-1}(D),
+        C(δ(D) + 1, r - 1)) + Σ_{j=2..s} C(δ(D) + j, r - 1), which is at
+        least the (s - 1)-step bound of each graph D expands into.  At
+        each step the graphs are visited by descending bound, in a stable
+        order, and the visit stops at the first bound strictly below the
+        best score so far: that graph and every later one have no child
+        that reaches the best, which only grows, so none has a winner.  A
+        graph whose bound equals the best is still visited, as it may have
+        a child that ties, and every tied class is reported.  So the winners are those
         of scoring every child, and as each class is labelled once, their
         order does not matter.
 
-        Depth.  Two steps is the most.  At (7,4), n = 9, on 2 cores, three
-        steps from level 6 took 21-39 ms per call (r in {2, 3}, connected
-        or not), against 4-10 ms for two steps from level 7, which takes
-        22 ms to label once and then serves every later call."""
+        Depth.  Three steps is the most, and the depth follows only from
+        which levels are stored.  Cold, in a fresh process on 2 cores
+        (median of three), three steps against two took 1.13 -> 0.56 s at
+        (9,5), n = 10, r = 2, 0.31 -> 0.11 s at (8,5), n = 10, r = 3, and
+        0.093 -> 0.052 s at (7,4), n = 10, r = 2.  They lose at (9,5),
+        n = 9, r = 2: 0.136 -> 0.174 s, as the unlabelled graphs of order 7
+        repeat classes, so 8,707 graphs are bounded instead of 3,830 and
+        2,208 of order 8 are searched instead of 814.  Four and five steps
+        lost at (9,5), n = 10, r = 2 (1.75 and 4.9 s against 0.56 s at
+        three, one run each)."""
         k, m = forbid_path, forbid_clique
         if n == 0:
             level = self.level(k, m, 0, budget=budget)
@@ -962,7 +978,7 @@ class Enumerator:
                 return self.connected(k, m, n, 0, budget)
             level = self.level(k, m, n, budget=budget)
             return [g for g, _gens, _code in level if not connected or is_connected(g)]
-        steps = 1 if n == 1 or (k, m, n - 1, 0) in self.levels else 2
+        steps = next((s for s in (1, 2) if (k, m, n - s, 0) in self.levels), min(3, n))
         best, top = -1, []
 
         def visit(graphs: Iterable[Graph], steps: int) -> None:
@@ -976,8 +992,7 @@ class Enumerator:
                     entry = searched[g.rows] = _Searched(g.min_degree())
                 base, low = entry.count(g, r), entry.low
                 bound = base + min(entry.count(g, r - 1), comb(low + 1, r - 1))
-                if steps == 2:
-                    bound += comb(low + 2, r - 1)
+                bound += sum(comb(low + j, r - 1) for j in range(2, steps + 1))
                 ranked.append((bound, base, entry, g))
             ranked.sort(key=lambda item: item[0], reverse=True)  # stable
             for bound, base, entry, g in ranked:
@@ -987,8 +1002,8 @@ class Enumerator:
                 if entry.masks is None:
                     entry.masks = _attachable_masks(g, k, m, most=entry.low + 1)
                 masks = entry.masks
-                if steps == 2:
-                    visit((_attach(g, mask) for mask in masks), 1)
+                if steps >= 2:
+                    visit((_attach(g, mask) for mask in masks), steps - 1)
                     continue
                 components = _components(g) if connected else []
                 for mask in masks:
@@ -1279,11 +1294,12 @@ def verify_theorem(
     should be exact) is the failure state.  The time budget (Budget) is
     one for the whole sweep: each n gets the time left, and it is also
     checked before each n's check of the predicted family.  The range is
-    checked before anything is enumerated.  Then level N - 2 is labelled,
-    N the largest n, so every smaller n reads a labelled level n - 1 and
-    only N takes two minimum-degree steps, from level N - 2
-    (Enumerator.extremal); the runtime_ms of the first n's row includes
-    that step, so the rows add up to the sweep.
+    checked before anything is enumerated.  Then level N - 3 is labelled,
+    N the largest n, so N - 2, N - 1 and N take one, two and three
+    minimum-degree steps from it (Enumerator.extremal), every smaller n
+    reads a labelled level n - 1, and neither level N - 2 nor N - 1 is
+    labelled; the runtime_ms of the first n's row includes that step, so
+    the rows add up to the sweep.
     """
     if scope not in ("connected", "all"):
         raise ParameterError("scope must be 'connected' or 'all'")
@@ -1295,7 +1311,7 @@ def verify_theorem(
     budget = Budget(time_budget_s)
     t0 = time.monotonic()
     if n_range:
-        _ENUMERATOR.level(k, m, max(n_range) - 2, budget=budget)
+        _ENUMERATOR.level(k, m, max(max(n_range) - 3, 0), budget=budget)
     case = threshold_case(k, m, r)
     rows = []
     for n in n_range:

@@ -1336,39 +1336,43 @@ def _top_order_spy(monkeypatch, searched: list) -> None:
     monkeypatch.setattr(oracle, "_attachable_masks", spy)
 
 
-def _two_step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> list:
-    """The roots that a cold Enumerator.extremal at order n >= 2 expanded,
+def _step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> list:
+    """The roots that a cold Enumerator.extremal at order n >= 1 expanded,
     from the (graph, most) calls _top_order_spy recorded, after checking
-    each search: every search was given most = δ + 1, every graph
-    searched of order n - 2 is a graph of level n - 2 (a root), and every
-    one of order n - 1 is a min-degree child D + v(M) of a root D
-    searched before it, M one of D's attachable masks of at most
-    δ(D) + 1 vertices, or, once a cell where every class ties has stored
-    level n - 1 (_ties), a graph of that level, searched in one step."""
-    level = {g for g, _gens, _code in enumerator.levels[k, m, n - 2, 0]}
-    parents = {g for g, _gens, _code in enumerator.levels.get((k, m, n - 1, 0), [])}
-    roots, children = [], set()
+    each search, with s = min(3, n) steps: every search was given
+    most = δ + 1, every graph searched of order n - s is a graph of level
+    n - s (a root), and every one of order n - j, 1 <= j < s, is a
+    min-degree child D + v(M) of a graph D of order n - j - 1 searched
+    before it, M one of D's attachable masks of at most δ(D) + 1
+    vertices, or, once a cell where every class ties has stored level
+    n - j (_ties), a graph of that level, searched in fewer steps."""
+    low = n - min(3, n)
+    roots, children, stored = [], set(), {}
     for g, most in searched:
         assert most == g.min_degree() + 1, (k, m, n)
-        if g.n == n - 2:
-            assert g in level, (k, m, n)
+        if g.n not in stored:
+            stored[g.n] = {c for c, _gens, _code in enumerator.levels.get((k, m, g.n, 0), [])}
+        if g.n == low:
+            assert g in stored[g.n], (k, m, n)
             roots.append(g)
-            children |= {_attach(g, x) for x in _attachable_masks(g, k, m, most=most)}
         else:
-            assert g.n == n - 1 and (g in children or g in parents), (k, m, n)
+            assert low < g.n < n and (g in children or g in stored[g.n]), (k, m, n)
+        if g.n < n - 1:
+            children |= {_attach(g, x) for x in _attachable_masks(g, k, m, most=most)}
     return roots
 
 
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
-    extremal_r = r labels no graph of order n - 1 (n >= 2) and grows no
-    candidate of that order: it bounds order n from level n - 2 through
-    two minimum-degree steps (_two_step_searches), and still returns
-    exactly the graphs of the labelled level n, after the same final
-    filters, with the most K_r, over the cells, r, connected_only and
-    edge_maximal of test_extremal_matches_the_labelled_level; a cell
-    where every class ties at r = 3 (_ties) stores levels n - 1 and n at
-    that ask instead.  A cold ex_oracle(9, 7, 4, 2) labels no graph on 8
+    extremal_r = r labels no graph of order n - 1 or n - 2 above level 0
+    and grows no candidate of those orders: it bounds order n from level
+    n - 3 (level 0 for n <= 3) through min(3, n) minimum-degree steps
+    (_step_searches), and still returns exactly the graphs of the
+    labelled level n, after the same final filters, with the most K_r,
+    over the cells, r, connected_only and edge_maximal of
+    test_extremal_matches_the_labelled_level; a cell where every class
+    ties at r = 3 (_ties) stores levels n - 2, n - 1 and n at that ask
+    instead.  A cold ex_oracle(9, 7, 4, 2) labels no graph on 7 or 8
     vertices and gives what it gives with level 8 labelled."""
     searched = []
     _top_order_spy(monkeypatch, searched)
@@ -1378,12 +1382,13 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             searched.clear()
             cold = _extremal_asks(k, m, n)
-            stored = n + 1 if _ties(k, m, 3) else max(n - 1, 1)
+            stored = n + 1 if _ties(k, m, 3) else max(n - 2, 1)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, stored), (k, m, n)
             assert (k, m, n - 1, 0) not in enumerator.candidates, (k, m, n)
+            assert (k, m, n - 2, 0) not in enumerator.candidates, (k, m, n)
             assert not _grown_keys(enumerator)
-            if n >= 2:
-                assert _two_step_searches(searched, enumerator, k, m, n), (k, m, n)
+            if n >= 1:
+                assert _step_searches(searched, enumerator, k, m, n), (k, m, n)
             for (config, r), got in cold.items():
                 assert got == _most_cliques(config, r), (config, r)
     labelled = []
@@ -1395,7 +1400,7 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     monkeypatch.setattr(oracle, "canonical_with_generators", spy)
     cold = ex_oracle(9, 7, 4, 2)
-    assert 8 not in labelled and 9 in labelled
+    assert 7 not in labelled and 8 not in labelled and 9 in labelled
     enumerator = Enumerator()
     enumerator.chain(7, 4, 8)
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
@@ -1422,14 +1427,17 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
     """Enumerator.extremal bounds its parents and visits them best bound
     first, and stops at the first bound strictly below the best score.
     For every cell of EXTREMAL_CELLS at n = 2..9 and (8,5) at n = 9, for
-    r in {2, 3}, connected or not, it is asked twice, and both answers
-    equal the graphs that scoring every child of every parent with every
-    maximum-degree mask gives (_full_scoring), tied classes included:
-    - cold, it stores nothing of order n - 1 and takes two minimum-degree
-      steps from the roots of level n - 2 (_two_step_searches); at (7,4)
-      and (8,5), n = 9, some root is never expanded; where every class
-      ties at r = 3 (_ties), that ask comes last and stores levels n - 1
-      and n;
+    r in {2, 3}, connected or not, it is asked three times, and every
+    answer equals the graphs that scoring every child of every parent
+    with every maximum-degree mask gives (_full_scoring), tied classes
+    included:
+    - cold, it stores nothing of order n - 1 or n - 2 above level 0 and
+      takes min(3, n) minimum-degree steps from the roots of level n - 3,
+      or level 0 (_step_searches); at (7,4) and (8,5), n = 9, some root is
+      never expanded; where every class ties at r = 3 (_ties), that ask
+      comes last and stores levels n - 2, n - 1 and n;
+    - with level n - 2 stored and level n - 1 not, it takes two steps:
+      every graph it searches of order n - 2 is a graph of that level;
     - with level n - 1 stored, it takes one step: every parent C it
       searches is a graph of that level, searched with most = δ(C) + 1.
     Parents whose bound equals the best must be visited: (7,4) at n = 9
@@ -1449,11 +1457,21 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
         searched.clear()
         for (r, connected), best in want.items():
             assert cold.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
-        assert ((k, m, n - 1, 0) in cold.levels) == _ties(k, m, 3), (k, m, n)
-        assert (k, m, n - 1, 0) not in cold.candidates
-        roots = _two_step_searches(searched, cold, k, m, n)
+        for j in range(1, min(3, n)):
+            assert ((k, m, n - j, 0) in cold.levels) == _ties(k, m, 3), (k, m, n)
+            assert (k, m, n - j, 0) not in cold.candidates
+        roots = _step_searches(searched, cold, k, m, n)
         if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
-            assert len(set(roots)) < len(cold.levels[k, m, n - 2, 0]), (k, m, n)
+            assert len(set(roots)) < len(cold.levels[k, m, n - 3, 0]), (k, m, n)
+        middle = Enumerator()
+        level = {g for g, _gens, _code in middle.level(k, m, n - 2)}
+        searched.clear()
+        for (r, connected), best in want.items():
+            assert middle.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
+        orders = {c.n for c, _most in searched}
+        assert n - 2 in orders and orders <= {n - 2, n - 1}, (k, m, n)
+        for c, most in searched:
+            assert c.n == n - 1 or (c in level and most == c.min_degree() + 1), (k, m, n)
         warm = Enumerator()
         level = {g for g, _gens, _code in warm.level(k, m, n - 1)}
         searched.clear()
@@ -1464,27 +1482,55 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
     assert ties > 30, ties
 
 
-def test_top_order_searches_few_parents(monkeypatch):
-    """A fresh Enumerator().extremal(7, 4, 9, r, connected) bounds each of
-    the 253 roots of level 7 by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1,
-    r - 1)) + C(δ(D) + 2, r - 1), and searches only the roots and the
-    parents of order 8 it visits: 19 roots and 13 parents at r = 2,
-    connected or not, 13 and 16 at r = 3, and 36 and 26 at r = 3
-    connected.  It stores no candidate list of order 8.  These are counts
-    of the searches, not times."""
+def test_steps_are_capped_at_the_order(monkeypatch):
+    """Cold asks at n = 2 and 3 take n minimum-degree steps, from the one
+    root on 0 vertices, as n - 3 is no order: every graph searched has
+    order below n, the graph on 0 vertices is searched once, and for
+    (5,3), (None,3) and (6,None), r in {2, 3}, connected or not, the
+    answer equals _full_scoring.  Where every class ties at r = 3 (_ties)
+    the ask reads level n and searches nothing."""
     searched = []
     _top_order_spy(monkeypatch, searched)
-    for r, connected, roots, parents in [
-        (2, False, 19, 13), (2, True, 19, 13), (3, False, 13, 16), (3, True, 36, 26)
+    for k, m in [(5, 3), (None, 3), (6, None)]:
+        for n in (2, 3):
+            reference = _grown_reference(Enumerator(), k, m, n)
+            for r in (2, 3):
+                for connected in (False, True):
+                    searched.clear()
+                    cold = Enumerator()
+                    got = cold.extremal(k, m, n, r, connected)
+                    assert got == _full_scoring(reference, r, connected), (k, m, n, r)
+                    if _ties(k, m, r):
+                        assert not searched
+                        continue
+                    orders = [g.n for g, _most in searched]
+                    assert orders.count(0) == 1 and max(orders) < n, (k, m, n, r)
+                    assert _step_searches(searched, cold, k, m, n) == [Graph(0, ())]
+
+
+def test_top_order_searches_few_parents(monkeypatch):
+    """A fresh Enumerator().extremal(7, 4, 9, r, connected) bounds each of
+    the 120 roots of level 6 by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1,
+    r - 1)) + C(δ(D) + 2, r - 1) + C(δ(D) + 3, r - 1), and searches only
+    the roots, the unlabelled graphs of order 7 and the parents of order 8
+    it visits: 78, 36 and 20 at r = 2, 78, 47 and 43 at r = 2 connected,
+    91, 23 and 5 at r = 3, and 94, 87 and 65 at r = 3 connected.  It
+    stores no level and no candidate list of order 7 or 8.  These are
+    counts of the searches, not times."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
+    for r, connected, counts in [
+        (2, False, (78, 36, 20)), (2, True, (78, 47, 43)),
+        (3, False, (91, 23, 5)), (3, True, (94, 87, 65)),
     ]:
         enumerator = Enumerator()
         searched.clear()
         enumerator.extremal(7, 4, 9, r, connected)
-        assert len(enumerator.levels[7, 4, 7, 0]) == 253
+        assert len(enumerator.levels[7, 4, 6, 0]) == 120
         orders = [c.n for c, _most in searched]
-        assert (orders.count(7), orders.count(8)) == (roots, parents), (r, connected)
-        assert len(orders) == roots + parents
-        assert not any(key[2] == 8 for key in enumerator.candidates)
+        assert tuple(orders.count(i) for i in (6, 7, 8)) == counts, (r, connected)
+        assert len(orders) == sum(counts)
+        assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
 
 
 # (forbid_path, forbid_clique) cells of the tests of the top order's store
@@ -1507,8 +1553,9 @@ def test_a_warm_store_answers_as_fresh_enumerators():
     mixed order: the cells of STORE_CELLS, n = 0..9, r in {2, 3, 4},
     connected or not, with level n - 1 stored before the ask or not.
     Every answer equals that of a fresh Enumerator per ask, which holds
-    only the levels the ask reads (_seeded), so nothing it searched
-    before the ask is reused."""
+    only the levels the ask reads (_seeded): level n - 1, or else level
+    n - 3, as a cold ask does; so nothing it searched before the ask is
+    reused."""
     asks = [
         (k, m, n, r, connected, stored)
         for k, m in STORE_CELLS
@@ -1522,7 +1569,7 @@ def test_a_warm_store_answers_as_fresh_enumerators():
     for k, m, n, r, connected, stored in asks:
         if stored and n >= 1:
             warm.level(k, m, n - 1)
-        fresh = _seeded(levels, k, m, n if stored else max(n - 1, 1))
+        fresh = _seeded(levels, k, m, n if stored else max(n - 2, 1))
         want = fresh.extremal(k, m, n, r, connected)
         assert warm.extremal(k, m, n, r, connected) == want, (k, m, n, r, connected, stored)
     assert warm.searched
@@ -1532,14 +1579,16 @@ def test_repeat_asks_search_no_graph_twice(monkeypatch):
     """Asks of one order with other r or connected, over the same stored
     level, search no graph twice: the top order's store keeps each
     visited graph's masks.  This holds with one step (level n - 1
-    stored) and with two (only level n - 2 stored, so the unlabelled
-    parents are built again but not searched again).  An identical
+    stored), with two (only level n - 2 stored, so the unlabelled
+    parents are built again but not searched again) and with three (only
+    level n - 3 stored, so the unlabelled graphs of both orders above it
+    are).  An identical
     repeat ask searches no graph at all and gives the same answer
     (test_a_warm_store_answers_as_fresh_enumerators checks the answers)."""
     searched = []
     _top_order_spy(monkeypatch, searched)
     for k, m, n in [(7, 4, 9), (8, 5, 9), (6, 4, 8)]:
-        for below in (n - 1, n - 2):
+        for below in (n - 1, n - 2, n - 3):
             enumerator = Enumerator()
             enumerator.level(k, m, below)
             searched.clear()
@@ -1555,18 +1604,21 @@ def test_repeat_asks_search_no_graph_twice(monkeypatch):
 
 def test_storing_a_level_drops_its_searches(monkeypatch):
     """A cold extremal ask at order 9 of (7,4) keeps the searches of its
-    roots, of order 7, and of its unlabelled parents, of order 8.
-    Storing level 8 drops the entries of order 8 and keeps those of order
-    7; a one-step ask then stores entries for the graphs of level 8.
+    roots, of order 6, and of its unlabelled graphs of orders 7 and 8.
+    Storing level 7 drops the entries of order 7 and keeps the others;
+    storing level 8 then drops those of order 8 and keeps the roots'.  A
+    one-step ask then stores entries for the graphs of level 8.
     Enumerator.clear, and clear_cache for the shared enumerator, empty
     the store."""
     enumerator = Enumerator()
     enumerator.extremal(7, 4, 9, 2, False)
-    assert set(enumerator.searched) == {(7, 4, 7), (7, 4, 8)}
-    roots = dict(enumerator.searched[7, 4, 7])
+    assert set(enumerator.searched) == {(7, 4, 6), (7, 4, 7), (7, 4, 8)}
+    roots = dict(enumerator.searched[7, 4, 6])
+    enumerator.level(7, 4, 7)
+    assert set(enumerator.searched) == {(7, 4, 6), (7, 4, 8)}
     enumerator.level(7, 4, 8)
-    assert set(enumerator.searched) == {(7, 4, 7)}
-    assert enumerator.searched[7, 4, 7] == roots
+    assert set(enumerator.searched) == {(7, 4, 6)}
+    assert enumerator.searched[7, 4, 6] == roots
     enumerator.extremal(7, 4, 9, 2, False)
     level = {g.rows for g, _gens, _code in enumerator.levels[7, 4, 8, 0]}
     assert enumerator.searched[7, 4, 8] and set(enumerator.searched[7, 4, 8]) <= level
@@ -1613,17 +1665,17 @@ def _whole_entries(enumerator: Enumerator, k, m) -> int:
 
 def test_a_timed_out_visit_leaves_whole_entries():
     """A BudgetExceeded raised at any of a sample of the extremal stage's
-    checks of a cold extremal ask at order 9 of (7,4), with level 7
-    stored, leaves only whole entries in the store (each read back
+    checks of a cold extremal ask at order 9 of (7,4), with level 6
+    stored (the 120 roots), leaves only whole entries in the store (each read back
     against its graph), and the retried call returns the graphs of a
     fresh enumerator."""
     for r, connected in [(2, False), (3, True)]:
         want = Enumerator().extremal(7, 4, 9, r, connected)
         total = _Countdown()
         Enumerator().extremal(7, 4, 9, r, connected, total)
-        for calls in sorted({0, 1, 253, 254, total.done // 2, total.done - 1}):
+        for calls in sorted({0, 1, 120, 121, total.done // 2, total.done - 1}):
             enumerator = Enumerator()
-            enumerator.level(7, 4, 7)
+            enumerator.level(7, 4, 6)
             with pytest.raises(BudgetExceeded):
                 enumerator.extremal(7, 4, 9, r, connected, _Countdown(calls))
             assert (_whole_entries(enumerator, 7, 4) > 0) == (calls > 0), calls
@@ -1633,13 +1685,13 @@ def test_a_timed_out_visit_leaves_whole_entries():
 
 def test_verify_grows_the_largest_order_first(monkeypatch):
     """A cold verify_theorem((7, 4, 2), 7..10) checks its range, then
-    labels level 8, N - 2 for N the largest n, so the orders 7..9 read
-    labelled parent levels and only order 10 takes two minimum-degree
-    steps from level 8: each order 1..8 of _candidates is computed once,
-    level 9 is never labelled and no candidate of order 9 is grown; each
-    candidate list is dropped once its level is stored.  Its
-    data equals four single-n sweeps, each on a fresh enumerator, where
-    every n takes two steps.  A range that holds an order above the cap,
+    labels level 7, N - 3 for N the largest n, so the orders 7 and 8
+    read labelled parent levels, order 9 takes two minimum-degree steps
+    and order 10 three, from level 7: each order 1..7 of _candidates is
+    computed once, levels 8 and 9 are never labelled and no candidate of
+    order 8 or 9 is grown; each candidate list is dropped once its level
+    is stored.  Its data equals four single-n sweeps, each on a fresh
+    enumerator, where every n takes three steps.  A range that holds an order above the cap,
     or below δ_k + 2, raises before anything is enumerated."""
     computed = []
     candidates = oracle._candidates
@@ -1653,10 +1705,10 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     params = TheoremParams(7, 4, 2)
     rows = verify_theorem(params, range(7, 11))
-    assert computed == list(range(1, 9))
-    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
+    assert computed == list(range(1, 8))
+    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
     assert not _grown_keys(enumerator)
-    # the lists of orders 1..8 were dropped as their levels were stored
+    # the lists of orders 1..7 were dropped as their levels were stored
     assert not enumerator.candidates
     singles = []
     for n in range(7, 11):
@@ -1677,6 +1729,29 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
         with pytest.raises(ParameterError):
             verify_theorem(params, n_range)
     assert computed == [] and not enumerator.levels and not enumerator.candidates
+
+
+def test_verify_skips_levels_n_minus_two_and_one(monkeypatch):
+    """verify_theorem((7, 4, r), 7..9), r in {2, 3}, either scope, labels
+    level 6, N - 3, and not level 7: order 9 takes three minimum-degree
+    steps and order 8 two.  Its rows, runtime_ms aside, equal those of
+    the same sweep on an enumerator where level 7 was stored first, so
+    that order 9 takes two steps and order 8 one."""
+
+    def data(rows):
+        return [replace(row, runtime_ms=0.0) for row in rows]
+
+    for r in (2, 3):
+        for scope in ("connected", "all"):
+            params = TheoremParams(7, 4, r)
+            enumerator = Enumerator()
+            monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+            rows = verify_theorem(params, range(7, 10), scope)
+            assert set(enumerator.levels) == _unfiltered_keys(7, 4, 7), (r, scope)
+            enumerator = Enumerator()
+            enumerator.level(7, 4, 7)
+            monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+            assert data(verify_theorem(params, range(7, 10), scope)) == data(rows), (r, scope)
 
 
 def test_extremal_r_validation():
@@ -1999,9 +2074,9 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     Level 9 of (7,4), labelled from candidates stored by an earlier call,
     raises in the levels stage after level 8, with the sizes of the chain
     to 8.  The extremal graphs on 9 vertices, bounded from the stored
-    level 7 through two minimum-degree steps, which grow nothing of
-    order 8, raise in the extremal stage after level 7, with the sizes of
-    the chain to 7."""
+    level 6 through three minimum-degree steps, which grow nothing of
+    order 7 or 8, raise in the extremal stage after level 6, with the
+    sizes of the chain to 6."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.chain(7, 4, 8)
@@ -2018,7 +2093,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert (7, 4, 8, 0) not in enumerator.candidates and (7, 4, 8, 0) not in enumerator.levels
+    assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -2026,8 +2101,8 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
         enumerate_graphs(config)
     assert info.value.stats == {
         "stage": "extremal",
-        "completed_levels": 7,
-        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
+        "completed_levels": 6,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 6)],
     }
 
 
@@ -2050,9 +2125,9 @@ class _JumpingClock:
 
 def test_time_budget_overshoot_and_recovery(monkeypatch):
     """From a cold cache, ex_oracle(10, None, 3, 2) labels the triangle-free
-    levels to 8, expands the roots of level 8 into unlabelled parents of
-    order 9 and then scores the children on 10 vertices, so the last
-    complete level is 8.
+    levels to 7, expands the roots of level 7 into unlabelled graphs of
+    order 8, those into unlabelled parents of order 9, and then scores
+    the children on 10 vertices, so the last complete level is 7.
     The clock jumps past the deadline at the first score, so the deadline
     passes inside the order-10 stage, where a check made only between levels
     would not fire at all.  The jump is an event of the run, not a
@@ -2075,7 +2150,7 @@ def test_time_budget_overshoot_and_recovery(monkeypatch):
     monkeypatch.undo()
     stats = info.value.stats
     done = stats["completed_levels"]
-    assert stats["stage"] == "extremal" and done == 8
+    assert stats["stage"] == "extremal" and done == 7
     assert len(stats["level_sizes"]) == done + 1
     # the interrupted level was not cached half-built
     config = EnumerationConfig(n=done + 1, forbid_clique=3)
@@ -2213,9 +2288,10 @@ def test_one_budget_per_command(monkeypatch):
 
 def test_verify_reports_the_shared_first_step(monkeypatch):
     """verify_theorem starts the clock of the first n's row before it labels
-    level N - 2 for the whole range, so that row carries the step.  The clock jumps 10**6 s in that step (the first children
-    call): the row of n = 7 reads at least 10**9 ms, and the other rows,
-    timed after the jump, read less."""
+    level N - 3 for the whole range, so that row carries the step.  The
+    clock jumps 10**6 s in that step (the first children call): the row
+    of n = 7 reads at least 10**9 ms, and the other rows, timed after the
+    jump, read less."""
     clock = _JumpingClock()
     children = Enumerator.children
 
@@ -2316,70 +2392,73 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
 
 
 def test_time_budget_inside_the_bounded_stage(monkeypatch):
-    """The deadline is checked per visited parent at the top order.  From
-    a fresh enumerator, ex_oracle(9, 7, 4, 2) visits unlabelled parents
-    of order 8, the children of the roots of level 7 labelled.  The
+    """The deadline is checked per visited graph at each step of the top
+    order.  From a fresh enumerator, ex_oracle(9, 7, 4, 2) visits
+    unlabelled graphs of order 7, the children of the roots of level 6
+    labelled, and unlabelled parents of order 8, their children.  The
     budget is 60 s, and the clock jumps past the deadline while the first
-    visited parent is searched, so the call raises in the extremal stage
-    after level 7, with the sizes of the chain to 7.  No other parent is
-    searched, the levels 0..7 are stored whole and no candidate list is
-    left, as each was dropped when its level was stored, no level above 7
+    visited graph of order 7, and in a second call of order 8, is
+    searched, so each call raises in the extremal stage after level 6,
+    with the sizes of the chain to 6.  No other graph of that order is
+    searched, the levels 0..6 are stored whole and no candidate list is
+    left, as each was dropped when its level was stored, no level above 6
     is stored, and a resumed call gives what a cold one does."""
-    enumerator = Enumerator()
-    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    clock = _JumpingClock()
-    attachable = oracle._attachable_masks
-    searched = []
-
-    def jump_at_order_8(g, *args, **kwargs):
-        if g.n == 8:
-            clock.jump()
-            searched.append(g)
-        return attachable(g, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "time", clock)
-    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_8)
-    with pytest.raises(BudgetExceeded) as info:
-        ex_oracle(9, 7, 4, 2, time_budget_s=60.0)
-    assert time.monotonic() - clock.jumped < 2.0
-    monkeypatch.undo()
-    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    assert info.value.stats == {
-        "stage": "extremal",
-        "completed_levels": 7,
-        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
-    }
-    assert len(searched) == 1
-    assert not enumerator.candidates
-    assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
-    resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
-    assert ex_oracle(9, 7, 4, 2) == resumed
+    want = ex_oracle(9, 7, 4, 2)
+    for order in (7, 8):
+        enumerator = Enumerator()
+        monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+        clock = _JumpingClock()
+        attachable = oracle._attachable_masks
+        searched = []
+
+        def jump_at_order(g, *args, **kwargs):
+            if g.n == order:
+                clock.jump()
+                searched.append(g)
+            return attachable(g, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "time", clock)
+        monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order)
+        with pytest.raises(BudgetExceeded) as info:
+            ex_oracle(9, 7, 4, 2, time_budget_s=60.0)
+        assert time.monotonic() - clock.jumped < 2.0
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
+        assert info.value.stats == {
+            "stage": "extremal",
+            "completed_levels": 6,
+            "level_sizes": [len(l) for l in enumerator.chain(7, 4, 6)],
+        }, order
+        assert len(searched) == 1, order
+        assert not enumerator.candidates
+        assert set(enumerator.levels) == _unfiltered_keys(7, 4, 7)
+        assert ex_oracle(9, 7, 4, 2) == want, order
 
 
 def test_time_budget_while_a_root_is_expanded(monkeypatch):
     """The deadline is checked per root bounded and per root expanded at
     the top order.  From a fresh enumerator, ex_oracle(9, 7, 4, 2) bounds
-    order 9 from the roots of level 7.  The budget is 60 s, and the clock
+    order 9 from the roots of level 6.  The budget is 60 s, and the clock
     jumps past the deadline while the first root is expanded, so the call
-    raises in the extremal stage after level 7, with the sizes of the
-    chain to 7, before any other root is expanded.  It stores no level
-    and no candidate list of order 8, and a resumed call gives what a
-    cold one does."""
+    raises in the extremal stage after level 6, with the sizes of the
+    chain to 6, before any other root is expanded.  It stores no level
+    and no candidate list of order 7 or 8, and a resumed call gives what
+    a cold one does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
     attachable = oracle._attachable_masks
     expanded = []
 
-    def jump_at_order_7(g, *args, **kwargs):
-        if g.n == 7 and kwargs.get("most") is not None:
+    def jump_at_order_6(g, *args, **kwargs):
+        if g.n == 6 and kwargs.get("most") is not None:
             clock.jump()
             expanded.append(g)
         return attachable(g, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "time", clock)
-    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_7)
+    monkeypatch.setattr(oracle, "_attachable_masks", jump_at_order_6)
     with pytest.raises(BudgetExceeded) as info:
         ex_oracle(9, 7, 4, 2, time_budget_s=60.0)
     assert time.monotonic() - clock.jumped < 2.0
@@ -2387,11 +2466,11 @@ def test_time_budget_while_a_root_is_expanded(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     assert info.value.stats == {
         "stage": "extremal",
-        "completed_levels": 7,
-        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 7)],
+        "completed_levels": 6,
+        "level_sizes": [len(l) for l in enumerator.chain(7, 4, 6)],
     }
     assert len(expanded) == 1
-    assert not any(key[2] >= 8 for key in [*enumerator.levels, *enumerator.candidates])
+    assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
     resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     assert ex_oracle(9, 7, 4, 2) == resumed
