@@ -55,9 +55,8 @@ level is labelled only when something reads it.  A step to level
 grown from the unlabelled candidates of that level instead, and the
 parent level is not labelled (Enumerator.children); so classify over
 one n, which reads only the candidates of level (n, δ_k), labels no
-level strictly between the unfiltered level n - δ_k and n.  A step with bound 0 or 1,
-or over a stored parent level, reads it labelled; a list grown from
-unlabelled parents is dropped once its parent level is labelled.
+level strictly between the unfiltered level n - δ_k and n.  A step with
+bound 0 or 1, or over a stored parent level, reads it labelled.
 
 The oracle (ex_oracle, and so verify and the oracle command) needs at
 order n only the maximum K_r count and the classes that reach it.  It
@@ -91,13 +90,12 @@ P_k), so every class ties at 0: the oracle then reads level n, or its
 connected graphs, and scores nothing.
 
 An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
-and shared by every caller, and under the same key the candidates of
-each level that is not stored yet, dropped once the level is labelled.
-It also owns what the oracle's top order read of each graph it bounded
-or visited (its min degree, its clique counts and its masks), per
-(forbid_path, forbid_clique, order) and graph, so that a later call
-searches no graph again; those of an order are dropped once its
-unfiltered level is labelled.  Only whole levels, whole candidate lists
+and shared by every caller; a level's candidates are computed where they
+are read and kept nowhere.  It also owns what the oracle's top order
+read of each graph it bounded or visited (its min degree, its clique
+counts and its masks), per (forbid_path, forbid_clique, order) and
+graph, so that a later call searches no graph again; those of an order
+are dropped once its unfiltered level is labelled.  Only whole levels
 and whole entries are cached, so the cache doubles as a checkpoint: a
 timed-out sweep resumes from the last completed one.
 """
@@ -179,9 +177,7 @@ class EnumerationConfig:
     below n; connected_only and edge_maximal are not closed under vertex
     deletion and are not pushed below order n.  edge_maximal is applied
     to the finished level and decided in each graph without building
-    g + e; connected_only, over a level that is not stored, is decided
-    on the candidates of order n before they are labelled
-    (Enumerator.connected), and else filters the stored level.
+    g + e; connected_only is decided by Enumerator.connected.
     extremal_r = r keeps only the graphs with the most K_r (connected
     ones, with connected_only), found by scoring the unlabelled children
     on n vertices; edge_maximal then filters those winners, which loses
@@ -649,43 +645,36 @@ class Enumerator:
     {P_k, K_m}-free graphs on n vertices with min degree >= δ, shared by
     every caller; δ = 0 is the unfiltered level.  It is labelled once
     (level), from the candidates of level (n, δ): the children of level
-    (n - 1, max(δ - 1, 0)) with min degree >= δ (children).  They are kept
-    in candidates[(k, m, n, δ)] until level (n, δ) is stored, as nothing
-    reads them after, so no key is in both stores.  At a step with δ >= 2
-    whose parent level is not stored they are grown from its unlabelled
-    candidates, and the parent level stays unlabelled (a skipped level);
-    such a list is also dropped when its parent level is stored, and
-    grown again from it labelled if it is asked for.  So a level is
-    labelled only when something reads it: a caller, a chain, or a step
-    with bound 0 or 1.  The top order of the extremal graphs (extremal)
-    reads level (n - 1, 0) when it is stored, else level (n - 2, 0) when
-    it is, and else level (n - 3, 0), and builds what it needs of the
-    orders above unlabelled, so asking for the extremal graphs of order n
-    stores no level and no candidate list of order n - 1 or n - 2.  Its
-    one store is searched[(k, m, i)][g.rows]: for each graph g of order
-    i that it bounded, δ(g), N_j(g) for each j asked and, once g is
+    (n - 1, max(δ - 1, 0)) with min degree >= δ (children), computed where
+    they are read and not stored.  At a step with δ >= 2 whose parent
+    level is not stored they are grown from its unlabelled candidates,
+    and the parent level stays unlabelled (a skipped level).  So a level
+    is labelled only when something reads it: a caller, a chain, or a
+    step with bound 0 or 1.  The top order of the extremal graphs
+    (extremal) reads level (n - 1, 0) when it is stored, else level
+    (n - 2, 0) when it is, and else level (n - 3, 0), and builds what it
+    needs of the orders above unlabelled, so asking for the extremal
+    graphs of order n stores no level of order n - 1 or n - 2.  Its one
+    store is searched[(k, m, i)][g.rows]: for each graph g of order i
+    that it bounded, δ(g), N_j(g) for each j asked and, once g is
     visited, its masks (_Searched).  Every later call reads them, so no
     graph is searched twice.  The entries of order n are dropped when
     level (n, 0) is stored: they were unlabelled graphs, and extremal
     reads that level from then on.  A cell where every class ties
     (r >= m or r >= k) reads level n instead, or its connected graphs.
     The connected graphs of a level that is not stored (connected) are
-    labelled from its candidates, which stay in candidates, and are not
-    stored either, so that a later read of the whole level finds its
-    candidates.  Only whole levels and whole candidate lists are stored,
-    and each entry of searched is written whole before it is read:
-    _candidates and _label raise before they store a list, never inside
-    one, and extremal checks the budget before it counts or searches,
-    never between, so a timed-out call leaves a checkpoint."""
+    labelled from its candidates and not stored.  Only whole levels are
+    stored, and each entry of searched is written whole before it is
+    read: _candidates and _label raise before a level is stored, never
+    inside one, and extremal checks the budget before it counts or
+    searches, never between, so a timed-out call leaves a checkpoint."""
 
     def __init__(self) -> None:
         self.levels: dict[tuple, Level] = {}
-        self.candidates: dict[tuple, list[Candidate]] = {}
         self.searched: dict[tuple, dict[tuple, _Searched]] = {}
 
     def clear(self) -> None:
         self.levels.clear()
-        self.candidates.clear()
         self.searched.clear()
 
     def children(
@@ -697,17 +686,14 @@ class Enumerator:
         budget: Budget = _NO_BUDGET,
     ) -> list[Candidate]:
         """The candidates of level (n, δ), δ = min_degree >= 0: the children
-        of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed once
-        and kept in candidates until level (n, δ) is stored; the graph on 0
-        vertices has none.  For δ >= 2, when that parent level is not
-        stored, they are grown from its unlabelled candidates and it is not
-        labelled: each candidate (P, M) of children(n - 1, δ - 1) gives an
-        unlabelled parent C = P + v(M), which _candidates extends by every
-        mask of _attachable_masks(C, k, m, δ), as C is given no generators;
-        the budget is checked once per C.  Otherwise the parent level is
-        read labelled (level).  Either way the parents are read even when
-        the candidates are stored, so the budget reports the levels they
-        stand on.
+        of level (n - 1, max(δ - 1, 0)) with min degree >= δ, computed at
+        each call; the graph on 0 vertices has none.  For δ >= 2, when that
+        parent level is not stored, they are grown from its unlabelled
+        candidates and it is not labelled: each candidate (P, M) of
+        children(n - 1, δ - 1) gives an unlabelled parent C = P + v(M),
+        which _candidates extends by every mask of _attachable_masks(C, k,
+        m, δ), as C is given no generators; the budget is checked once per
+        C.  Otherwise the parent level is read labelled (level).
 
         Soundness of the unlabelled parents.  Every class of level (n, δ)
         has a candidate.  Let G be in it and u a vertex of maximum degree.
@@ -731,18 +717,13 @@ class Enumerator:
         (9, 2) of (9,5) took 1.1-1.4 s, and 2.0-2.1 s with the step to
         (8, 1) grown too, which left the next step 28,977 unlabelled
         parents."""
-        key = (forbid_path, forbid_clique, n, min_degree)
         parent = (forbid_path, forbid_clique, n - 1, min_degree - 1)
         if min_degree >= 2 and parent not in self.levels:
             below = self.children(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
             parents: Iterable[tuple] = ((_attach(g, mask), ()) for g, mask in below)
         else:
             parents = self.level(forbid_path, forbid_clique, n - 1, min_degree - 1, budget)
-        if key not in self.candidates:
-            self.candidates[key] = _candidates(
-                parents, forbid_path, forbid_clique, min_degree, budget
-            )
-        return self.candidates[key]
+        return _candidates(parents, forbid_path, forbid_clique, min_degree, budget)
 
     def level(
         self,
@@ -755,10 +736,9 @@ class Enumerator:
         """Level (n, δ), δ = max(min_degree, 0): the graphs of the class on
         n vertices with min degree >= δ, labelled from children(n, δ)
         unless it is stored; [] when there are none.  A level below it that
-        children skips stays unlabelled.  Once the level is stored, its
-        candidate list and that of level (n + 1, δ + 1) are dropped, and
-        for δ = 0 the top order's entries of order n (searched), whose
-        graphs extremal no longer builds.
+        children skips stays unlabelled.  Once a level with δ = 0 is stored,
+        the top order's entries of order n (searched), whose graphs
+        extremal no longer builds, are dropped.
         Writes to budget.level_sizes the sizes of the levels of its chain
         (see chain) from level 0 up to the first one that is not stored."""
         delta = max(min_degree, 0)
@@ -773,11 +753,6 @@ class Enumerator:
             else:
                 candidates = self.children(forbid_path, forbid_clique, n, delta, budget)
                 self.levels[key] = _label(candidates, budget)
-                del self.candidates[key]
-                # the list of level (n + 1, δ + 1), if any, was grown from the
-                # unlabelled candidates of this level; children regrows it
-                # from this level labelled, whose generators can differ
-                self.candidates.pop((forbid_path, forbid_clique, n + 1, delta + 1), None)
                 if delta == 0:
                     # the unlabelled parents of order n; extremal reads level n now
                     self.searched.pop((forbid_path, forbid_clique, n), None)
@@ -822,14 +797,15 @@ class Enumerator:
         min_degree: int = 0,
         budget: Budget = _NO_BUDGET,
     ) -> list[Graph]:
-        """The connected graphs of level (n, δ), n >= 1, δ =
-        max(min_degree, 0), in canonical labels, sorted by code; [] when
-        δ > n - 1.  Only the candidates of children(n, δ) whose child is
-        connected are labelled, and the result is not stored as a level:
-        the candidate list stays in candidates, so a later read of the
-        whole level labels it from there, and level drops it then.  The
-        components of each parent are computed once.  The budget is
-        checked as in children and once per child labelled.
+        """The connected graphs of level (n, δ), δ = max(min_degree, 0), in
+        canonical labels, sorted by code: [g for g in level(n, δ) if
+        is_connected(g)], so the graph on 0 vertices at n = 0, and [] when
+        δ > max(n - 1, 0).  A stored level, or level 0, is filtered, and the
+        budget is checked once per graph.  Over any other level only the
+        candidates of children(n, δ) whose child is connected are
+        labelled, and the result is not stored, so a later ask labels them
+        again.  The components of each parent are computed once.  The
+        budget is then checked as in children and once per child labelled.
 
         Soundness.  v joins the components of P that M meets and no
         other, so P + v(M) is connected iff M meets every component of P.
@@ -841,6 +817,13 @@ class Enumerator:
         canonical form per code and sorts by code, so the graphs and their
         order are those of [g for g in level(n, δ) if is_connected(g)]."""
         delta = max(min_degree, 0)
+        if n == 0 or (forbid_path, forbid_clique, n, delta) in self.levels:
+            out = []
+            for g, _gens, _code in self.level(forbid_path, forbid_clique, n, delta, budget):
+                budget.check("filters")
+                if is_connected(g):
+                    out.append(g)
+            return out
         if delta > n - 1:
             return []
         kept: list[Candidate] = []
@@ -871,10 +854,9 @@ class Enumerator:
         stored, and once per labelled winner.
 
         Ties.  When r >= m or r >= k, no graph of the class has a K_r:
-        K_r holds a K_m, and a P_r, which holds a P_k.  Every class then
-        scores 0 and is extremal, so for n >= 1 the result is level n
-        (level), or, with connected, its connected graphs: read from the
-        level when it is stored, and else labelled from its candidates
+        K_r holds a K_m, and a P_r, which holds a P_k; at n = 0 the one
+        graph has none.  Every class then scores 0 and is extremal, so the
+        result is level n (level), or, with connected, its connected graphs
         (connected).  Nothing is scored; the budget is checked as in those
         stages.
 
@@ -969,15 +951,11 @@ class Enumerator:
         lost at (9,5), n = 10, r = 2 (1.75 and 4.9 s against 0.56 s at
         three, one run each)."""
         k, m = forbid_path, forbid_clique
-        if n == 0:
-            level = self.level(k, m, 0, budget=budget)
-            return [g for g, _gens, _code in level]
-        if (m is not None and r >= m) or (k is not None and r >= k):
-            # no graph of the class has a K_r, so every class ties at 0
-            if connected and (k, m, n, 0) not in self.levels:
+        if n == 0 or (m is not None and r >= m) or (k is not None and r >= k):
+            # no graph of order n in the class has a K_r, so every class ties at 0
+            if connected:
                 return self.connected(k, m, n, 0, budget)
-            level = self.level(k, m, n, budget=budget)
-            return [g for g, _gens, _code in level if not connected or is_connected(g)]
+            return [g for g, _gens, _code in self.level(k, m, n, budget=budget)]
         steps = next((s for s in (1, 2) if (k, m, n - s, 0) in self.levels), min(3, n))
         best, top = -1, []
 
@@ -1023,9 +1001,8 @@ _ENUMERATOR = Enumerator()
 
 
 def clear_cache() -> None:
-    """Empty the enumerator's levels, the candidate lists of the levels not
-    yet stored and the top order's store of searched graphs, and the
-    classifier's table of candidates."""
+    """Empty the enumerator's levels and the top order's store of searched
+    graphs, and the classifier's table of candidates."""
     _ENUMERATOR.clear()
     class_table.cache_clear()
 
@@ -1070,36 +1047,26 @@ def _edge_maximal(g: Graph, k: Optional[int], m: Optional[int]) -> bool:
 def enumerate_graphs(config: EnumerationConfig) -> list[Graph]:
     """All graphs of the configured class on config.n vertices, one per
     isomorphism class, in canonical labels, sorted by canonical code; with
-    extremal_r, only those with the most K_r (Enumerator.extremal).  With
-    connected_only, over a level (n, δ), n >= 1, that is not stored, only
-    the candidates whose child is connected are labelled
-    (Enumerator.connected), and the level is not stored; over a stored
-    level the connected graphs are filtered from it.  Either way the
-    graphs and their order are the same.
+    extremal_r, only those with the most K_r (Enumerator.extremal); with
+    connected_only, only the connected ones (Enumerator.connected).
 
     The time budget (Budget) starts with the call; beside the checks of
     the enumeration, it is checked once per graph in the final filters."""
     budget = Budget(config.time_budget_s)
-    k, m, n = config.forbid_path, config.forbid_clique, config.n
-    delta = max(config.min_degree, 0)
-    connected = config.connected_only
+    k, m, n, delta = config.forbid_path, config.forbid_clique, config.n, config.min_degree
     if config.extremal_r is not None:
-        graphs = _ENUMERATOR.extremal(k, m, n, config.extremal_r, connected, budget)
-        connected = False  # decided on the candidates
-    elif connected and n > 0 and (k, m, n, delta) not in _ENUMERATOR.levels:
+        graphs = _ENUMERATOR.extremal(k, m, n, config.extremal_r, config.connected_only, budget)
+    elif config.connected_only:
         graphs = _ENUMERATOR.connected(k, m, n, delta, budget)
-        connected = False  # decided on the candidates
     else:
         graphs = [g for g, _gens, _code in _ENUMERATOR.level(k, m, n, delta, budget)]
+    if not config.edge_maximal:
+        return graphs
     out = []
     for g in graphs:
-        if connected or config.edge_maximal:
-            budget.check("filters")
-        if connected and not is_connected(g):
-            continue
-        if config.edge_maximal and not _edge_maximal(g, k, m):
-            continue
-        out.append(g)
+        budget.check("filters")
+        if _edge_maximal(g, k, m):
+            out.append(g)
     return out
 
 

@@ -886,18 +886,6 @@ def _unfiltered_keys(k, m, count: int) -> set:
     return {(k, m, n, 0) for n in range(count)}
 
 
-def _grown_keys(enumerator: Enumerator) -> set:
-    """The keys of the candidate lists grown from unlabelled parents: those
-    with bound >= 2 whose parent level is not stored.  A list grown from a
-    level's unlabelled candidates is dropped when that level is stored, so
-    every other list with bound >= 2 was grown from its level labelled."""
-    return {
-        (k, m, n, delta)
-        for k, m, n, delta in enumerator.candidates
-        if delta >= 2 and (k, m, n - 1, delta - 1) not in enumerator.levels
-    }
-
-
 def _step_spy(monkeypatch, steps: list) -> None:
     """Record (order, bound, whether the parents are labelled) in steps for
     every step of _candidates with a bound; unlabelled parents are
@@ -918,17 +906,16 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     levels only to level 7, reuses the levels that an unfiltered
     enumeration at n = 7 stored, takes the step to (8, 1) from level 7
     labelled and the step to (9, 2) from the unlabelled candidates of
-    (8, 1), and adds only level (9, 2), whose candidates are then
-    dropped; the extremal graphs on 9 vertices then store nothing of
-    order 8 as a level or a candidate list; clear_cache empties, through
-    Enumerator.clear, the levels, the candidates and the top order's
-    searches, the enumerator's only three stores, and the classifier's
+    (8, 1), and adds only level (9, 2); the extremal graphs on 9 vertices
+    then store no level of order 8 and take no bounded step; clear_cache
+    empties, through Enumerator.clear, the levels and the top order's
+    searches, the enumerator's only two stores, and the classifier's
     tables.
     A fresh enumerator keeps the shared one warm for the other tests.  A
     chain for n = 10, δ = 2 stores the unfiltered levels to 8 and the
-    levels (9, 1) and (10, 2), each once, and grows nothing unlabelled;
-    level (10, 2) alone stores the unfiltered levels to 8 and level
-    (10, 2), and keeps no list grown from unlabelled parents."""
+    levels (9, 1) and (10, 2), each once, both grown from labelled parent
+    levels; level (10, 2) alone stores the unfiltered levels to 8 and
+    level (10, 2), grown from the unlabelled candidates of (9, 1)."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerate_graphs(EnumerationConfig(n=7, forbid_path=7, forbid_clique=4))
@@ -940,32 +927,31 @@ def test_filtered_chain_shares_the_unfiltered_levels(monkeypatch):
     got = enumerate_graphs(config)
     assert steps == [(8, 1, True), (9, 2, False)]
     assert set(enumerator.levels) == set(cached) | {(7, 4, 9, 2)}
-    assert not _grown_keys(enumerator)
     assert all(enumerator.levels[key] is level for key, level in cached.items())
     assert [g for g, _gens, _code in enumerator.levels[7, 4, 9, 2]] == got
     # a second call is served from the cache
     assert enumerate_graphs(config) == got and len(steps) == 2
     class_table(9, 7, 4, False)
     assert class_table.cache_info().currsize > 0
-    assert enumerator.candidates
     # the extremal graphs on 9 vertices are bounded from level 7 through
-    # two minimum-degree steps, so order 8 is neither labelled nor grown
+    # two minimum-degree steps, so order 8 is not labelled
     enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, extremal_r=2))
-    assert not _grown_keys(enumerator) and (7, 4, 8, 0) not in enumerator.candidates
-    assert (7, 4, 8, 0) not in enumerator.levels
+    assert (7, 4, 8, 0) not in enumerator.levels and len(steps) == 2
     assert enumerator.searched
     clear_cache()
-    assert not enumerator.levels and not enumerator.candidates and not enumerator.searched
-    assert set(vars(enumerator)) == {"levels", "candidates", "searched"}
+    assert not enumerator.levels and not enumerator.searched
+    assert set(vars(enumerator)) == {"levels", "searched"}
     assert class_table.cache_info().currsize == 0
+    steps.clear()
     fresh = Enumerator()
     fresh.chain(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
-    assert not _grown_keys(fresh)
+    assert steps == [(9, 1, True), (10, 2, True)]
+    steps.clear()
     fresh = Enumerator()
     fresh.level(7, 4, 10, 2)
     assert set(fresh.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 10, 2)}
-    assert not _grown_keys(fresh)
+    assert steps == [(9, 1, True), (10, 2, False)]
 
 
 def test_classification_sweep_reads_one_tail(monkeypatch):
@@ -973,9 +959,9 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     order from the chain of (10, 2): from a fresh enumerator it takes only
     the filtered steps to 9 (bound 1) and 10 (bound 2), both from labelled
     parent levels, grows nothing unlabelled, stores the levels of that
-    chain below order 10 and no other of (7, 4), keeps the candidate list
-    of (10, 2), whose connected candidates alone it labels, and not that
-    level, the chains of its orders share their levels, and its report is
+    chain below order 10 and no other of (7, 4), labels only the connected
+    candidates of (10, 2) and does not store that level, the chains of
+    its orders share their levels, and its report is
     the merge of the four single-n reports, each from a fresh enumerator.
     A sweep to 11, above the cap, grows the same chain before it raises."""
     steps = []
@@ -984,11 +970,9 @@ def test_classification_sweep_reads_one_tail(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     report = verify_classification(7, 4, range(7, 11))
     assert steps == [(9, 1, True), (10, 2, True)]
-    assert not _grown_keys(enumerator)
     # the classifier's own enumerations are of other classes
     stored = {key for key in enumerator.levels if key[:2] == (7, 4)}
     assert stored == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1)}
-    assert (7, 4, 10, 2) in enumerator.candidates
     assert enumerator.chain(7, 4, 9, 1)[-1] is enumerator.chain(7, 4, 10, 2)[-2]
     singles = []
     for n in range(7, 11):
@@ -1023,22 +1007,30 @@ CONNECTED_CELLS = [(5, 3, 1, 10), (6, 4, 2, 9), (7, 4, 2, 9), (None, 3, 2, 8), (
 
 
 def test_connected_graphs_match_the_filtered_level(monkeypatch):
-    """enumerate_graphs with connected_only, over a level that is not
-    stored, labels only the candidates whose child is connected
-    (Enumerator.connected).  For each cell, every n from 1 to its largest
-    and δ in {0, 1, δ_k}, it returns, from a fresh enumerator and then
-    from the same one with the candidates warm, the connected graphs of
-    level (n, δ), graph by graph, as read from another enumerator, fresh
-    for each cell.  After the first call level (n, δ) is not stored and
-    its candidate list is.  At the largest n, storing the level then
-    drops the list, and the graphs filtered from it are the same."""
+    """Enumerator.connected, over a level that is not stored, labels only
+    the candidates whose child is connected; over a stored level, or
+    level 0, it filters the level and checks the budget once per graph.
+    For each cell, every n from 0 to its largest and δ in {0, 1, δ_k},
+    it and enumerate_graphs with connected_only return, from a fresh
+    enumerator, asked twice, and then once level (n, δ) is stored, the
+    connected graphs of level (n, δ), graph by graph, as read from
+    another enumerator, fresh for each cell: at n = 0 the graph on 0
+    vertices for δ = 0, and nothing for δ >= 1.  Before the level is
+    stored, the asks do not store it."""
+    checks = []
+
+    class Counting(Budget):
+        def check(self, stage, **done):
+            checks.append(stage)
+
     for k, m, dk, top in CONNECTED_CELLS:
         reference = Enumerator()
         found = 0
-        for n in range(1, top + 1):
+        for n in range(top + 1):
             for delta in sorted({0, 1, dk}):
                 key = (k, m, n, delta)
-                want = [g for g, _gens, _code in reference.level(*key) if is_connected(g)]
+                level = reference.level(*key)
+                want = [g for g, _gens, _code in level if is_connected(g)]
                 found += len(want)
                 enumerator = Enumerator()
                 monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
@@ -1046,14 +1038,16 @@ def test_connected_graphs_match_the_filtered_level(monkeypatch):
                     n=n, forbid_path=k, forbid_clique=m, connected_only=True, min_degree=delta
                 )
                 assert enumerate_graphs(config) == want, key
-                if delta < n:
-                    assert key not in enumerator.levels and key in enumerator.candidates, key
+                assert enumerator.connected(*key) == want, key
+                if n > 0:
+                    assert key not in enumerator.levels, key
+                enumerator.level(*key)
+                checks.clear()
+                assert enumerator.connected(*key, budget=Counting()) == want, key
+                assert checks == ["filters"] * len(level), key
                 assert enumerate_graphs(config) == want, key
-                if n == top:
-                    enumerator.level(*key)
-                    assert key not in enumerator.candidates, key
-                    assert enumerate_graphs(config) == want, key
         assert found > 0, (k, m)
+    assert Enumerator().connected(7, 4, 0) == [Graph(0, ())]
 
 
 def test_connected_candidates_meet_every_component():
@@ -1124,7 +1118,7 @@ def test_classification_labels_the_connected_candidates_of_its_top_order(monkeyp
         class_table.cache_clear()
         calls.clear()
         verify_classification(7, 4, n_range)
-        candidates = enumerator.candidates[7, 4, 10, 2]
+        candidates = enumerator.children(7, 4, 10, 2)
         connected = [c for c in candidates if is_connected(_attach(*c))]
         assert calls[10] == len(connected) == 16 and len(candidates) == grown, n_range
     reports, below, top = [], [], []
@@ -1139,7 +1133,7 @@ def test_classification_labels_the_connected_candidates_of_its_top_order(monkeyp
         reports.append(verify_classification(9, 5, range(9, 11)))
         below.append({n: count for n, count in calls.items() if n < 10})
         top.append(calls[10])
-    candidates = enumerator.candidates[9, 5, 10, 3]
+    candidates = enumerator.children(9, 5, 10, 3)
     connected = [c for c in candidates if is_connected(_attach(*c))]
     assert reports[0] == reports[1] and reports[0]["total"] > 0
     assert below[0] == below[1]
@@ -1156,8 +1150,7 @@ def test_skipped_levels_match_the_labelled_ones(monkeypatch):
     the unfiltered level n - δ and n: each step with bound >= 2 is grown
     from the unlabelled candidates of its parent level
     (Enumerator.children), and the step with bound 1 from level n - δ
-    labelled; of the lists grown from unlabelled parents, only those of
-    the levels still unlabelled are kept.  Each level so grown,
+    labelled.  Each level so grown,
     the one asked and, at δ = 3, level (n - 1, 2) asked from another
     fresh enumerator, equals, code by code and graph by graph, the same
     level in the chain of (n, δ) from a fresh enumerator, which labels
@@ -1170,11 +1163,10 @@ def test_skipped_levels_match_the_labelled_ones(monkeypatch):
         enumerator.level(k, m, n, delta)
         skipped = [(k, m, n - j, delta - j) for j in range(delta)]
         assert set(enumerator.levels) == _unfiltered_keys(k, m, n - delta + 1) | {skipped[0]}
-        assert _grown_keys(enumerator) == set(skipped[1:-1]), (k, m, n, delta)
         assert steps == [(n - j, delta - j, j == delta - 1) for j in reversed(range(delta))]
         reference = Enumerator()
         reference.chain(k, m, n, delta)
-        assert not _grown_keys(reference)
+        assert steps[delta:] == [(n - j, delta - j, True) for j in reversed(range(delta))]
         for key in skipped[:-1]:
             got = enumerator.levels[key] if key == skipped[0] else Enumerator().level(*key)
             want = reference.levels[key]
@@ -1197,43 +1189,65 @@ def test_steps_below_bound_two_read_labelled_parents(monkeypatch):
     enumerator.level(7, 4, 10, 2)
     assert steps == [(9, 1, True), (10, 2, True)]
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9) | {(7, 4, 9, 1), (7, 4, 10, 2)}
-    assert not _grown_keys(enumerator)
 
 
-def test_a_stored_level_drops_the_list_grown_from_it():
+def test_a_stored_level_drops_the_list_grown_from_it(monkeypatch):
     """Level (9, 3) of (7,4), asked from a fresh enumerator, grows the
-    candidates of (8, 2) from the unlabelled candidates of (7, 1) and
-    keeps them, as level (8, 2) is not stored.  The chain of (8, 2),
-    asked next, labels level (7, 1), which drops that list, so level
-    (8, 2) is labelled from level (7, 1) labelled: its graphs, generators
-    and codes, and those of the whole chain, are those of the chain of a
-    fresh enumerator.  Labelled from the list grown from unlabelled
-    parents, it would hold the same graphs with other generators."""
+    candidates of (8, 2) from the unlabelled candidates of (7, 1), and
+    keeps no list.  The chain of (8, 2), asked next, labels level (7, 1),
+    and grows the candidates of (8, 2) again, from level (7, 1) labelled:
+    the graphs, generators and codes of level (8, 2), and those of the
+    whole chain, are those of the chain of a fresh enumerator.  Labelled
+    from the list grown from unlabelled parents, level (8, 2) would hold
+    the same graphs with other generators."""
+    steps = []
+    _step_spy(monkeypatch, steps)
     enumerator = Enumerator()
     enumerator.level(7, 4, 9, 3)
-    assert _grown_keys(enumerator) == {(7, 4, 8, 2)}
-    assert enumerator.chain(7, 4, 8, 2) == Enumerator().chain(7, 4, 8, 2)
+    assert steps == [(7, 1, True), (8, 2, False), (9, 3, False)]
+    steps.clear()
+    chain = enumerator.chain(7, 4, 8, 2)
+    assert steps == [(7, 1, True), (8, 2, True)]
+    assert chain == Enumerator().chain(7, 4, 8, 2)
 
 
-def test_no_key_is_in_both_stores(monkeypatch):
-    """A candidate list is kept only until its level is stored: after each
-    of an oracle cell, a verify sweep, a classification sweep and a
-    filtered enumeration, run in turn on one fresh enumerator, no key of
-    the candidates is a key of the levels."""
-    enumerator = Enumerator()
-    monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
-    calls = [
-        lambda: ex_oracle(9, 7, 4, 2),
-        lambda: verify_theorem(TheoremParams(7, 4, 2), range(7, 10)),
-        lambda: verify_classification(7, 4, range(7, 10)),
-        lambda: enumerate_graphs(
-            EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, min_degree=2)
-        ),
-    ]
-    for i, call in enumerate(calls):
-        call()
-        assert enumerator.levels, i
-        assert set(enumerator.candidates).isdisjoint(enumerator.levels), i
+def test_a_cold_pass_computes_each_candidate_list_once(monkeypatch, capsys):
+    """The Enumerator keeps no candidate list, as a pass of the benchmark
+    sweeps would read none twice.  One fresh enumerator runs, as one cold
+    pass, the commands of extremal_sweep to order 10 (verify (7,4), r = 2
+    connected and r = 3 over all graphs, n = 7..10, and the oracle at
+    n = 10, r = 2), then classify --exhaustive for (7,4) with --n 7, 8, 9
+    and 10, and a spy on _candidates sees no (k, m, n, δ) list computed
+    twice.  classify --n 7..10, run last, computes again only the lists of
+    (9, 1) and (10, 2): it asks again for the connected graphs of order
+    10, which no store keeps, and labels level (9, 1), from which --n 10
+    grew only unlabelled parents."""
+    computed: Counter = Counter()
+    candidates = oracle._candidates
+
+    def spy(parents, k, m, bound, budget):
+        parents = list(parents)
+        if parents:
+            computed[k, m, parents[0][0].n + 1, bound] += 1
+        return candidates(parents, k, m, bound, budget)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+    monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
+    class_table.cache_clear()
+    verify = ["verify", "--k", "7", "--m", "4", "--n", "7..10"]
+    classify = ["classify", "--exhaustive", "--k", "7", "--m", "4", "--n"]
+    for argv in [
+        verify + ["--r", "2", "--connected"],
+        verify + ["--r", "3", "--scope", "all"],
+        ["oracle", "--n", "10", "--k", "7", "--m", "4", "--r", "2"],
+        *(classify + [n] for n in ("7", "8", "9", "10")),
+    ]:
+        assert cli.main(argv) == 0, argv
+    assert computed and max(computed.values()) == 1, computed
+    once = Counter(computed)
+    assert cli.main(classify + ["7..10"]) == 0
+    assert computed - once == Counter({(7, 4, 9, 1): 1, (7, 4, 10, 2): 1})
+    capsys.readouterr()
 
 
 # (forbid_path, forbid_clique) cells of the extremal tests, orders 0..8
@@ -1281,8 +1295,8 @@ def test_extremal_matches_the_labelled_level(monkeypatch):
     the most K_r: for r in {2, 3}, n = 0..8, with and without
     connected_only and edge_maximal.  Each order is asked first with
     level n not yet labelled, and again once it is; candidates are
-    computed once per order, and labelling the level reuses them.  A cell
-    where every class ties at r = 3 (_ties) stores level n at that ask."""
+    computed once per order, when its level is labelled.  A cell where
+    every class ties at r = 3 (_ties) stores level n at that ask."""
     computed = []
     candidates = oracle._candidates
 
@@ -1365,7 +1379,8 @@ def _step_searches(searched: list, enumerator: Enumerator, k, m, n: int) -> list
 def test_extremal_from_unlabelled_parents(monkeypatch):
     """Asked cold, with a fresh enumerator per n, enumerate_graphs with
     extremal_r = r labels no graph of order n - 1 or n - 2 above level 0
-    and grows no candidate of those orders: it bounds order n from level
+    and computes no candidate list of those orders, and that of each
+    order it labels once: it bounds order n from level
     n - 3 (level 0 for n <= 3) through min(3, n) minimum-degree steps
     (_step_searches), and still returns exactly the graphs of the
     labelled level n, after the same final filters, with the most K_r,
@@ -1374,19 +1389,25 @@ def test_extremal_from_unlabelled_parents(monkeypatch):
     ties at r = 3 (_ties) stores levels n - 2, n - 1 and n at that ask
     instead.  A cold ex_oracle(9, 7, 4, 2) labels no graph on 7 or 8
     vertices and gives what it gives with level 8 labelled."""
-    searched = []
+    searched, computed = [], []
     _top_order_spy(monkeypatch, searched)
+    candidates = oracle._candidates
+
+    def spy(parents, k, m, bound, budget):
+        computed.append(parents[0][0].n + 1)
+        return candidates(parents, k, m, bound, budget)
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
     for k, m in EXTREMAL_CELLS:
         for n in range(9):
             enumerator = Enumerator()
             monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
             searched.clear()
+            computed.clear()
             cold = _extremal_asks(k, m, n)
             stored = n + 1 if _ties(k, m, 3) else max(n - 2, 1)
             assert set(enumerator.levels) == _unfiltered_keys(k, m, stored), (k, m, n)
-            assert (k, m, n - 1, 0) not in enumerator.candidates, (k, m, n)
-            assert (k, m, n - 2, 0) not in enumerator.candidates, (k, m, n)
-            assert not _grown_keys(enumerator)
+            assert computed == list(range(1, stored)), (k, m, n)
             if n >= 1:
                 assert _step_searches(searched, enumerator, k, m, n), (k, m, n)
             for (config, r), got in cold.items():
@@ -1459,7 +1480,6 @@ def test_bounded_scoring_equals_full_scoring(monkeypatch):
             assert cold.extremal(k, m, n, r, connected) == best, (k, m, n, r, connected)
         for j in range(1, min(3, n)):
             assert ((k, m, n - j, 0) in cold.levels) == _ties(k, m, 3), (k, m, n)
-            assert (k, m, n - j, 0) not in cold.candidates
         roots = _step_searches(searched, cold, k, m, n)
         if (k, m, n) in {(7, 4, 9), (8, 5, 9)}:
             assert len(set(roots)) < len(cold.levels[k, m, n - 3, 0]), (k, m, n)
@@ -1515,8 +1535,8 @@ def test_top_order_searches_few_parents(monkeypatch):
     the roots, the unlabelled graphs of order 7 and the parents of order 8
     it visits: 78, 36 and 20 at r = 2, 78, 47 and 43 at r = 2 connected,
     91, 23 and 5 at r = 3, and 94, 87 and 65 at r = 3 connected.  It
-    stores no level and no candidate list of order 7 or 8.  These are
-    counts of the searches, not times."""
+    stores no level of order 7 or 8.  These are counts of the searches,
+    not times."""
     searched = []
     _top_order_spy(monkeypatch, searched)
     for r, connected, counts in [
@@ -1530,7 +1550,7 @@ def test_top_order_searches_few_parents(monkeypatch):
         orders = [c.n for c, _most in searched]
         assert tuple(orders.count(i) for i in (6, 7, 8)) == counts, (r, connected)
         assert len(orders) == sum(counts)
-        assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
+        assert not any(key[2] >= 7 for key in enumerator.levels)
 
 
 # (forbid_path, forbid_clique) cells of the tests of the top order's store
@@ -1689,8 +1709,7 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     read labelled parent levels, order 9 takes two minimum-degree steps
     and order 10 three, from level 7: each order 1..7 of _candidates is
     computed once, levels 8 and 9 are never labelled and no candidate of
-    order 8 or 9 is grown; each candidate list is dropped once its level
-    is stored.  Its data equals four single-n sweeps, each on a fresh
+    order 8 or 9 is grown.  Its data equals four single-n sweeps, each on a fresh
     enumerator, where every n takes three steps.  A range that holds an order above the cap,
     or below δ_k + 2, raises before anything is enumerated."""
     computed = []
@@ -1707,9 +1726,6 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     rows = verify_theorem(params, range(7, 11))
     assert computed == list(range(1, 8))
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 8)
-    assert not _grown_keys(enumerator)
-    # the lists of orders 1..7 were dropped as their levels were stored
-    assert not enumerator.candidates
     singles = []
     for n in range(7, 11):
         monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
@@ -1728,7 +1744,7 @@ def test_verify_grows_the_largest_order_first(monkeypatch):
     for n_range in (range(params.delta + 1, 11), range(10, params.delta, -1)):
         with pytest.raises(ParameterError):
             verify_theorem(params, n_range)
-    assert computed == [] and not enumerator.levels and not enumerator.candidates
+    assert computed == [] and not enumerator.levels
 
 
 def test_verify_skips_levels_n_minus_two_and_one(monkeypatch):
@@ -1836,7 +1852,7 @@ def test_final_filters():
     assert [g for g in base if g.min_degree() >= 1] == md
     # a negative bound is no bound, and is stored under δ = 0
     assert enumerate_graphs(EnumerationConfig(n=6, forbid_path=5, min_degree=-1)) == base
-    assert all(key[3] >= 0 for key in [*_ENUMERATOR.levels, *_ENUMERATOR.candidates])
+    assert all(key[3] >= 0 for key in _ENUMERATOR.levels)
     em = enumerate_graphs(EnumerationConfig(n=6, forbid_path=5, edge_maximal=True))
     assert set(em) <= set(base)
     # max edge count is attained inside the edge-maximal subset
@@ -2071,7 +2087,7 @@ def test_budget_checks_and_stats():
 def test_budget_stats_over_a_warm_store(monkeypatch):
     """The stats name the chain a stage stands on also when the store is
     warm, so that the stage reads no level before its first check.
-    Level 9 of (7,4), labelled from candidates stored by an earlier call,
+    Level 9 of (7,4), over the chain to 8 that an earlier call stored,
     raises in the levels stage after level 8, with the sizes of the chain
     to 8.  The extremal graphs on 9 vertices, bounded from the stored
     level 6 through three minimum-degree steps, which grow nothing of
@@ -2081,8 +2097,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     enumerator.chain(7, 4, 8)
     ex_oracle(9, 7, 4, 2)
-    enumerator.children(7, 4, 9)
-    assert (7, 4, 9, 0) in enumerator.candidates and (7, 4, 9, 0) not in enumerator.levels
+    assert (7, 4, 9, 0) not in enumerator.levels
     with pytest.raises(BudgetExceeded) as info:
         enumerate_graphs(EnumerationConfig(n=9, forbid_path=7, forbid_clique=4, time_budget_s=0))
     assert info.value.stats == {
@@ -2093,7 +2108,7 @@ def test_budget_stats_over_a_warm_store(monkeypatch):
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     ex_oracle(9, 7, 4, 2)
-    assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
+    assert not any(key[2] >= 7 for key in enumerator.levels)
     config = EnumerationConfig(
         n=9, forbid_path=7, forbid_clique=4, extremal_r=3, time_budget_s=0
     )
@@ -2161,9 +2176,8 @@ def test_time_budget_overshoot_and_recovery(monkeypatch):
 
 def test_time_budget_in_classification(monkeypatch, capsys):
     """The budget is checked once per classified graph.  With the levels
-    of the (7,4) inputs on 7 and 8 vertices and the candidates of those on
-    9 warm (order 9 labels only its connected candidates, and stores no
-    level) and a 60 s budget, the clock jumps past the deadline at the
+    of the (7,4) inputs on 7 and 8 vertices warm (order 9 labels only its
+    connected candidates, and stores no level) and a 60 s budget, the clock jumps past the deadline at the
     4th classification, while the 10 graphs on 7 vertices are
     classified: the sweep stops within one classification
     of the jump, the stats name the stage and the n reached, and
@@ -2356,8 +2370,8 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
     The budget is 60 s, and the clock jumps past the deadline at the first
     unlabelled parent (a graph on 9 vertices), so the call raises in the
     levels stage after level 8, with the sizes of the chain to 8.  It
-    stores no level above 8 and no list grown from unlabelled parents, and
-    a resumed run gives what a cold one does."""
+    stores no level above 8, and a resumed run gives what a cold one
+    does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
@@ -2384,7 +2398,6 @@ def test_time_budget_inside_a_skipped_step(monkeypatch):
         "level_sizes": [len(l) for l in _ENUMERATOR.chain(7, 4, 8)],
     }
     assert set(enumerator.levels) == _unfiltered_keys(7, 4, 9)
-    assert not _grown_keys(enumerator) and (7, 4, 9, 1) in enumerator.candidates
     unbudgeted = replace(config, time_budget_s=None)
     resumed = enumerate_graphs(unbudgeted)
     enumerator.clear()
@@ -2400,9 +2413,8 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
     visited graph of order 7, and in a second call of order 8, is
     searched, so each call raises in the extremal stage after level 6,
     with the sizes of the chain to 6.  No other graph of that order is
-    searched, the levels 0..6 are stored whole and no candidate list is
-    left, as each was dropped when its level was stored, no level above 6
-    is stored, and a resumed call gives what a cold one does."""
+    searched, the levels 0..6 are stored whole, no level above 6 is
+    stored, and a resumed call gives what a cold one does."""
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     want = ex_oracle(9, 7, 4, 2)
     for order in (7, 8):
@@ -2431,7 +2443,6 @@ def test_time_budget_inside_the_bounded_stage(monkeypatch):
             "level_sizes": [len(l) for l in enumerator.chain(7, 4, 6)],
         }, order
         assert len(searched) == 1, order
-        assert not enumerator.candidates
         assert set(enumerator.levels) == _unfiltered_keys(7, 4, 7)
         assert ex_oracle(9, 7, 4, 2) == want, order
 
@@ -2442,9 +2453,8 @@ def test_time_budget_while_a_root_is_expanded(monkeypatch):
     order 9 from the roots of level 6.  The budget is 60 s, and the clock
     jumps past the deadline while the first root is expanded, so the call
     raises in the extremal stage after level 6, with the sizes of the
-    chain to 6, before any other root is expanded.  It stores no level
-    and no candidate list of order 7 or 8, and a resumed call gives what
-    a cold one does."""
+    chain to 6, before any other root is expanded.  It stores no level of
+    order 7 or 8, and a resumed call gives what a cold one does."""
     enumerator = Enumerator()
     monkeypatch.setattr(oracle, "_ENUMERATOR", enumerator)
     clock = _JumpingClock()
@@ -2470,7 +2480,7 @@ def test_time_budget_while_a_root_is_expanded(monkeypatch):
         "level_sizes": [len(l) for l in enumerator.chain(7, 4, 6)],
     }
     assert len(expanded) == 1
-    assert not any(key[2] >= 7 for key in [*enumerator.levels, *enumerator.candidates])
+    assert not any(key[2] >= 7 for key in enumerator.levels)
     resumed = ex_oracle(9, 7, 4, 2)
     monkeypatch.setattr(oracle, "_ENUMERATOR", Enumerator())
     assert ex_oracle(9, 7, 4, 2) == resumed
