@@ -78,7 +78,10 @@ or n if n < 3, when neither n - 1 nor n - 2 is), by N_r(D) +
 min(N_{r-1}(D), C(δ(D) + 1, r - 1)) + Σ_{j=2..s} C(δ(D) + j, r - 1),
 and only the roots D so visited are extended, into graphs built but not
 labelled, which are visited the same way at s - 1 steps, down to the
-parents of the last step.  Every level up to n - s is labelled in full.
+parents of the last step.  Those unlabelled graphs repeat classes, so a
+call visits one graph per degree key at each of those steps: the graph
+relabelled by degree and neighbour degrees, so that equal keys mean
+isomorphic graphs.  Every level up to n - s is labelled in full.
 verify labels level N - 3 first, N its largest n, so N - 2, N - 1 and
 N take one, two and three steps, and neither N - 2 nor N - 1 is
 labelled.  classify labels, at its largest order N, only the connected
@@ -93,11 +96,11 @@ An Enumerator owns the levels, one per (forbid_path, forbid_clique, n, δ)
 and shared by every caller; a level's candidates are computed where they
 are read and kept nowhere.  It also owns what the oracle's top order
 read of each graph it bounded or visited (its min degree, its clique
-counts and its masks), per (forbid_path, forbid_clique, order) and
-graph, so that a later call searches no graph again; those of an order
-are dropped once its unfiltered level is labelled.  Only whole levels
-and whole entries are cached, so the cache doubles as a checkpoint: a
-timed-out sweep resumes from the last completed one.
+counts, its masks and its degree key), per (forbid_path, forbid_clique,
+order) and graph, so that a later call searches no graph again; those
+of an order are dropped once its unfiltered level is labelled.  Only
+whole levels and whole entries are cached, so the cache doubles as a
+checkpoint: a timed-out sweep resumes from the last completed one.
 """
 
 from __future__ import annotations
@@ -618,18 +621,52 @@ def _label(candidates: list[Candidate], budget: Budget, stage: str = "levels") -
     return [out[c] for c in sorted(out)]
 
 
+def _degree_key(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the graph relabelled in a stable order of (degree,
+    multiset of neighbour degrees), one refinement round: each vertex's
+    multiset is read as its number of neighbours of each degree of the
+    graph.  The key is the graph itself, relabelled, so graphs with equal
+    keys are isomorphic; isomorphic graphs often, but not always, have
+    equal keys."""
+    deg = [r.bit_count() for r in rows]
+    by_degree: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    sig = []
+    for r, d in zip(rows, deg):
+        for c in classes:
+            d = d << 6 | (r & c).bit_count()  # a count is at most 63
+        sig.append(d)
+    order = sorted(range(len(rows)), key=sig.__getitem__)
+    bit = [0] * len(rows)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    out = []
+    for v in order:
+        r, row = rows[v], 0
+        while r:
+            low = r & -r
+            row |= bit[low.bit_length() - 1]
+            r ^= low
+        out.append(row)
+    return tuple(out)
+
+
 class _Searched:
     """What Enumerator.extremal reads of one graph g at its top order: δ(g)
-    (low), N_j(g) for each j asked so far (cliques), and, once g has been
-    visited, _attachable_masks(g, k, m, most=δ(g) + 1) (masks).  All are
-    functions of (k, m, g.rows) alone."""
+    (low), N_j(g) for each j asked so far (cliques), once g has been
+    visited, _attachable_masks(g, k, m, most=δ(g) + 1) (masks), and, once
+    g has been visited below the roots, _degree_key(g.rows) (key).  All
+    are functions of (k, m, g.rows) alone."""
 
-    __slots__ = ("low", "cliques", "masks")
+    __slots__ = ("low", "cliques", "masks", "key")
 
     def __init__(self, low: int) -> None:
         self.low = low
         self.cliques: dict[int, int] = {}
         self.masks: Optional[list[int]] = None
+        self.key: Optional[tuple[int, ...]] = None
 
     def count(self, g: Graph, j: int) -> int:
         """N_j(g), counted on the first ask."""
@@ -656,9 +693,11 @@ class Enumerator:
     needs of the orders above unlabelled, so asking for the extremal
     graphs of order n stores no level of order n - 1 or n - 2.  Its one
     store is searched[(k, m, i)][g.rows]: for each graph g of order i
-    that it bounded, δ(g), N_j(g) for each j asked and, once g is
-    visited, its masks (_Searched).  Every later call reads them, so no
-    graph is searched twice.  The entries of order n are dropped when
+    that it bounded, δ(g), N_j(g) for each j asked, once g is visited,
+    its masks, and, once it is visited below the roots, its degree key
+    (_Searched, _degree_key).  Every later call reads them, so no graph
+    is searched or keyed twice; which keys a call has visited is kept
+    for that call only.  The entries of order n are dropped when
     level (n, 0) is stored: they were unlabelled graphs, and extremal
     reads that level from then on.  A cell where every class ties
     (r >= m or r >= k) reads level n instead, or its connected graphs.
@@ -851,7 +890,8 @@ class Enumerator:
         children with the top score are built and labelled.  The budget is
         checked once per graph bounded and once per graph visited, at
         each step (roots and parents alike), whether or not its entry is
-        stored, and once per labelled winner.
+        stored and whether or not it is then skipped as a copy, and once
+        per labelled winner.
 
         Ties.  When r >= m or r >= k, no graph of the class has a K_r:
         K_r holds a K_m, and a P_r, which holds a P_k; at n = 0 the one
@@ -875,15 +915,15 @@ class Enumerator:
         a vertex of minimum degree at each step; no generators are used,
         so no mask is dropped as the image of another.
 
-        The store.  δ(g), N_j(g) and the masks of g are read from
-        searched[(k, m, g.n)][g.rows] (_Searched) and computed only when
-        they are missing, then written there: a later call with another r
-        or connected, or the same call again, counts and searches no graph
-        twice.  All three are functions of (k, m, g.rows) alone: extremal
-        uses no generators, and connected only filters the masks after
-        they are read.  So the bounds, the order of the visit, where it
-        stops, the winners and their labels are those of computing them
-        afresh.  A root's parents are built again from its stored masks,
+        The store.  δ(g), N_j(g), the masks of g and its degree key are
+        read from searched[(k, m, g.n)][g.rows] (_Searched) and computed
+        only when they are missing, then written there: a later call with
+        another r or connected, or the same call again, counts, searches
+        and keys no graph twice.  All four are functions of (k, m, g.rows)
+        alone: extremal uses no generators, and connected only filters the
+        masks after they are read.  So the bounds, the order of the visit,
+        where it stops, the winners and their labels are those of
+        computing them afresh.  A root's parents are built again from its stored masks,
         and their entries are found by their rows.
 
         Soundness of one step.  Let G be a graph of the class on n
@@ -940,24 +980,56 @@ class Enumerator:
         of scoring every child, and as each class is labelled once, their
         order does not matter.
 
+        One visit per key below the roots.  The graphs visited at t < s
+        steps are built unlabelled and repeat classes.  Each is given its
+        degree key (_degree_key), after its budget check, and is skipped
+        when a graph with an equal key was visited at t steps earlier in
+        the same call; the keys of different steps differ in length.  The
+        key is the graph relabelled, so the skipped graph G' and the
+        visited one G are isomorphic.  δ, N_r and N_{r-1} are isomorphism
+        invariants, so they have equal bounds.  G was visited against a
+        best score no higher, as the best only grows, and its visit ended
+        before G' was reached, as both have the same order.  For every
+        child of G' its subtree holds an isomorphic child, with an equal
+        bound at every later step (an isomorphism maps an attachable mask
+        of G' to one of G of the same size, and the masks of G reach its
+        twin-canonical image), and connectivity is invariant.  So every
+        winning class that G' could give, G already gave: its children
+        were scored, or passed by, against a best no higher.  By
+        induction over the order of the visits this holds for every
+        graph skipped in G's subtree too.  The sort and the stop rule
+        are unchanged, so the winners are unchanged.  The key is not
+        complete: isomorphic graphs with different keys are both
+        visited, as without the skip, which costs only time.  The roots
+        are a labelled level, one graph per class, and get no key.  The
+        keys a call has visited last for that call only, so a copy never
+        relies on a visit made for another r or connected.
+
         Depth.  Three steps is the most, and the depth follows only from
         which levels are stored.  Cold, in a fresh process on 2 cores
         (median of three), three steps against two took 1.13 -> 0.56 s at
         (9,5), n = 10, r = 2, 0.31 -> 0.11 s at (8,5), n = 10, r = 3, and
-        0.093 -> 0.052 s at (7,4), n = 10, r = 2.  They lose at (9,5),
-        n = 9, r = 2: 0.136 -> 0.174 s, as the unlabelled graphs of order 7
-        repeat classes, so 8,707 graphs are bounded instead of 3,830 and
-        2,208 of order 8 are searched instead of 814.  Four and five steps
-        lost at (9,5), n = 10, r = 2 (1.75 and 4.9 s against 0.56 s at
-        three, one run each)."""
+        0.093 -> 0.052 s at (7,4), n = 10, r = 2, before the degree key;
+        with it, 0.43 s, 0.11 s and 0.046 s (median of ten).  At (9,5),
+        n = 9, r = 2, three steps lost without the key (0.136 -> 0.174 s),
+        as the unlabelled graphs of order 7 repeat classes: 8,707 graphs
+        were bounded and 2,208 of order 8 searched.  With it, 3,986 are
+        bounded and 434 searched, and three steps take 0.074 s against
+        0.127 s from a labelled level 7 (median of ten).  Four and five
+        steps lost at (9,5), n = 10, r = 2 without the key (1.75 and 4.9 s
+        against 0.56 s at three, one run each).  With it, four steps, and
+        verify labelling level N - 4, still made a pass of the benchmark's
+        extremal_sweep slower: medians of 38.3 and 39.0 ms against 34.9
+        and 35.7 ms at three steps."""
         k, m = forbid_path, forbid_clique
         if n == 0 or (m is not None and r >= m) or (k is not None and r >= k):
             # no graph of order n in the class has a K_r, so every class ties at 0
             if connected:
                 return self.connected(k, m, n, 0, budget)
             return [g for g, _gens, _code in self.level(k, m, n, budget=budget)]
-        steps = next((s for s in (1, 2) if (k, m, n - s, 0) in self.levels), min(3, n))
+        depth = next((s for s in (1, 2) if (k, m, n - s, 0) in self.levels), min(3, n))
         best, top = -1, []
+        seen = set()  # the keys visited below the roots; a key's length is its order
 
         def visit(graphs: Iterable[Graph], steps: int) -> None:
             nonlocal best, top
@@ -977,6 +1049,12 @@ class Enumerator:
                 if bound < best:
                     break
                 budget.check("extremal")
+                if steps < depth:
+                    if entry.key is None:
+                        entry.key = _degree_key(g.rows)
+                    if entry.key in seen:
+                        continue  # an isomorphic copy was visited at this step
+                    seen.add(entry.key)
                 if entry.masks is None:
                     entry.masks = _attachable_masks(g, k, m, most=entry.low + 1)
                 masks = entry.masks
@@ -993,7 +1071,7 @@ class Enumerator:
                     if score == best:
                         top.append((g, mask))
 
-        visit((g for g, _gens, _code in self.level(k, m, n - steps, budget=budget)), steps)
+        visit((g for g, _gens, _code in self.level(k, m, n - depth, budget=budget)), depth)
         return [cf for cf, _gens, _code in _label(top, budget, "extremal")]
 
 

@@ -1533,22 +1533,27 @@ def test_top_order_searches_few_parents(monkeypatch):
     the 120 roots of level 6 by N_r(D) + min(N_{r-1}(D), C(δ(D) + 1,
     r - 1)) + C(δ(D) + 2, r - 1) + C(δ(D) + 3, r - 1), and searches only
     the roots, the unlabelled graphs of order 7 and the parents of order 8
-    it visits: 78, 36 and 20 at r = 2, 78, 47 and 43 at r = 2 connected,
-    91, 23 and 5 at r = 3, and 94, 87 and 65 at r = 3 connected.  It
-    stores no level of order 7 or 8.  These are counts of the searches,
-    not times."""
+    it visits, one per degree key (oracle._degree_key) at each order
+    above the roots: 78, 19 and 9 at r = 2, 78, 30 and 32 at r = 2
+    connected, 91, 14 and 3 at r = 3, and 94, 45 and 37 at r = 3
+    connected.  It stores no level of order 7 or 8.  A fresh
+    Enumerator().extremal(9, 5, 9, 2, False) searches 16, 49 and 434
+    graphs of orders 6, 7 and 8 (2,208 of order 8 when every copy of a
+    class was searched).  These are counts of the searches, not times."""
     searched = []
     _top_order_spy(monkeypatch, searched)
-    for r, connected, counts in [
-        (2, False, (78, 36, 20)), (2, True, (78, 47, 43)),
-        (3, False, (91, 23, 5)), (3, True, (94, 87, 65)),
+    for k, m, r, connected, counts in [
+        (7, 4, 2, False, (78, 19, 9)), (7, 4, 2, True, (78, 30, 32)),
+        (7, 4, 3, False, (91, 14, 3)), (7, 4, 3, True, (94, 45, 37)),
+        (9, 5, 2, False, (16, 49, 434)),
     ]:
         enumerator = Enumerator()
         searched.clear()
-        enumerator.extremal(7, 4, 9, r, connected)
-        assert len(enumerator.levels[7, 4, 6, 0]) == 120
+        enumerator.extremal(k, m, 9, r, connected)
+        if (k, m) == (7, 4):
+            assert len(enumerator.levels[7, 4, 6, 0]) == 120
         orders = [c.n for c, _most in searched]
-        assert tuple(orders.count(i) for i in (6, 7, 8)) == counts, (r, connected)
+        assert tuple(orders.count(i) for i in (6, 7, 8)) == counts, (k, m, r, connected)
         assert len(orders) == sum(counts)
         assert not any(key[2] >= 7 for key in enumerator.levels)
 
@@ -1575,7 +1580,11 @@ def test_a_warm_store_answers_as_fresh_enumerators():
     Every answer equals that of a fresh Enumerator per ask, which holds
     only the levels the ask reads (_seeded): level n - 1, or else level
     n - 3, as a cold ask does; so nothing it searched before the ask is
-    reused."""
+    reused.  Before each ask, the warm one is asked once with a budget
+    that runs out at a random check of the extremal stage (_Countdown),
+    often inside a keyed visit below the roots; the timed-out call leaves
+    only whole entries, degree keys included (_check_entry), and the
+    retried ask still answers as the fresh one."""
     asks = [
         (k, m, n, r, connected, stored)
         for k, m in STORE_CELLS
@@ -1586,13 +1595,74 @@ def test_a_warm_store_answers_as_fresh_enumerators():
     ]
     random.Random(33).shuffle(asks)
     warm, levels = Enumerator(), Enumerator()
+    stops = random.Random(36)
+    timed_out, keyed = 0, set()
     for k, m, n, r, connected, stored in asks:
         if stored and n >= 1:
             warm.level(k, m, n - 1)
         fresh = _seeded(levels, k, m, n if stored else max(n - 2, 1))
         want = fresh.extremal(k, m, n, r, connected)
+        try:
+            warm.extremal(k, m, n, r, connected, _Countdown(stops.randrange(400)))
+        except BudgetExceeded:
+            timed_out += 1
+            for (k_, m_, order), entries in warm.searched.items():
+                for rows, entry in entries.items():
+                    if entry.key is not None and (k_, m_, rows) not in keyed:
+                        _check_entry(k_, m_, Graph(order, rows), entry)
+                        keyed.add((k_, m_, rows))
         assert warm.extremal(k, m, n, r, connected) == want, (k, m, n, r, connected, stored)
-    assert warm.searched
+    assert warm.searched and timed_out > 50 and len(keyed) > 1000, (timed_out, len(keyed))
+
+
+def test_degree_keys_are_the_graph_relabelled():
+    """oracle._degree_key, on the rows of every graph of the (7,4) levels
+    6-8 and of three random relabellings of each, gives the rows of a
+    valid Graph with the canonical code of the input: equal keys mean
+    isomorphic graphs, which is all that the skip of a repeated key in
+    Enumerator.extremal rests on."""
+    rng = random.Random(36)
+    enumerator = Enumerator()
+    for n in (6, 7, 8):
+        for g, _gens, _code in enumerator.level(7, 4, n):
+            code = canonical(g)
+            for copy in [g] + [relabel(g, rng.sample(range(n), n)) for _ in range(3)]:
+                key = Graph(n, oracle._degree_key(copy.rows))  # checks the rows
+                assert canonical(key) == code, (g, copy)
+
+
+def test_keyed_visits_match_the_unkeyed_search(monkeypatch):
+    """Enumerator.extremal visits one graph per degree key at each step
+    below its roots.  With the key replaced by the rows themselves, so
+    that every graph is its own class and no visit is skipped, the
+    answers are the same graph6 lists: cells (7,4), (8,5), (6,4), (5,3)
+    and (None,3), n = 1..9, r in {2, 3, 4} where not every class ties
+    (_ties, which scores nothing), connected or not, asked from level
+    n - 3 (three steps) and from level n - 2 (two).  Each side answers
+    the asks of one cell, n and depth on one fresh enumerator seeded with
+    those levels (_seeded), so its later asks read the keys stored by
+    earlier ones; the keyed side searches fewer graphs."""
+    searched = []
+    _top_order_spy(monkeypatch, searched)
+    source = Enumerator()
+    degree_key = oracle._degree_key
+    answers, counts = {}, {}
+    for key in (degree_key, lambda rows: rows):
+        monkeypatch.setattr(oracle, "_degree_key", key)
+        searched.clear()
+        out = answers[key is degree_key] = {}
+        for k, m in [(7, 4), (8, 5), (6, 4), (5, 3), (None, 3)]:
+            for n in range(1, 10):
+                for below in sorted({max(n - 2, 1), max(n - 1, 1)}):
+                    enumerator = _seeded(source, k, m, below)
+                    for r in (2, 3, 4):
+                        for connected in (False, True):
+                            if not _ties(k, m, r):
+                                got = enumerator.extremal(k, m, n, r, connected)
+                                out[k, m, n, below, r, connected] = [graph6_encode(g) for g in got]
+        counts[key is degree_key] = len(searched)
+    assert answers[True] == answers[False]
+    assert counts[True] < counts[False], counts
 
 
 def test_repeat_asks_search_no_graph_twice(monkeypatch):
@@ -1604,27 +1674,41 @@ def test_repeat_asks_search_no_graph_twice(monkeypatch):
     level n - 3 stored, so the unlabelled graphs of both orders above it
     are).  An identical
     repeat ask searches no graph at all and gives the same answer
-    (test_a_warm_store_answers_as_fresh_enumerators checks the answers)."""
-    searched = []
+    (test_a_warm_store_answers_as_fresh_enumerators checks the answers).
+    Likewise no graph's degree key is computed twice: none with one
+    step, where every visit is of a root, some with two or three, and
+    none on a repeat ask."""
+    searched, keyed = [], []
     _top_order_spy(monkeypatch, searched)
+    degree_key = oracle._degree_key
+
+    def key_spy(rows):
+        keyed.append(rows)
+        return degree_key(rows)
+
+    monkeypatch.setattr(oracle, "_degree_key", key_spy)
     for k, m, n in [(7, 4, 9), (8, 5, 9), (6, 4, 8)]:
         for below in (n - 1, n - 2, n - 3):
             enumerator = Enumerator()
             enumerator.level(k, m, below)
             searched.clear()
+            keyed.clear()
             asks = [(r, connected) for r in (2, 3) for connected in (False, True)]
             answers = [enumerator.extremal(k, m, n, r, connected) for r, connected in asks]
             rows = [g.rows for g, _most in searched]
             assert rows and len(set(rows)) == len(rows), (k, m, n, below)
-            count = len(searched)
+            assert len(set(keyed)) == len(keyed) and bool(keyed) == (below < n - 1), (k, m, n, below)
+            count, keys = len(searched), len(keyed)
             for (r, connected), answer in zip(asks, answers):
                 assert enumerator.extremal(k, m, n, r, connected) == answer
                 assert len(searched) == count, (k, m, n, below, r, connected)
+                assert len(keyed) == keys, (k, m, n, below, r, connected)
 
 
 def test_storing_a_level_drops_its_searches(monkeypatch):
     """A cold extremal ask at order 9 of (7,4) keeps the searches of its
-    roots, of order 6, and of its unlabelled graphs of orders 7 and 8.
+    roots, of order 6, and of its unlabelled graphs of orders 7 and 8;
+    only the latter are visited below the roots and keep degree keys.
     Storing level 7 drops the entries of order 7 and keeps the others;
     storing level 8 then drops those of order 8 and keeps the roots'.  A
     one-step ask then stores entries for the graphs of level 8.
@@ -1634,6 +1718,9 @@ def test_storing_a_level_drops_its_searches(monkeypatch):
     enumerator.extremal(7, 4, 9, 2, False)
     assert set(enumerator.searched) == {(7, 4, 6), (7, 4, 7), (7, 4, 8)}
     roots = dict(enumerator.searched[7, 4, 6])
+    assert all(entry.key is None for entry in roots.values())
+    for order in (7, 8):
+        assert any(entry.key for entry in enumerator.searched[7, 4, order].values()), order
     enumerator.level(7, 4, 7)
     assert set(enumerator.searched) == {(7, 4, 6), (7, 4, 8)}
     enumerator.level(7, 4, 8)
@@ -1667,18 +1754,26 @@ class _Countdown(Budget):
             self.done += 1
 
 
+def _check_entry(k, m, g: Graph, entry) -> None:
+    """Check that a store entry holds δ, N_j and, when set, the masks and
+    the degree key of its graph g."""
+    assert entry.low == g.min_degree()
+    assert all(entry.cliques[j] == count_cliques(g, j) for j in entry.cliques)
+    if entry.masks is not None:
+        assert entry.masks == _attachable_masks(g, k, m, most=entry.low + 1)
+    if entry.key is not None:
+        assert entry.key == oracle._degree_key(g.rows)
+
+
 def _whole_entries(enumerator: Enumerator, k, m) -> int:
     """Check that every entry of the store holds δ, N_j and, when set, the
-    masks of its graph; return the number of entries."""
+    masks and the degree key of its graph (_check_entry); return the
+    number of entries."""
     count = 0
     for (k_, m_, order), entries in enumerator.searched.items():
         assert (k_, m_) == (k, m)
         for rows, entry in entries.items():
-            g = Graph(order, rows)
-            assert entry.low == g.min_degree()
-            assert all(entry.cliques[j] == count_cliques(g, j) for j in entry.cliques)
-            if entry.masks is not None:
-                assert entry.masks == _attachable_masks(g, k, m, most=entry.low + 1)
+            _check_entry(k, m, Graph(order, rows), entry)
             count += 1
     return count
 
@@ -1688,7 +1783,9 @@ def test_a_timed_out_visit_leaves_whole_entries():
     checks of a cold extremal ask at order 9 of (7,4), with level 6
     stored (the 120 roots), leaves only whole entries in the store (each read back
     against its graph), and the retried call returns the graphs of a
-    fresh enumerator."""
+    fresh enumerator.  The later checks of the sample fall in keyed
+    visits, below the roots: the degree keys stored by then are whole
+    too."""
     for r, connected in [(2, False), (3, True)]:
         want = Enumerator().extremal(7, 4, 9, r, connected)
         total = _Countdown()
@@ -1699,6 +1796,9 @@ def test_a_timed_out_visit_leaves_whole_entries():
             with pytest.raises(BudgetExceeded):
                 enumerator.extremal(7, 4, 9, r, connected, _Countdown(calls))
             assert (_whole_entries(enumerator, 7, 4) > 0) == (calls > 0), calls
+            keyed = [e.key for entries in enumerator.searched.values() for e in entries.values()]
+            if calls >= total.done // 2:
+                assert any(keyed), (r, connected, calls)
             assert enumerator.extremal(7, 4, 9, r, connected) == want, (r, connected, calls)
             _whole_entries(enumerator, 7, 4)
 
